@@ -19,6 +19,7 @@ from .errors import (
     ContextError,
     DomainError,
     InstabilityError,
+    InvariantError,
     ParityError,
     ParseError,
     SuperprojError,

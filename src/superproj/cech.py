@@ -5,6 +5,13 @@ the V-chart variables (w, p1..pm); a section pair (P, Q) glues iff
 Q = W * (P o chart).  Cochain spaces are truncated to a finite window and the
 computation is repeated at window D and D+1 until the dimensions agree.
 
+On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
+each coboundary column is W shifted by a monomial: no general substitution
+and no polynomial product.  h0 is the kernel of the polar-part map.  The
+in-window image, and with it h1 and the reduced rows that classify
+cocycles, comes from one sparse elimination of all columns in which
+out-of-band keys lead.
+
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
 systems (union-find on masks) instead of one large one.
@@ -15,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cohomology import DimPair
-from .errors import DomainError, InstabilityError, ParityError
-from .linalg import SparseElim, echelon_basis
+from .cohomology import DimPair, cohomology_dims
+from .errors import DomainError, InstabilityError, InvariantError, ParityError
+from .linalg import SparseElim
 from .scalars import ONE
 from .superpoly import (
     ChartTransition,
     SuperPolynomial,
+    koszul_sign,
     mask_parity,
     p1m_transition,
 )
@@ -90,7 +98,6 @@ class CohomologyResult:
     window_used: CechWindow
     stabilized: bool
     _image_rref: list = None  # (pivot, row) pairs for the in-window image
-    _ctx_b = None
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient."""
@@ -146,14 +153,22 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     """One full computation at a fixed window; no stabilization logic."""
     window.check(sheaf)
     D = window.D
-    depth = sheaf.depth
-    tr = sheaf.transition
-    ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
     m = sheaf.m
-    band = range(-(D - depth), D - depth + 1)  # in-window C1 exponents
+    ctx_b = sheaf.transition.ctx_b
+    B = D - sheaf.depth
+    band = range(-B, B + 1)  # in-window C1 exponents
+    w_terms = [(exps[0], mask, c) for (exps, mask), c in sheaf.W.terms.items()]
+    components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
 
-    term_masks = {mask for (_, mask) in sheaf.W.terms}
-    components = _mask_components(m, term_masks, mask_pred)
+    # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
+    # the quotient elimination an in-band key k is stored as -k - 1, so that
+    # out-of-band keys lead and, in band, the smallest (e, s) leads.
+    off = D + sheaf.depth + m
+    low = (1 << m) - 1
+
+    def decode(k):
+        k = -k - 1
+        return (k >> m) - off, k & low
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
@@ -164,74 +179,71 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         parity = mask_parity(comp[0])
         comp_set = set(comp)
 
-        # columns of the coboundary, keyed by C1 monomials (w-exp, mask)
-        p_monomials = [(a, s) for s in comp for a in range(D + 1)]
-        q_monomials = [(b, s) for s in comp for b in range(D + 1)]
-        p_images = []
-        for a, s in p_monomials:
-            mono = ctx_a.monomial(1, (a,), s)
-            img = sheaf.W * tr.to_b(mono)
-            img = img.mask_filter(lambda mk: mk in comp_set)
-            p_images.append({
-                (exps[0], mask): c for (exps, mask), c in img.terms.items()
-            })
-
-        # ---- h0: kernel of the polar-part map on truncated P space ----
-        elim = SparseElim(track=True)
-        for j, vec in enumerate(p_images):
-            polar = {k: v for k, v in vec.items() if k[0] < 0}
-            elim.add(polar, tag_key=j)
-        h0[parity] += len(elim.kernel)
-        if want_generators:
-            for combo in elim.kernel:
-                q = ctx_b.zero()
-                for j, c in combo.items():
-                    for k, v in p_images[j].items():
-                        q = q + ctx_b.monomial(c * v, (k[0],), k[1])
-                gens_h0.append(q)
-
-        # ---- h1: window quotient ----
-        # in-window image = combinations of columns vanishing outside the band
-        def in_band(key):
-            return key[0] in band
-
-        out_elim = SparseElim(track=True)
+        # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
+        # then by a; one shifted term list per S, kept with each column
         columns = []
-        for b, s in q_monomials:
-            columns.append({(b, s): ONE})
-        columns.extend(p_images)
-        for j, col in enumerate(columns):
-            out_elim.add({k: v for k, v in col.items() if not in_band(k)}, tag_key=j)
+        for s in comp:
+            k = bin(s).count("1")
+            shifted = []
+            for e, mask, c in w_terms:
+                sign = koszul_sign(mask, s)
+                if sign and (mask | s) in comp_set:
+                    e -= k
+                    shifted.append((e, mask | s, ((e + off) << m) | mask | s,
+                                    c if sign > 0 else -c))
+            columns.extend((a, shifted) for a in range(D + 1))
 
-        in_image = []
-        for combo in out_elim.kernel:
-            vec = {}
-            for j, c in combo.items():
-                for k, v in columns[j].items():
-                    cur = vec.get(k)
-                    new = (cur + c * v) if cur is not None else c * v
-                    if new.is_zero():
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = new
-            if vec:
-                in_image.append(vec)
+        # h0 is the kernel of the polar-part map; the quotient eliminates the
+        # q unit columns and the p columns together
+        h0_elim = SparseElim(track=want_generators)
+        quotient = SparseElim()
+        for s in comp:
+            for b in range(D + 1):
+                key = ((b + off) << m) | s
+                quotient.add({-key - 1 if b <= B else key: ONE})
+        for j, (a, shifted) in enumerate(columns):
+            shift = a << m
+            polar, col = {}, {}
+            for e, _, key, c in shifted:
+                e -= a
+                key -= shift
+                if e < 0:
+                    polar[key] = c
+                col[-key - 1 if -B <= e <= B else key] = c
+            h0_elim.add(polar, tag_key=j)
+            quotient.add(col)
+        h0[parity] += len(columns) - h0_elim.rank
+        if want_generators:
+            for combo in h0_elim.kernel:
+                q = {}
+                for j, c in combo.items():
+                    a, shifted = columns[j]
+                    for e, mask, _, v in shifted:
+                        key = ((e - a,), mask)
+                        term = c * v
+                        cur = q.get(key)
+                        q[key] = term if cur is None else cur + term
+                gens_h0.append(SuperPolynomial(ctx_b, q))
 
-        rref_rows = echelon_basis(in_image)
+        # h1: the stored vectors led by in-band keys hold only in-band keys
+        # and span the in-window image; reduced, they are its echelon basis
+        rows = quotient.reduced_rows(below=0)
         pivots = set()
-        for row in rref_rows:
-            pivot = min(row)
+        for key in reversed(rows):
+            pivot = decode(key)
             pivots.add(pivot)
-            image_rref.append((pivot, row))
-        window_size = len(comp) * len(band)
-        h1[parity] += window_size - len(rref_rows)
+            row = rows[key]
+            image_rref.append(
+                (pivot, {decode(k): row[k] for k in sorted(row, reverse=True)})
+            )
+        h1[parity] += len(comp) * len(band) - len(rows)
         if want_generators:
             for s in comp:
                 for j in band:
                     if (j, s) not in pivots:
                         gens_h1.append(ctx_b.monomial(1, (j,), s))
 
-    result = CohomologyResult(
+    return CohomologyResult(
         h0=DimPair(h0[0], h0[1]),
         h1=DimPair(h1[0], h1[1]),
         generators_h0=gens_h0,
@@ -240,7 +252,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         stabilized=False,
         _image_rref=image_rref,
     )
-    return result
 
 
 def default_window(sheaf: TransitionSheaf) -> CechWindow:
@@ -253,7 +264,10 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
 
     Dimensions are accepted once two consecutive windows agree; otherwise the
     window is advanced once more, and persistent disagreement raises
-    InstabilityError with a suggested retry size.
+    InstabilityError with a suggested retry size.  Over all masks, the
+    accepted parity-resolved h0 - h1 must equal that of O(k) on P^(1|m), k the
+    body exponent of W (the associated graded sheaf is split); a mismatch
+    raises InvariantError.
     """
     if window is None:
         window = default_window(sheaf)
@@ -264,6 +278,8 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
         )
         if (cur.h0, cur.h1) == (nxt.h0, nxt.h1):
             cur.stabilized = True
+            if mask_pred is None:
+                _check_euler_characteristic(sheaf, cur)
             return cur
         cur = nxt
     raise InstabilityError(
@@ -272,10 +288,20 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
     )
 
 
+def _check_euler_characteristic(sheaf: TransitionSheaf, result: CohomologyResult):
+    closed = cohomology_dims(1, sheaf.m, sheaf.body_exponent)
+    want = (closed[0].even - closed[1].even, closed[0].odd - closed[1].odd)
+    got = (result.h0.even - result.h1.even, result.h0.odd - result.h1.odd)
+    if got != want:
+        raise InvariantError(
+            f"Cech h0 - h1 = {got[0]}|{got[1]} at D={result.window_used.D}, but "
+            f"the Euler characteristic of O({sheaf.body_exponent}) on "
+            f"P^(1|{sheaf.m}) is {want[0]}|{want[1]}"
+        )
+
+
 def oracle_check_line(m: int, ell: int) -> bool:
     """Cech dims of O(ell) on P^(1|m) against the closed forms, parity-resolved."""
-    from .cohomology import cohomology_dims
-
     if m > 6 or abs(ell) > 8:
         raise DomainError("oracle grid limited to m <= 6, |ell| <= 8")
     result = cech_cohomology(twist_sheaf(m, ell), want_generators=False)

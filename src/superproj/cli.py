@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 window/bound instability.  The default output format is json and can be
-changed with --format or the SUPERPROJ_FORMAT environment variable.
+Exit codes: 0 success, 1 verification failure (including a violated runtime
+invariant), 2 usage or parse error, 3 window/bound instability.  The default
+output format is json and can be changed with --format or the
+SUPERPROJ_FORMAT environment variable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import InstabilityError, ParseError, SuperprojError
+from .errors import InstabilityError, InvariantError, ParseError, SuperprojError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
         print(f"instability: {exc} (retry with --window {exc.suggested})",
               file=sys.stderr)
         return EXIT_INSTABILITY
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except SuperprojError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

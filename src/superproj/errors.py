@@ -25,6 +25,10 @@ class InstabilityError(SuperprojError):
         self.suggested = suggested
 
 
+class InvariantError(SuperprojError):
+    """A computed result broke an identity it must satisfy (an engine fault)."""
+
+
 class ParseError(SuperprojError):
     """Syntax error in the expression grammar, with a byte offset."""
 

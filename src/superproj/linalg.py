@@ -1,10 +1,14 @@
 """Exact linear algebra over Q and Q(zeta_8).
 
-Two engines:
+Three engines:
 
 * a sparse Gaussian eliminator working on vectors stored as ``{key: coeff}``
-  dicts, used by the Cech engine and the section solvers (their matrices are
-  extremely sparse and the row index sets are ad hoc);
+  dicts, used by the Cech engine (ranks, kernels and the reduced rows of the
+  in-window image) and the section solvers (their matrices are extremely
+  sparse and the row index sets are ad hoc);
+* a dense reduced echelon basis, which serves span comparison
+  (``spans_equal``) and the tangent engine's global field bases; a Cech
+  window no longer uses it;
 * a dense fraction-free (Bareiss) rank for integer matrices, used where a
   matrix is naturally dense (the super gradient map).
 
@@ -30,7 +34,8 @@ class SparseElim:
     Vectors are dicts mapping an arbitrary hashable row key to a nonzero
     coefficient.  Feeding vectors one by one, each is reduced against the
     pivots accumulated so far; a vector that reduces to zero contributes a
-    kernel combination instead of a pivot.
+    kernel combination instead of a pivot.  A new pivot is the largest key of
+    the reduced vector, so a stored vector holds no key above its pivot.
     """
 
     def __init__(self, track: bool = False):
@@ -39,29 +44,18 @@ class SparseElim:
         self.rank = 0
         self.kernel = []  # list of tags (only if track)
         self._count = 0
+        self._inverses = {}  # coefficient -> its inverse, None for 1
 
     def add(self, vec: dict, tag_key=None):
         vec = dict(vec)
         tag = {tag_key if tag_key is not None else self._count: Fraction(1)} if self.track else None
         self._count += 1
-        while True:
-            hit = None
-            for key in vec:
-                if key in self.pivots:
-                    hit = key
-                    break
-            if hit is None:
-                break
-            pvec, ptag = self.pivots[hit]
-            factor = vec[hit] / pvec[hit]
-            _axpy(vec, pvec, factor)
-            if self.track:
-                _axpy(tag, ptag, factor)
+        self._eliminate(vec, tag)
         if not vec:
             if self.track:
                 self.kernel.append(tag)
             return None
-        pivot_key = max(vec)  # any deterministic choice works
+        pivot_key = max(vec)
         self.pivots[pivot_key] = (vec, tag)
         self.rank += 1
         return pivot_key
@@ -69,12 +63,57 @@ class SparseElim:
     def reduce(self, vec: dict) -> dict:
         """Reduce a vector against the accumulated pivots (no state change)."""
         vec = dict(vec)
+        self._eliminate(vec, None)
+        return vec
+
+    def reduced_rows(self, below) -> dict:
+        """Reduced echelon rows of the stored vectors whose pivot is below ``below``.
+
+        These vectors hold only keys below ``below``, and they span exactly
+        the vectors of the accumulated span that do.  Back-substitution runs
+        from the smallest pivot up; each row comes out with coefficient 1 at
+        its pivot and 0 at every other returned pivot.  Returns
+        ``{pivot: row}`` in increasing pivot order.
+        """
+        rows = {}
+        for key in sorted(k for k in self.pivots if k < below):
+            row = dict(self.pivots[key][0])
+            for other in [k for k in row if k in rows]:
+                _axpy(row, rows[other], row[other])
+            inv = self._inverse(row[key])
+            if inv is not None:
+                row = {k: v * inv for k, v in row.items()}
+            rows[key] = row
+        return rows
+
+    def _eliminate(self, vec: dict, tag):
+        """Clear every pivot key from vec in place, mirroring the steps on tag."""
+        pivots = self.pivots
         while True:
-            hit = next((k for k in vec if k in self.pivots), None)
+            hit = None
+            for key in vec:
+                if key in pivots:
+                    hit = key
+                    break
             if hit is None:
-                return vec
-            pvec, _ = self.pivots[hit]
-            _axpy(vec, pvec, vec[hit] / pvec[hit])
+                return
+            pvec, ptag = pivots[hit]
+            if tag is None and len(pvec) == 1:
+                del vec[hit]  # all that subtracting a multiple of pvec does
+                continue
+            inv = self._inverse(pvec[hit])
+            factor = vec[hit] if inv is None else vec[hit] * inv
+            _axpy(vec, pvec, factor)
+            if tag is not None:
+                _axpy(tag, ptag, factor)
+
+    def _inverse(self, c):
+        """1/c, or None when c is 1; memoised, as few distinct pivot values recur."""
+        try:
+            return self._inverses[c]
+        except KeyError:
+            inv = self._inverses[c] = None if c == 1 else Fraction(1) / c
+            return inv
 
 
 def _axpy(target: dict, source: dict, factor):

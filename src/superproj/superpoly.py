@@ -116,9 +116,6 @@ class Context:
             return self.zero()
         return SuperPolynomial(self, {(exps, mask): coeff})
 
-    def adjoin_even(self, names) -> "Context":
-        return Context(self.even + tuple(names), self.odd)
-
 
 class SuperPolynomial:
     """Element of the supercommutative Laurent algebra of a context."""
@@ -603,21 +600,6 @@ class SuperDerivation:
             b = other.apply(self.coefficient(name))
             coeffs[name] = a - b if sign > 0 else a + b
         return SuperDerivation(self.ctx, (self.parity + other.parity) & 1, coeffs)
-
-    def verify_second_order_cancellation(self, other: "SuperDerivation") -> bool:
-        """Check the bracket obeys the Leibniz rule on coordinate pair products."""
-        br = self.bracket(other)
-        sign = Fraction((-1) ** (self.parity * other.parity))
-        names = self.ctx.even + self.ctx.odd
-        for a in names:
-            for b in names:
-                prod = self.ctx.var(a) * self.ctx.var(b)
-                direct = self.apply(other.apply(prod)) - sign * other.apply(
-                    self.apply(prod)
-                )
-                if br.apply(prod) != direct:
-                    return False
-        return True
 
     def pushforward(self, transition: ChartTransition) -> "SuperDerivation":
         """Express a derivation on chart A in chart-B coordinates."""

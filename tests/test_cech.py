@@ -1,5 +1,9 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+from superproj import cech
 from superproj.cech import (
     CechWindow,
     TransitionSheaf,
@@ -9,9 +13,14 @@ from superproj.cech import (
     standard_transition,
     twist_sheaf,
 )
+from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
-from superproj.errors import DomainError, ParityError
+from superproj.errors import DomainError, InvariantError, ParityError
+from superproj.linalg import SparseElim, echelon_basis
 from superproj.parser import parse_superpoly
+from superproj.properties import _random_unit
+from superproj.scalars import ONE
+from superproj.superpoly import mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
 P13_COCYCLES = [
@@ -131,3 +140,132 @@ def test_coboundary_twist_invariance():
     a = cech_cohomology(sheaf, want_generators=False)
     b = cech_cohomology(twisted, want_generators=False)
     assert (a.h0, a.h1) == (b.h0, b.h1)
+
+
+# -- the general path as a reference for the monomial-shift engine ----------
+
+def _reference_window(sheaf, window, mask_pred, want_generators):
+    """One window by the general path: columns through ChartTransition.to_b
+    and SuperPolynomial products, the in-window image from a tracked kernel
+    and the quotient from a dense echelon_basis.  Returns (h0, h1,
+    generators_h0, generators_h1, image_rref) in _run_window's conventions."""
+    D, depth, m = window.D, sheaf.depth, sheaf.m
+    tr = sheaf.transition
+    ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
+    band = range(-(D - depth), D - depth + 1)
+    components = cech._mask_components(
+        m, {mask for (_, mask) in sheaf.W.terms}, mask_pred
+    )
+    h0, h1 = {0: 0, 1: 0}, {0: 0, 1: 0}
+    gens_h0, gens_h1, image_rref = [], [], []
+    for comp in components:
+        parity = mask_parity(comp[0])
+        comp_set = set(comp)
+        p_images = []
+        for s in comp:
+            for a in range(D + 1):
+                img = sheaf.W * tr.to_b(ctx_a.monomial(1, (a,), s))
+                img = img.mask_filter(lambda mk: mk in comp_set)
+                p_images.append({(e[0], mk): c for (e, mk), c in img.terms.items()})
+
+        elim = SparseElim(track=True)
+        for j, vec in enumerate(p_images):
+            elim.add({k: v for k, v in vec.items() if k[0] < 0}, tag_key=j)
+        h0[parity] += len(elim.kernel)
+        if want_generators:
+            for combo in elim.kernel:
+                q = ctx_b.zero()
+                for j, c in combo.items():
+                    for k, v in p_images[j].items():
+                        q = q + ctx_b.monomial(c * v, (k[0],), k[1])
+                gens_h0.append(q)
+
+        columns = [{(b, s): ONE} for s in comp for b in range(D + 1)] + p_images
+        out_elim = SparseElim(track=True)
+        for j, col in enumerate(columns):
+            out_elim.add({k: v for k, v in col.items() if k[0] not in band}, tag_key=j)
+        in_image = []
+        for combo in out_elim.kernel:
+            vec = ctx_b.zero()
+            for j, c in combo.items():
+                for k, v in columns[j].items():
+                    vec = vec + ctx_b.monomial(c * v, (k[0],), k[1])
+            if not vec.is_zero():
+                in_image.append({(e[0], mk): v for (e, mk), v in vec.terms.items()})
+        rows = echelon_basis(in_image)
+        pivots = {min(row) for row in rows}
+        image_rref.extend((min(row), row) for row in rows)
+        h1[parity] += len(comp) * len(band) - len(rows)
+        if want_generators:
+            gens_h1.extend(
+                ctx_b.monomial(1, (j,), s)
+                for s in comp for j in band if (j, s) not in pivots
+            )
+    return DimPair(h0[0], h0[1]), DimPair(h1[0], h1[1]), gens_h0, gens_h1, image_rref
+
+
+def _reference_cases():
+    cases = []
+    for seed in range(30):
+        m = 2 + seed % 2
+        W = _random_unit(random.Random(seed), standard_transition(m).ctx_b, 2)
+        cases.append((f"unit-m{m}-seed{seed}", TransitionSheaf(m, W)))
+    W, _ = parse_superpoly(P13_TRANSITION)
+    cases.append(("cech-p13", TransitionSheaf(3, W)))
+    for m in range(5):
+        for ell in range(-3, 4):
+            cases.append((f"twist-m{m}-ell{ell}", twist_sheaf(m, ell)))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+PICARD_PREDICATES = (
+    lambda s: s != 0 and mask_parity(s) == 0,
+    lambda s: mask_parity(s) == 1,
+)
+
+
+@pytest.mark.parametrize(
+    "sheaf", [c[1] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
+)
+def test_run_window_matches_general_path(sheaf):
+    window = default_window(sheaf)
+    preds = (None,) + (PICARD_PREDICATES if sheaf.m in (2, 3) else ())
+    for mask_pred in preds:
+        for want in (True, False):
+            h0, h1, gens_h0, gens_h1, rref = _reference_window(
+                sheaf, window, mask_pred, want
+            )
+            res = cech._run_window(sheaf, window, mask_pred, want)
+            assert (res.h0, res.h1) == (h0, h1)
+            assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
+            assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
+            assert res._image_rref == rref
+
+
+@pytest.fixture
+def wrong_h1(monkeypatch):
+    """Make every window report one extra even h1 dimension."""
+    real = cech._run_window
+
+    def run_window(*args):
+        res = real(*args)
+        return replace(res, h1=res.h1 + DimPair(1, 0))
+
+    monkeypatch.setattr(cech, "_run_window", run_window)
+
+
+def test_euler_characteristic_invariant(wrong_h1):
+    with pytest.raises(InvariantError, match="Euler characteristic"):
+        cech_cohomology(twist_sheaf(2, -1), want_generators=False)
+    # restricted mask sets have no closed form, so they are not checked
+    res = cech_cohomology(
+        twist_sheaf(2, -1), mask_pred=lambda s: mask_parity(s) == 1,
+        want_generators=False,
+    )
+    assert res.stabilized
+
+
+def test_invariant_violation_exits_1(wrong_h1, capsys):
+    assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 1
+    assert "invariant violated" in capsys.readouterr().err

@@ -82,3 +82,14 @@ def test_sparse_elim_reduce_is_stateless():
     reduced = elim.reduce({"a": Fraction(2), "b": Fraction(2)})
     assert reduced == {}
     assert elim.rank == before
+
+
+def test_reduced_rows_back_substitution():
+    elim = SparseElim()
+    elim.add({2: Fraction(1), 1: Fraction(2), 0: Fraction(3)})
+    elim.add({3: Fraction(1), 1: Fraction(1)})
+    elim.add({3: Fraction(2), 0: Fraction(4)})  # reduces to {0: 4, 1: -2}
+    # the vectors of the span free of key 3 are spanned by (3, 2, 1) and (4, -2)
+    rows = elim.reduced_rows(below=3)
+    assert rows == {1: {0: -2, 1: 1}, 2: {0: 7, 2: 1}}
+    assert list(rows) == [1, 2]
