@@ -28,6 +28,12 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
+def _is_one(x) -> bool:
+    if isinstance(x, Scalar):
+        return x.is_one()
+    return x == 1
+
+
 class SparseElim:
     """Incremental sparse Gaussian elimination with optional combination tracking.
 
@@ -44,7 +50,6 @@ class SparseElim:
         self.rank = 0
         self.kernel = []  # list of tags (only if track)
         self._count = 0
-        self._inverses = {}  # coefficient -> its inverse, None for 1
 
     def add(self, vec: dict, tag_key=None):
         vec = dict(vec)
@@ -80,8 +85,9 @@ class SparseElim:
             row = dict(self.pivots[key][0])
             for other in [k for k in row if k in rows]:
                 _axpy(row, rows[other], row[other])
-            inv = self._inverse(row[key])
-            if inv is not None:
+            lead = row[key]
+            if not _is_one(lead):
+                inv = Fraction(1) / lead
                 row = {k: v * inv for k, v in row.items()}
             rows[key] = row
         return rows
@@ -98,22 +104,11 @@ class SparseElim:
             if hit is None:
                 return
             pvec, ptag = pivots[hit]
-            if tag is None and len(pvec) == 1:
-                del vec[hit]  # all that subtracting a multiple of pvec does
-                continue
-            inv = self._inverse(pvec[hit])
-            factor = vec[hit] if inv is None else vec[hit] * inv
+            lead = pvec[hit]  # a pivot coefficient of 1 needs no division
+            factor = vec[hit] if _is_one(lead) else vec[hit] / lead
             _axpy(vec, pvec, factor)
             if tag is not None:
                 _axpy(tag, ptag, factor)
-
-    def _inverse(self, c):
-        """1/c, or None when c is 1; memoised, as few distinct pivot values recur."""
-        try:
-            return self._inverses[c]
-        except KeyError:
-            inv = self._inverses[c] = None if c == 1 else Fraction(1) / c
-            return inv
 
 
 def _axpy(target: dict, source: dict, factor):

@@ -50,6 +50,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return all(q == 0 for q in self.c)
 
+    def is_one(self) -> bool:
+        return self.c == (1, 0, 0, 0)
+
     def is_rational(self) -> bool:
         return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
 

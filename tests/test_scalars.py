@@ -24,6 +24,8 @@ def test_rational_predicates():
     assert Scalar(Fraction(3, 4)).is_rational()
     assert not I.is_rational()
     assert Scalar(Fraction(3, 4)).rational_value() == Fraction(3, 4)
+    assert ONE.is_one() and (HALF + HALF).is_one()
+    assert not (ZERO.is_one() or I.is_one() or Scalar(1, 1).is_one())
     with pytest.raises(ValueError):
         I.rational_value()
 
