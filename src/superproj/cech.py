@@ -302,8 +302,8 @@ def _check_euler_characteristic(sheaf: TransitionSheaf, result: CohomologyResult
 
 def oracle_check_line(m: int, ell: int) -> bool:
     """Cech dims of O(ell) on P^(1|m) against the closed forms, parity-resolved."""
-    if m > 6 or abs(ell) > 8:
-        raise DomainError("oracle grid limited to m <= 6, |ell| <= 8")
+    if m > 8 or abs(ell) > 8:
+        raise DomainError("oracle grid limited to m <= 8, |ell| <= 8")
     result = cech_cohomology(twist_sheaf(m, ell), want_generators=False)
     closed = cohomology_dims(1, m, ell)
     return result.h0 == closed[0] and result.h1 == closed[1]

@@ -6,15 +6,16 @@ Everything here rests on the split decomposition
 
 so dimensions reduce to classical Bott numbers on P^n.  The binomial sums are
 the authoritative values; the derivative closed forms (chi/zeta) are an
-independent cross-check layer evaluated by exact symbolic differentiation.
+independent cross-check layer.  Each is (1/k!) d^k/dx^k at x = 0 of
+(x+1)^a * (x+2)^b, i.e. its x^k Taylor coefficient, read off exactly from two
+truncated binomial series: a generating-function coefficient, not a Bott sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-
-import sympy
+from fractions import Fraction
+from math import comb, factorial
 
 from .errors import DomainError
 
@@ -100,16 +101,26 @@ def cohomology_dims(n: int, m: int, ell: int) -> dict:
 
 # -- derivative closed forms (cross-check layer) ---------------------------
 
-_X = sympy.Symbol("x")
+
+def _series(c: int, a: int, k: int) -> list:
+    """Coefficients of (x + c)^a up to x^k; a may be negative (c != 0)."""
+    out, binom = [], Fraction(1)  # binom = C(a, j), the generalized binomial
+    for j in range(k + 1):
+        out.append(binom * Fraction(c) ** (a - j))
+        binom = binom * (a - j) / (j + 1)
+    return out
 
 
-def _eval_nth_derivative(expr, order: int) -> int:
-    val = sympy.diff(expr, _X, order).subs(_X, 0)
-    val = sympy.nsimplify(sympy.together(val))
-    rat = sympy.Rational(val)
-    if rat.q != 1:
-        raise DomainError(f"closed form evaluated to non-integer {rat}")
-    return int(rat)
+def _coefficient(k: int, a: int, b: int) -> Fraction:
+    """The x^k Taylor coefficient at 0 of (x+1)^a * (x+2)^b."""
+    p, q = _series(1, a, k), _series(2, b, k)
+    return sum(p[i] * q[k - i] for i in range(k + 1))
+
+
+def _integer(value: Fraction) -> int:
+    if value.denominator != 1:
+        raise DomainError(f"closed form evaluated to non-integer {value}")
+    return value.numerator
 
 
 def chi_zeta(n: int, m: int, ell: int, which: str) -> int:
@@ -121,36 +132,30 @@ def chi_zeta(n: int, m: int, ell: int, which: str) -> int:
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
-    fact_n = sympy.factorial(n)
     if which == "chi_m_lt_l":
         if not m < ell:
             raise DomainError("chi_m_lt_l requires m < ell")
-        expr = (_X + 1) ** (ell + n - m) * (_X + 2) ** m / fact_n
-        return _eval_nth_derivative(expr, n)
+        return _integer(_coefficient(n, ell + n - m, m))
     if which == "chi_m_ge_l":
         if not (0 <= ell <= m):
             raise DomainError("chi_m_ge_l requires 0 <= ell <= m")
         order = ell + n - m
         if order < 0:
             raise DomainError("chi_m_ge_l derivative order is negative for m > ell + n")
-        expr = (
-            sympy.factorial(m) / (fact_n * sympy.factorial(ell))
-            * (_X + 1) ** n * (_X + 2) ** ell
-        )
-        return _eval_nth_derivative(expr, order)
+        # m!/(n! ell!) * d^order/dx^order (x+1)^n (x+2)^ell at 0
+        scale = Fraction(factorial(m) * factorial(order), factorial(n) * factorial(ell))
+        return _integer(scale * _coefficient(order, n, ell))
     if which == "zeta_le":
         if not ell + n + 1 <= 0:
             raise DomainError("zeta_le requires ell + n + 1 <= 0")
-        expr = (_X + 1) ** (-ell - 1) * (_X + 2) ** m / fact_n
-        return _eval_nth_derivative(expr, n)
+        return _integer(_coefficient(n, -ell - 1, m))
     if which == "zeta_gt":
         if not ell + n + 1 > 0:
             raise DomainError("zeta_gt requires ell + n + 1 > 0")
         # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k;
         # empty for ell < 0
-        tail = sum(sympy.binomial(m, k) * (_X + 1) ** k for k in range(ell + 1))
-        expr = (_X + 1) ** (-ell - 1) * ((_X + 2) ** m - tail) / fact_n
-        return _eval_nth_derivative(expr, n)
+        tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))
+        return _integer(_coefficient(n, -ell - 1, m) - tail)
     raise DomainError(f"unknown regime selector {which!r}")
 
 
@@ -177,5 +182,4 @@ def hn_variant_value(n: int, m: int) -> int:
     subtracted constant differs); it is kept only so tests can flag the
     discrepancy.  Do not use for computation.
     """
-    expr = (1 + (_X + 2) ** m) / (_X + 1) / sympy.factorial(n)
-    return _eval_nth_derivative(expr, n)
+    return _integer(_coefficient(n, -1, 0) + _coefficient(n, -1, m))

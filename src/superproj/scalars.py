@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantError
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -104,25 +106,22 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Field inverse via the extended Euclidean algorithm in Q[x]/(x^4+1)."""
+        """Field inverse through the norm to Q(i).
+
+        With s = sigma_5(self) (z -> -z), u = self * s is fixed by sigma_5, so
+        u = u0 + u2*i, and self^-1 = s * (u0 - u2*i) / (u0^2 + u2^2).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in Q(zeta_8)")
         if self.is_rational():
             return Scalar(1 / self.c[0])
-        # extended gcd of a(x) = self and m(x) = x^4 + 1 over Q[x]
-        r0 = [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
-        r1 = list(self.c)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(q != 0 for q in r1):
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 is a nonzero constant gcd; s0 * self == r0 (mod x^4+1)
-        g = _polytrim(r0)
-        assert len(g) == 1, "x^4+1 has no rational roots, gcd must be constant"
-        inv = _polymod4(_polyscale(s0, 1 / g[0]))
-        out = Scalar(*inv)
-        assert (out * self - 1).is_zero()
+        c0, c1, c2, c3 = self.c
+        s = Scalar(c0, -c1, c2, -c3)
+        u0, _, u2, _ = (self * s).c
+        norm = u0 * u0 + u2 * u2
+        out = s * Scalar(u0 / norm, 0, -u2 / norm, 0)
+        if not (out * self).is_one():
+            raise InvariantError(f"inverse of {self} failed the check a * a^-1 = 1")
         return out
 
     def __truediv__(self, other):
@@ -188,58 +187,6 @@ class Scalar:
     def to_json(self):
         """JSON form: the 4-tuple of rational strings c0..c3."""
         return [str(q) for q in self.c]
-
-
-# -- polynomial helpers for the extended Euclid (dense lists, low first) --
-
-def _polytrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    return _polytrim([
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    ])
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _polytrim(out)
-
-
-def _polyscale(a, s):
-    return [ai * s for ai in a]
-
-
-def _polydivmod(a, b):
-    a, b = _polytrim(list(a)), _polytrim(list(b))
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and any(x != 0 for x in r):
-        r = _polytrim(r)
-        if len(r) < len(b):
-            break
-        coef = r[-1] / b[-1]
-        deg = len(r) - len(b)
-        q[deg] += coef
-        for i, bi in enumerate(b):
-            r[deg + i] -= coef * bi
-        r = _polytrim(r)
-    return _polytrim(q), _polytrim(r)
-
-
-def _polymod4(p):
-    out = [Fraction(0)] * 4
-    for i, ai in enumerate(p):
-        k, sign = i % 4, (-1) ** (i // 4)
-        out[k] += sign * ai
-    return out
 
 
 ZERO = Scalar(0)

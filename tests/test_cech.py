@@ -60,13 +60,15 @@ def test_twist_calibration_classical():
 
 
 def test_oracle_lines_sample():
-    for m, ell in [(0, 0), (1, -2), (2, 0), (3, -1), (4, 2), (5, -4)]:
+    for m, ell in [(0, 0), (1, -2), (2, 0), (3, -1), (4, 2), (5, -4), (7, -3)]:
         assert oracle_check_line(m, ell)
 
 
 def test_oracle_grid_bounds():
     with pytest.raises(DomainError):
-        oracle_check_line(7, 0)
+        oracle_check_line(9, 0)
+    with pytest.raises(DomainError):
+        oracle_check_line(8, 9)
 
 
 def test_window_check():

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+import superproj
 from superproj.cohomology import (
     DimPair,
     bott_dim,
@@ -99,3 +103,76 @@ def test_closed_forms_match_sums_grid():
 def test_hn_variant_is_inconsistent_at_1_2():
     assert hn_variant_value(1, 2) == -1
     assert cohomology_dims(1, 2, 0)[1].total == 1
+
+
+# -- sympy as an independent reference for the closed forms -----------------
+
+SELECTORS = ("chi_m_lt_l", "chi_m_ge_l", "zeta_le", "zeta_gt")
+
+
+@pytest.fixture(scope="module")
+def sympy_forms():
+    """The derivative closed forms as symbolic expressions, differentiated by
+    sympy: (n, m, ell) -> {selector: value} over the in-regime selectors."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def derivative_at_zero(expr, order):
+        val = sympy.nsimplify(sympy.together(sympy.diff(expr, x, order).subs(x, 0)))
+        return sympy.Rational(val)
+
+    def forms(n, m, ell):
+        fact_n = sympy.factorial(n)
+        out = {}
+        if m < ell:
+            expr = (x + 1) ** (ell + n - m) * (x + 2) ** m / fact_n
+            out["chi_m_lt_l"] = derivative_at_zero(expr, n)
+        if 0 <= ell <= m <= ell + n:
+            expr = (sympy.factorial(m) / (fact_n * sympy.factorial(ell))
+                    * (x + 1) ** n * (x + 2) ** ell)
+            out["chi_m_ge_l"] = derivative_at_zero(expr, ell + n - m)
+        if ell + n + 1 <= 0:
+            expr = (x + 1) ** (-ell - 1) * (x + 2) ** m / fact_n
+            out["zeta_le"] = derivative_at_zero(expr, n)
+        else:
+            tail = sum(sympy.binomial(m, k) * (x + 1) ** k for k in range(ell + 1))
+            expr = (x + 1) ** (-ell - 1) * ((x + 2) ** m - tail) / fact_n
+            out["zeta_gt"] = derivative_at_zero(expr, n)
+        return out
+
+    def hn_variant(n, m):
+        expr = (1 + (x + 2) ** m) / (x + 1) / sympy.factorial(n)
+        return derivative_at_zero(expr, n)
+
+    return forms, hn_variant
+
+
+def test_closed_forms_match_sympy(sympy_forms):
+    forms, _ = sympy_forms
+    for n in range(1, 5):
+        for m in range(6):
+            for ell in range(-6, 7):
+                expected = forms(n, m, ell)
+                for which in SELECTORS:
+                    if which in expected:
+                        assert chi_zeta(n, m, ell, which) == expected[which], (n, m, ell, which)
+                    else:
+                        with pytest.raises(DomainError):
+                            chi_zeta(n, m, ell, which)
+
+
+def test_hn_variant_matches_sympy(sympy_forms):
+    _, hn_variant = sympy_forms
+    for n in range(1, 5):
+        for m in range(7):
+            assert hn_variant_value(n, m) == hn_variant(n, m), (n, m)
+
+
+def test_import_loads_no_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superproj.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, superproj; print(sorted(k for k in sys.modules"
+            " if k.split('.')[0] in ('sympy', 'mpmath')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.strip() == "[]"
