@@ -4,15 +4,18 @@ Three engines:
 
 * a sparse Gaussian eliminator working on vectors stored as ``{key: coeff}``
   dicts, used by the Cech engine (ranks, kernels and the reduced rows of the
-  in-window image) and the section solvers (their matrices are extremely
-  sparse and the row index sets are ad hoc);
+  in-window image), the super gradient rank and the section solvers (their
+  matrices are extremely sparse and the row index sets are ad hoc);
 * a dense reduced echelon basis, which serves span comparison
   (``spans_equal``) and the tangent engine's global field bases; a Cech
   window no longer uses it;
-* a dense fraction-free (Bareiss) rank for integer matrices, used where a
-  matrix is naturally dense (the super gradient map).
+* a dense fraction-free (Bareiss) rank for integer matrices.  No engine path
+  calls it since the super gradient moved onto the sparse eliminator; it is
+  kept as the tests' independent rank oracle.
 
-Coefficients are ``Fraction`` or ``Scalar``; both are exact fields.
+Coefficients are ``Fraction`` or ``Scalar``; both are exact fields.  ``int``
+coefficients are accepted: a vector stored as a pivot under an ``int`` lead
+has its ``int`` entries made ``Fraction``, so no division yields a float.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class SparseElim:
                 self.kernel.append(tag)
             return None
         pivot_key = max(vec)
+        if type(vec[pivot_key]) is int:
+            # an int lead would make the division by it a float division
+            vec = {k: Fraction(v) if type(v) is int else v for k, v in vec.items()}
         self.pivots[pivot_key] = (vec, tag)
         self.rank += 1
         return pivot_key

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
 from .scalars import I, ONE, SQRT2, Scalar
@@ -234,4 +235,14 @@ ALL_SUITES = (
 
 
 def run_all(seed: int = 0, cases: int = DEFAULT_CASES) -> list:
-    return [suite(seed, cases) for suite in ALL_SUITES]
+    """Reports of every suite at one seed and volume.
+
+    The suites are deterministic in (seed, cases), so each pair is computed
+    once per process; every call returns fresh report dicts.
+    """
+    return [dict(report) for report in _run_all(seed, cases)]
+
+
+@lru_cache(maxsize=None)
+def _run_all(seed: int, cases: int) -> tuple:
+    return tuple(suite(seed, cases) for suite in ALL_SUITES)

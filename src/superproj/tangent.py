@@ -7,28 +7,34 @@ Dimensions come from the super Euler sequence
 whose long exact sequence needs one nontrivial input: the kernel of the edge
 map H^n(O) -> H^n(O(1))^(n+1|m).  Serre duality realizes that edge map as the
 super gradient on super-symmetric powers of the dual coordinates, whose rank
-is computed by an explicit exact integer matrix.
+comes from sparse exact elimination of one column per source monomial.
 
 Independently, global fields on P^(1|m) are found by brute force: a
 polynomial ansatz on the U chart, pushed to the V chart, with all polar
-coefficients required to vanish.
+coefficients required to vanish.  The chart map sends z^d t^S to
+w^(-d-|S|) p^S with sign +1, so each ansatz field's polar part has a closed
+form and needs no general substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import DomainError, InstabilityError
-from .linalg import SparseElim, bareiss_rank, echelon_basis
+from .linalg import SparseElim, echelon_basis
 from .superpoly import (
-    Context,
     SuperDerivation,
+    koszul_sign,
     mask_parity,
     p1m_transition,
     pnm_transition,
 )
+
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 @dataclass
@@ -50,53 +56,36 @@ def super_gradient_rank(n: int, m: int) -> dict:
     """Rank data of the super gradient on Sym^(m-n-1) of C^(n+1|m) duals.
 
     The map sends f to (df/dX_0, ..., df/dX_n, -df/dT_1, ..., -df/dT_m); the
-    minus signs on odd rows come from the super transposition.  Returns
-    domain and kernel dimensions split by source parity.
+    minus signs on odd rows come from the super transposition.  Each source
+    monomial X^a T^S is one sparse column of its n+1+m partials, keyed
+    ``(v, exps, mask)``.  Returns domain and kernel dimensions split by
+    source parity.
     """
     d = m - n - 1
     if d < 0:
         return {"domain_dim": DimPair(0, 0), "kernel_dim": DimPair(0, 0)}
-    ctx = Context(
-        tuple(f"X{j}" for j in range(n + 1)),
-        tuple(f"T{i}" for i in range(1, m + 1)),
-    )
-
-    def degree_monomials(deg):
-        out = []
-        for size in range(min(deg, m) + 1):
-            rest = deg - size
-            for mask_bits in combinations(range(m), size):
-                mask = sum(1 << b for b in mask_bits)
-                for exps in _compositions(rest, n + 1):
-                    out.append((exps, mask))
-        return out
-
-    source = degree_monomials(d)
-    target_index = {key: i for i, key in enumerate(degree_monomials(d - 1))} if d else {}
-    names = ctx.even + ctx.odd
-
-    kernel = {}
-    domain = {}
-    for parity in (0, 1):
-        cols = [key for key in source if mask_parity(key[1]) == parity]
-        domain[parity] = len(cols)
-        rows = []
-        for exps, mask in cols:
-            mono = ctx.monomial(1, exps, mask)
-            col = [0] * (len(names) * len(target_index))
-            for v, name in enumerate(names):
-                dm = mono.partial(name)
-                sign = -1 if name.startswith("T") else 1
-                for (texps, tmask), c in dm.terms.items():
-                    col[v * len(target_index) + target_index[(texps, tmask)]] = (
-                        sign * int(c.rational_value())
+    domain = [0, 0]
+    elims = [SparseElim(), SparseElim()]
+    for size in range(min(d, m) + 1):
+        parity = size & 1
+        for mask_bits in combinations(range(m), size):
+            mask = sum(1 << b for b in mask_bits)
+            for exps in _compositions(d - size, n + 1):
+                col = {}
+                for v, e in enumerate(exps):
+                    if e:
+                        lowered = exps[:v] + (e - 1,) + exps[v + 1:]
+                        col[(v, lowered, mask)] = Fraction(e)
+                for below, b in enumerate(mask_bits):
+                    # left derivative sign (-1)^below, times the odd row's minus sign
+                    col[(n + 1 + b, exps, mask & ~(1 << b))] = (
+                        _ONE if below & 1 else _MINUS_ONE
                     )
-            rows.append(col)
-        # rank of the transpose equals rank of the map on this parity block
-        kernel[parity] = len(cols) - bareiss_rank(rows)
+                domain[parity] += 1
+                elims[parity].add(col)
     return {
         "domain_dim": DimPair(domain[0], domain[1]),
-        "kernel_dim": DimPair(kernel[0], kernel[1]),
+        "kernel_dim": DimPair(domain[0] - elims[0].rank, domain[1] - elims[1].rank),
     }
 
 
@@ -155,32 +144,57 @@ class GlobalFieldBasis:
         return self.even_fields + self.odd_fields
 
 
-def _solve_global_fields(m: int, bound_z: int, bound_t: int) -> list:
-    tr = p1m_transition(m)
-    ctx = tr.ctx_a
-    ansatz = []
+def _ansatz(m: int, bound_z: int, bound_t: int) -> list:
+    """Ansatz fields on the U chart of P^(1|m), each with its V-chart polar part.
+
+    The fields are z^d t^S d/dz (d <= bound_z) and z^d t^S d/dt_i
+    (d <= bound_t).  Since z^d t^S = w^(-d-|S|) p^S with sign +1, the
+    pushforwards are
+
+        z^d t^S d/dz    = -w^(2-d-|S|) p^S d/dw
+                          - sum_(i not in S) sign(S, i) w^(1-d-|S|) p^(S+i) d/dp_i,
+        z^d t^S d/dt_i  =  w^(1-d-|S|) p^S d/dp_i,
+
+    and the polar part keeps the terms with a negative w exponent, keyed as
+    ``SuperDerivation.vectorize`` keys them.  Returns (field, polar) pairs.
+    """
+    ctx = p1m_transition(m).ctx_a
+    out = []
     for mask in range(1 << m):
+        size = bin(mask).count("1")
         for deg in range(bound_z + 1):
             coeff = ctx.monomial(1, (deg,), mask)
-            ansatz.append(SuperDerivation(ctx, mask_parity(mask), {"z": coeff}))
+            field = SuperDerivation(ctx, mask_parity(mask), {"z": coeff})
+            e = 1 - deg - size
+            polar = {("w", (e + 1,), mask): _MINUS_ONE} if e + 1 < 0 else {}
+            if e < 0:
+                for i in range(m):
+                    bit = 1 << i
+                    if not mask & bit:
+                        sign = koszul_sign(mask, bit)
+                        polar[(f"p{i + 1}", (e,), mask | bit)] = (
+                            _MINUS_ONE if sign > 0 else _ONE
+                        )
+            out.append((field, polar))
         for i in range(1, m + 1):
             for deg in range(bound_t + 1):
                 coeff = ctx.monomial(1, (deg,), mask)
-                ansatz.append(
-                    SuperDerivation(ctx, mask_parity(mask) ^ 1, {f"t{i}": coeff})
-                )
+                field = SuperDerivation(ctx, mask_parity(mask) ^ 1, {f"t{i}": coeff})
+                e = 1 - deg - size
+                out.append((field, {(f"p{i}", (e,), mask): _ONE} if e < 0 else {}))
+    return out
+
+
+def _solve_global_fields(m: int, bound_z: int, bound_t: int) -> list:
+    ansatz = _ansatz(m, bound_z, bound_t)
     elim = SparseElim(track=True)
-    for j, field in enumerate(ansatz):
-        pushed = field.pushforward(tr)
-        polar = {
-            key: c for key, c in pushed.vectorize().items() if key[1][0] < 0
-        }
+    for j, (_, polar) in enumerate(ansatz):
         elim.add(polar, tag_key=j)
     fields = []
     for combo in elim.kernel:
         total = None
         for j, c in combo.items():
-            piece = ansatz[j] * c
+            piece = ansatz[j][0] * c
             total = piece if total is None else total + piece
         fields.append(total)
     return fields

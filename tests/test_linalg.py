@@ -93,3 +93,37 @@ def test_reduced_rows_back_substitution():
     rows = elim.reduced_rows(below=3)
     assert rows == {1: {0: -2, 1: 1}, 2: {0: 7, 2: 1}}
     assert list(rows) == [1, 2]
+
+
+def _floats(obj) -> list:
+    """Every float anywhere inside nested dicts, lists and tuples."""
+    if isinstance(obj, float):
+        return [obj]
+    if isinstance(obj, dict):
+        return [f for k, v in obj.items() for f in _floats(k) + _floats(v)]
+    if isinstance(obj, (list, tuple)):
+        return [f for x in obj for f in _floats(x)]
+    return []
+
+
+def test_int_input_stays_exact():
+    elim = SparseElim(track=True)
+    elim.add({0: 2, 1: 3})
+    elim.add({0: 3, 1: 1})
+    elim.add({0: 5, 2: 7})
+    elim.add({0: 1, 1: 4, 2: 2})  # dependent: reduces to a kernel combination
+    assert elim.pivots[0][0] == {0: Fraction(7, 3)}
+    assert len(elim.kernel) == 1
+    reduced = elim.reduce({0: 1, 1: 1, 2: 1, 3: 2})
+    assert reduced == {3: 2}
+    rows = elim.reduced_rows(below=3)
+    assert _floats([elim.pivots, elim.kernel, reduced, rows]) == []
+
+    vectors = [{0: 2, 1: 3}, {0: 3, 1: 1}, {0: 1, 1: 5}]
+    kernel = sparse_kernel(vectors)
+    assert len(kernel) == 1
+    for i in (0, 1):
+        assert sum(c * vectors[j].get(i, 0) for j, c in kernel[0].items()) == 0
+    combo = express_in_span([{0: 2, 1: 3}, {0: 3, 1: 1}], {0: 1, 1: 1})
+    assert combo == {0: Fraction(2, 7), 1: Fraction(1, 7)}
+    assert _floats([kernel, combo]) == []

@@ -1,10 +1,16 @@
+from itertools import combinations
+
 import pytest
 
 from superproj.cohomology import DimPair
 from superproj.errors import DomainError
-from superproj.linalg import spans_equal
+from superproj.linalg import SparseElim, bareiss_rank, spans_equal
 from superproj.superlie import v_xi_basis
+from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
 from superproj.tangent import (
+    _ansatz,
+    _compositions,
+    _echelonize_fields,
     bosonization_check,
     euler_tangent_dims,
     global_tangent_fields,
@@ -14,9 +20,63 @@ from superproj.tangent import (
 )
 
 
-def test_gradient_kernel_grid():
+def _dense_gradient_rank(n, m):
+    """The super gradient's rank data from a dense integer matrix and Bareiss.
+
+    Reference for ``super_gradient_rank``: each source monomial becomes one
+    dense row of its partials, taken with ``SuperPolynomial.partial``.
+    """
+    d = m - n - 1
+    if d < 0:
+        return {"domain_dim": DimPair(0, 0), "kernel_dim": DimPair(0, 0)}
+    ctx = Context(
+        tuple(f"X{j}" for j in range(n + 1)),
+        tuple(f"T{i}" for i in range(1, m + 1)),
+    )
+
+    def degree_monomials(deg):
+        out = []
+        for size in range(min(deg, m) + 1):
+            for mask_bits in combinations(range(m), size):
+                mask = sum(1 << b for b in mask_bits)
+                for exps in _compositions(deg - size, n + 1):
+                    out.append((exps, mask))
+        return out
+
+    source = degree_monomials(d)
+    target_index = {key: i for i, key in enumerate(degree_monomials(d - 1))} if d else {}
+    names = ctx.even + ctx.odd
+    domain, kernel = {}, {}
+    for parity in (0, 1):
+        cols = [key for key in source if mask_parity(key[1]) == parity]
+        rows = []
+        for exps, mask in cols:
+            mono = ctx.monomial(1, exps, mask)
+            row = [0] * (len(names) * len(target_index))
+            for v, name in enumerate(names):
+                sign = -1 if name.startswith("T") else 1
+                for key, c in mono.partial(name).terms.items():
+                    row[v * len(target_index) + target_index[key]] = (
+                        sign * int(c.rational_value())
+                    )
+            rows.append(row)
+        domain[parity] = len(cols)
+        kernel[parity] = len(cols) - bareiss_rank(rows)
+    return {
+        "domain_dim": DimPair(domain[0], domain[1]),
+        "kernel_dim": DimPair(kernel[0], kernel[1]),
+    }
+
+
+def test_gradient_matches_dense_oracle():
     for n in range(1, 4):
         for m in range(7):
+            assert super_gradient_rank(n, m) == _dense_gradient_rank(n, m), (n, m)
+
+
+def test_gradient_kernel_grid():
+    for n in range(1, 4):
+        for m in range(9):
             got = super_gradient_rank(n, m)["kernel_dim"]
             want = DimPair(1, 0) if m == n + 1 else DimPair(0, 0)
             assert got == want, (n, m)
@@ -90,3 +150,64 @@ def test_report_json():
     assert len(rep["basis"]) == 16
     with pytest.raises(DomainError):
         tangent_report_json(2, 1, with_basis=True)
+
+
+def _reference_ansatz(m, bound_z, bound_t):
+    ctx = p1m_transition(m).ctx_a
+    ansatz = []
+    for mask in range(1 << m):
+        for deg in range(bound_z + 1):
+            coeff = ctx.monomial(1, (deg,), mask)
+            ansatz.append(SuperDerivation(ctx, mask_parity(mask), {"z": coeff}))
+        for i in range(1, m + 1):
+            for deg in range(bound_t + 1):
+                coeff = ctx.monomial(1, (deg,), mask)
+                ansatz.append(
+                    SuperDerivation(ctx, mask_parity(mask) ^ 1, {f"t{i}": coeff})
+                )
+    return ansatz
+
+
+def _reference_polars(m, bound_z, bound_t):
+    """Polar parts of the ansatz fields through the general pushforward."""
+    tr = p1m_transition(m)
+    return [
+        {key: c for key, c in field.pushforward(tr).vectorize().items() if key[1][0] < 0}
+        for field in _reference_ansatz(m, bound_z, bound_t)
+    ]
+
+
+def _reference_fields(m):
+    """``global_tangent_fields(m)`` through the general pushforward."""
+    bound = 2 + m
+    ctx = p1m_transition(m).ctx_a
+    ansatz = _reference_ansatz(m, bound, bound - 1)
+    elim = SparseElim(track=True)
+    for j, polar in enumerate(_reference_polars(m, bound, bound - 1)):
+        elim.add(polar, tag_key=j)
+    fields = []
+    for combo in elim.kernel:
+        total = None
+        for j, c in combo.items():
+            piece = ansatz[j] * c
+            total = piece if total is None else total + piece
+        fields.append(total)
+    basis = _echelonize_fields(fields, ctx)
+    return [f for f in basis if f.parity == 0] + [f for f in basis if f.parity == 1]
+
+
+def test_polar_parts_match_pushforward():
+    for m in range(5):
+        for bound in (2 + m, 3 + m):
+            pairs = _ansatz(m, bound, bound - 1)
+            assert [f for f, _ in pairs] == _reference_ansatz(m, bound, bound - 1)
+            ref = _reference_polars(m, bound, bound - 1)
+            assert len(pairs) == len(ref)
+            for j, ((field, polar), want) in enumerate(zip(pairs, ref)):
+                assert polar == want, (m, bound, j, str(field))
+
+
+def test_global_fields_match_pushforward_solver():
+    for m in range(5):
+        got = [str(f) for f in global_tangent_fields(m).all_fields()]
+        assert got == [str(f) for f in _reference_fields(m)], m
