@@ -8,9 +8,10 @@ computation is repeated at window D and D+1 until the dimensions agree.
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
 each coboundary column is W shifted by a monomial: no general substitution
 and no polynomial product.  h0 is the kernel of the polar-part map.  The
-in-window image, and with it h1 and the reduced rows that classify
-cocycles, comes from one sparse elimination of all columns in which
-out-of-band keys lead.
+in-window image comes from one sparse elimination of all columns in which
+out-of-band keys lead: its stored vectors led by in-band keys are an
+echelon basis of the image, their count gives h1, and one forward pass over
+them sends a cocycle to its class.
 
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
@@ -23,11 +24,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import DimPair, cohomology_dims
-from .errors import DomainError, InstabilityError, InvariantError, ParityError
-from .linalg import SparseElim
+from .errors import (
+    ContextError,
+    DomainError,
+    InstabilityError,
+    InvariantError,
+    ParityError,
+)
+from .linalg import SparseElim, _axpy
 from .scalars import ONE
 from .superpoly import (
     ChartTransition,
+    Context,
     SuperPolynomial,
     koszul_sign,
     mask_parity,
@@ -97,22 +105,28 @@ class CohomologyResult:
     generators_h1: list  # V-chart Laurent polynomials
     window_used: CechWindow
     stabilized: bool
-    _image_rref: list = None  # (pivot, row) pairs for the in-window image
+    _ctx: Context = None  # the V chart, where cocycles live
+    # (pivot, row) echelon basis of the in-window image: each row holds no
+    # key that an earlier row leads, and rows are not normalised
+    _image: list = None
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
-        """Canonical coordinates of a V-chart cocycle in the H1 quotient."""
+        """Canonical coordinates of a V-chart cocycle in the H1 quotient.
+
+        The result holds no pivot key of the image, so it is unique modulo
+        the image.
+        """
+        if cocycle.ctx != self._ctx:
+            raise ContextError(
+                f"cocycle lives in {cocycle.ctx!r}, not the V chart {self._ctx!r}"
+            )
         vec = {(exps[0], mask): c for (exps, mask), c in cocycle.terms.items()}
-        for pivot, row in self._image_rref:
+        for pivot, row in self._image:
             c = vec.get(pivot)
-            if c is None or c.is_zero():
+            if c is None:
                 continue
-            for k, v in row.items():
-                cur = vec.get(k)
-                new = (cur - c * v) if cur is not None else -(c * v)
-                if new.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = new
+            lead = row[pivot]
+            _axpy(vec, row, c if lead.is_one() else c / lead)
         return vec
 
     def h1_span_equals(self, cocycles) -> bool:
@@ -173,7 +187,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
-    image_rref = []
+    image = []
 
     for comp in components:
         parity = mask_parity(comp[0])
@@ -226,16 +240,15 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
                 gens_h0.append(SuperPolynomial(ctx_b, q))
 
         # h1: the stored vectors led by in-band keys hold only in-band keys
-        # and span the in-window image; reduced, they are its echelon basis
-        rows = quotient.reduced_rows(below=0)
+        # and are an echelon basis of the in-window image; listed from the
+        # largest pivot down, no row holds the pivot of an earlier one
+        rows = sorted((k for k in quotient.pivots if k < 0), reverse=True)
         pivots = set()
-        for key in reversed(rows):
+        for key in rows:
             pivot = decode(key)
             pivots.add(pivot)
-            row = rows[key]
-            image_rref.append(
-                (pivot, {decode(k): row[k] for k in sorted(row, reverse=True)})
-            )
+            row = quotient.pivots[key][0]
+            image.append((pivot, {decode(k): v for k, v in row.items()}))
         h1[parity] += len(comp) * len(band) - len(rows)
         if want_generators:
             for s in comp:
@@ -250,7 +263,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         generators_h1=gens_h1,
         window_used=window,
         stabilized=False,
-        _image_rref=image_rref,
+        _ctx=ctx_b,
+        _image=image,
     )
 
 

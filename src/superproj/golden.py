@@ -207,15 +207,12 @@ def _check_osp22(rec):
 
 
 def _check_integrability(rec):
-    from .parser import parse_superpoly
     from .superlie import check_srs_pair, integrability_conditions, standard_fields
 
     conditions = integrability_conditions()
     rendered = {str(c) for c in conditions}
     missing = []
     for text in rec.inputs["conditions"]:
-        # parse against the parameter context by string matching on the
-        # normalized rendering of each returned condition
         if not any(_same_quadratic(text, c) for c in conditions):
             missing.append(text)
     f = standard_fields()
@@ -238,8 +235,9 @@ def _check_integrability(rec):
 
 def _same_quadratic(text: str, condition) -> bool:
     """Compare a printed quadratic with a returned condition up to scale."""
-    ctx = condition.ctx
-    parsed = _parse_param_quadratic(text, ctx)
+    from .parser import parse_in_context
+
+    parsed = parse_in_context(text, condition.ctx)
     if set(parsed.terms) != set(condition.terms):
         return False
     keys = list(parsed.terms)
@@ -251,24 +249,6 @@ def _same_quadratic(text: str, condition) -> bool:
         elif r != ratio:
             return False
     return True
-
-
-def _parse_param_quadratic(text: str, ctx):
-    """Parse sums of products of parameter names (a1*a5 + ...) in ctx."""
-    out = ctx.zero()
-    for chunk in text.replace("-", "+-").split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        term = ctx.one() * sign
-        for name in chunk.split("*"):
-            term = term * ctx.var(name.strip())
-        out = out + term
-    return out
 
 
 def _check_characteristic(rec):

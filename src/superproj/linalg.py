@@ -3,9 +3,10 @@
 Three engines:
 
 * a sparse Gaussian eliminator working on vectors stored as ``{key: coeff}``
-  dicts, used by the Cech engine (ranks, kernels and the reduced rows of the
-  in-window image), the super gradient rank and the section solvers (their
-  matrices are extremely sparse and the row index sets are ad hoc);
+  dicts, used by the Cech engine (ranks, kernels, and its stored vectors as
+  an echelon basis of the in-window image), the super gradient rank and the
+  section solvers (their matrices are extremely sparse and the row index
+  sets are ad hoc);
 * a dense reduced echelon basis, which serves span comparison
   (``spans_equal``) and the tangent engine's global field bases; a Cech
   window no longer uses it;
@@ -76,27 +77,6 @@ class SparseElim:
         vec = dict(vec)
         self._eliminate(vec, None)
         return vec
-
-    def reduced_rows(self, below) -> dict:
-        """Reduced echelon rows of the stored vectors whose pivot is below ``below``.
-
-        These vectors hold only keys below ``below``, and they span exactly
-        the vectors of the accumulated span that do.  Back-substitution runs
-        from the smallest pivot up; each row comes out with coefficient 1 at
-        its pivot and 0 at every other returned pivot.  Returns
-        ``{pivot: row}`` in increasing pivot order.
-        """
-        rows = {}
-        for key in sorted(k for k in self.pivots if k < below):
-            row = dict(self.pivots[key][0])
-            for other in [k for k in row if k in rows]:
-                _axpy(row, rows[other], row[other])
-            lead = row[key]
-            if not _is_one(lead):
-                inv = Fraction(1) / lead
-                row = {k: v * inv for k, v in row.items()}
-            rows[key] = row
-        return rows
 
     def _eliminate(self, vec: dict, tag):
         """Clear every pivot key from vec in place, mirroring the steps on tag."""

@@ -7,10 +7,13 @@ Grammar:
     factor := base ('^' int)?
     base   := rational | 'i' | 'sqrt2' | var | '(' expr ')'
 
-Variables are z and t1..tm on the U chart, w and p1..pm on the V chart; the
-chart is inferred from usage and mixing charts in one expression is a parse
-error.  Squaring an odd variable (t1^2) is rejected at parse time rather
-than silently evaluating to zero.
+``parse_superpoly`` reads the two standard charts: variables are z and
+t1..tm on the U chart, w and p1..pm on the V chart; the chart is inferred
+from usage and mixing charts in one expression is a parse error.
+``parse_in_context`` reads the same grammar over the variables of a given
+context (the golden table's parameter conditions use it).  Squaring an odd
+variable (t1^2) is rejected at parse time rather than silently evaluating
+to zero.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .scalars import I, SQRT2, Scalar
 from .superpoly import Context, SuperPolynomial, p1m_transition
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/()]))")
-
-_ODD_VAR_RE = re.compile(r"([tp])([1-9]\d*)$")
 
 
 class _Token:
@@ -59,13 +60,12 @@ def _tokenize(text: str) -> list:
 class _Parser:
     """Recursive descent over the token list; values are SuperPolynomials."""
 
-    def __init__(self, text: str, ctx: Context, chart_of: dict):
+    def __init__(self, text: str, ctx: Context):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ctx = ctx
-        self.chart_of = chart_of  # variable name -> "U" | "V"
-        self.chart = None
+        self.names = set(ctx.even + ctx.odd)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -109,11 +109,7 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
             k = self.exponent()
-            if (
-                base_tok.kind == "name"
-                and _ODD_VAR_RE.match(base_tok.text)
-                and abs(k) >= 2
-            ):
+            if base_tok.text in self.ctx.odd and abs(k) >= 2:
                 raise ParseError(
                     f"odd variable {base_tok.text!r} is nilpotent: power {k} vanishes",
                     base_tok.offset,
@@ -152,17 +148,8 @@ class _Parser:
                 return self.ctx.scalar(I)
             if tok.text == "sqrt2":
                 return self.ctx.scalar(SQRT2)
-            if tok.text not in self.chart_of:
+            if tok.text not in self.names:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.offset)
-            chart = self.chart_of[tok.text]
-            if self.chart is None:
-                self.chart = chart
-            elif self.chart != chart:
-                raise ParseError(
-                    f"variable {tok.text!r} mixes the {chart} chart into a "
-                    f"{self.chart}-chart expression",
-                    tok.offset,
-                )
             return self.ctx.var(tok.text)
         if tok.kind == "op" and tok.text == "(":
             value = self.expr()
@@ -217,6 +204,9 @@ def parse_superpoly(text: str, m=None):
                 tok.offset,
             )
     ctx = tr.ctx_a if chart == "U" else tr.ctx_b
-    parser = _Parser(text, ctx, chart_of)
-    parser.chart = chart
-    return parser.parse(), chart
+    return parse_in_context(text, ctx), chart
+
+
+def parse_in_context(text: str, ctx: Context) -> SuperPolynomial:
+    """Parse an expression whose variables are those of a given context."""
+    return _Parser(text, ctx).parse()

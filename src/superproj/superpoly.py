@@ -459,9 +459,6 @@ class ChartTransition:
     def to_a(self, p: SuperPolynomial) -> SuperPolynomial:
         return p.substitute(self.b_in_a, self.ctx_a)
 
-    def reversed(self) -> "ChartTransition":
-        return ChartTransition(self.ctx_b, self.ctx_a, self.b_in_a, self.a_in_b)
-
 
 def p1m_transition(m: int) -> ChartTransition:
     """The two standard charts of the projective superline with m odd directions.

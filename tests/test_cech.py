@@ -15,11 +15,11 @@ from superproj.cech import (
 )
 from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
-from superproj.errors import DomainError, InvariantError, ParityError
+from superproj.errors import ContextError, DomainError, InvariantError, ParityError
 from superproj.linalg import SparseElim, echelon_basis
 from superproj.parser import parse_superpoly
 from superproj.properties import _random_unit
-from superproj.scalars import ONE
+from superproj.scalars import ONE, ZERO
 from superproj.superpoly import mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
@@ -117,6 +117,23 @@ def test_p13_explicit_coboundary(p13):
     assert p13.h1_class(ctx.one() - W) == {}
 
 
+def test_h1_class_rejects_u_chart_cocycle(p13):
+    cocycle, chart = parse_superpoly("z^-1*t1*t2", m=3)
+    assert chart == "U"
+    with pytest.raises(ContextError):
+        p13.h1_class(cocycle)
+    with pytest.raises(ContextError):
+        p13.h1_span_equals([cocycle])
+
+
+def test_h1_class_rejects_wrong_m_cocycle(p13):
+    cocycle, _ = parse_superpoly(P13_COCYCLES[0], m=2)
+    with pytest.raises(ContextError):
+        p13.h1_class(cocycle)
+    with pytest.raises(ContextError):
+        p13.h1_span_equals([cocycle])
+
+
 def test_p13_euler_characteristic(p13):
     # chi from the split filtration of this sheaf: even 1 - 3 = -2, odd -2
     chi_even = (p13.h0.even - p13.h1.even)
@@ -150,7 +167,8 @@ def _reference_window(sheaf, window, mask_pred, want_generators):
     """One window by the general path: columns through ChartTransition.to_b
     and SuperPolynomial products, the in-window image from a tracked kernel
     and the quotient from a dense echelon_basis.  Returns (h0, h1,
-    generators_h0, generators_h1, image_rref) in _run_window's conventions."""
+    generators_h0, generators_h1, image_rref); image_rref holds (pivot, row)
+    pairs of the fully reduced image rows, each pivot the row's smallest key."""
     D, depth, m = window.D, sheaf.depth, sheaf.m
     tr = sheaf.transition
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
@@ -242,7 +260,32 @@ def test_run_window_matches_general_path(sheaf):
             assert (res.h0, res.h1) == (h0, h1)
             assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
             assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
-            assert res._image_rref == rref
+            assert {p for p, _ in res._image} == {p for p, _ in rref}
+            # the class map on the band monomials fixes the rref row by row;
+            # one step past the band on each side checks pass-through
+            B = window.D - sheaf.depth
+            ctx_b = sheaf.transition.ctx_b
+            for s in range(1 << sheaf.m):
+                if mask_pred is not None and not mask_pred(s):
+                    continue
+                for j in range(-B - 1, B + 2):
+                    cocycle = ctx_b.monomial(1, (j,), s)
+                    assert res.h1_class(cocycle) == _rref_class(rref, cocycle)
+
+
+def _rref_class(rref, cocycle):
+    """A cocycle reduced against the reference's fully reduced rows."""
+    vec = {(e[0], mk): c for (e, mk), c in cocycle.terms.items()}
+    for pivot, row in rref:
+        c = vec.get(pivot)
+        if c is not None:
+            for k, v in row.items():
+                new = vec.get(k, ZERO) - c * v
+                if new.is_zero():
+                    vec.pop(k, None)
+                else:
+                    vec[k] = new
+    return vec
 
 
 @pytest.fixture

@@ -84,17 +84,6 @@ def test_sparse_elim_reduce_is_stateless():
     assert elim.rank == before
 
 
-def test_reduced_rows_back_substitution():
-    elim = SparseElim()
-    elim.add({2: Fraction(1), 1: Fraction(2), 0: Fraction(3)})
-    elim.add({3: Fraction(1), 1: Fraction(1)})
-    elim.add({3: Fraction(2), 0: Fraction(4)})  # reduces to {0: 4, 1: -2}
-    # the vectors of the span free of key 3 are spanned by (3, 2, 1) and (4, -2)
-    rows = elim.reduced_rows(below=3)
-    assert rows == {1: {0: -2, 1: 1}, 2: {0: 7, 2: 1}}
-    assert list(rows) == [1, 2]
-
-
 def _floats(obj) -> list:
     """Every float anywhere inside nested dicts, lists and tuples."""
     if isinstance(obj, float):
@@ -116,8 +105,7 @@ def test_int_input_stays_exact():
     assert len(elim.kernel) == 1
     reduced = elim.reduce({0: 1, 1: 1, 2: 1, 3: 2})
     assert reduced == {3: 2}
-    rows = elim.reduced_rows(below=3)
-    assert _floats([elim.pivots, elim.kernel, reduced, rows]) == []
+    assert _floats([elim.pivots, elim.kernel, reduced]) == []
 
     vectors = [{0: 2, 1: 3}, {0: 3, 1: 1}, {0: 1, 1: 5}]
     kernel = sparse_kernel(vectors)
