@@ -37,6 +37,7 @@ from .picard import (
 from .scalars import Scalar
 from .superlie import (
     SuperLieBasis,
+    bracket_via_constants,
     check_srs_pair,
     conformal_basis,
     integrability_conditions,

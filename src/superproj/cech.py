@@ -31,7 +31,7 @@ from .errors import (
     InvariantError,
     ParityError,
 )
-from .linalg import SparseElim, _axpy
+from .linalg import SparseElim, _axpy, spans_equal
 from .scalars import ONE
 from .superpoly import (
     ChartTransition,
@@ -106,6 +106,8 @@ class CohomologyResult:
     window_used: CechWindow
     stabilized: bool
     _ctx: Context = None  # the V chart, where cocycles live
+    _band: range = None  # the in-window C1 exponents
+    _masks: frozenset = None  # the odd masks the computation covered
     # (pivot, row) echelon basis of the in-window image: each row holds no
     # key that an earlier row leads, and rows are not normalised
     _image: list = None
@@ -114,13 +116,18 @@ class CohomologyResult:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
 
         The result holds no pivot key of the image, so it is unique modulo
-        the image.
+        the image.  A term outside the window's band or on a mask the
+        computation left out has no class here and raises DomainError.
         """
         if cocycle.ctx != self._ctx:
             raise ContextError(
                 f"cocycle lives in {cocycle.ctx!r}, not the V chart {self._ctx!r}"
             )
         vec = {(exps[0], mask): c for (exps, mask), c in cocycle.terms.items()}
+        if any(e not in self._band or s not in self._masks for e, s in vec):
+            raise DomainError(
+                f"cocycle has a term off this result's band {self._band} or masks"
+            )
         for pivot, row in self._image:
             c = vec.get(pivot)
             if c is None:
@@ -131,8 +138,6 @@ class CohomologyResult:
 
     def h1_span_equals(self, cocycles) -> bool:
         """Whether given cocycles span the computed H1 (compared in the quotient)."""
-        from .linalg import spans_equal
-
         given = [self.h1_class(c) for c in cocycles]
         computed = [self.h1_class(g) for g in self.generators_h1]
         return spans_equal(given, computed)
@@ -264,6 +269,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         window_used=window,
         stabilized=False,
         _ctx=ctx_b,
+        _band=band,
+        _masks=frozenset(s for comp in components for s in comp),
         _image=image,
     )
 

@@ -172,14 +172,3 @@ def zeta_closed(n: int, m: int, ell: int) -> int:
     """h^n total via the applicable zeta regime (always defined)."""
     which = "zeta_le" if ell + n + 1 <= 0 else "zeta_gt"
     return chi_zeta(n, m, ell, which)
-
-
-def hn_variant_value(n: int, m: int) -> int:
-    """A published variant expression for h^n(O) known to be inconsistent.
-
-    Evaluates (1/n!) d^n/dx^n [(1 + (x+2)^m)/(x+1)] at 0.  At (n,m) = (1,2)
-    this gives -1 while the correct value of h^1(O) is +1 (the sign of the
-    subtracted constant differs); it is kept only so tests can flag the
-    discrepancy.  Do not use for computation.
-    """
-    return _integer(_coefficient(n, -1, 0) + _coefficient(n, -1, m))

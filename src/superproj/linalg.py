@@ -1,18 +1,15 @@
 """Exact linear algebra over Q and Q(zeta_8).
 
-Three engines:
+One eliminator: a sparse Gaussian eliminator on vectors stored as
+``{key: coeff}`` dicts.  It serves the Cech engine (ranks, kernels, and its
+stored vectors as an echelon basis of the in-window image), the super
+gradient rank, the section solvers, span comparison (a rank test) and the
+reduced echelon bases the tangent engine prints (one back-substitution pass
+over its stored vectors).  The matrices are extremely sparse and the row
+index sets are ad hoc.
 
-* a sparse Gaussian eliminator working on vectors stored as ``{key: coeff}``
-  dicts, used by the Cech engine (ranks, kernels, and its stored vectors as
-  an echelon basis of the in-window image), the super gradient rank and the
-  section solvers (their matrices are extremely sparse and the row index
-  sets are ad hoc);
-* a dense reduced echelon basis, which serves span comparison
-  (``spans_equal``) and the tangent engine's global field bases; a Cech
-  window no longer uses it;
-* a dense fraction-free (Bareiss) rank for integer matrices.  No engine path
-  calls it since the super gradient moved onto the sparse eliminator; it is
-  kept as the tests' independent rank oracle.
+A dense fraction-free (Bareiss) rank for integer matrices is kept beside it
+as the tests' independent rank oracle; no engine path calls it.
 
 Coefficients are ``Fraction`` or ``Scalar``; both are exact fields.  ``int``
 coefficients are accepted: a vector stored as a pivot under an ``int`` lead
@@ -115,29 +112,16 @@ def sparse_rank(vectors) -> int:
     return elim.rank
 
 
-def sparse_kernel(vectors):
-    """Kernel combinations of a list of column vectors: each returned dict d
-    satisfies sum_j d[j] * vectors[j] == 0."""
-    elim = SparseElim(track=True)
-    for j, v in enumerate(vectors):
-        elim.add(v, tag_key=j)
-    return elim.kernel
-
-
 def express_in_span(basis, target):
     """Coefficients x with sum_i x[i]*basis[i] == target, or None if outside."""
     elim = SparseElim(track=True)
     for i, b in enumerate(basis):
         elim.add(b, tag_key=i)
-    probe = SparseElim(track=True)
-    probe.pivots = elim.pivots
-    probe.rank = elim.rank
-    key = probe.add(dict(target), tag_key="target")
-    if key is not None:
+    if elim.add(target, tag_key="target") is not None:
         return None
-    tag = probe.kernel[-1]
-    scale = tag.pop("target")
-    return {i: -(c / scale) for i, c in tag.items()}
+    tag = elim.kernel[-1]
+    del tag["target"]  # its coefficient is 1: no basis vector's tag holds it
+    return {i: -c for i, c in tag.items()}
 
 
 def bareiss_rank(rows) -> int:
@@ -166,65 +150,40 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
+def _nonzero(vec: dict) -> dict:
+    return {k: v for k, v in vec.items() if not _is_zero(v)}
+
+
 def echelon_basis(vectors):
     """Reduced echelon basis of the span, for deterministic, comparable bases.
 
-    Keys must be mutually comparable.  Rows come out sorted by pivot key and
-    fully reduced (each pivot appears in exactly one row, with coefficient 1),
-    so two vector lists span the same space iff their echelon bases are equal.
-    Intended for small spans (generator sets, field bases); uses dense rref
-    over the sorted union of keys.
+    Keys must be mutually comparable.  Rows come out sorted by pivot key (the
+    row's smallest key) and fully reduced: each pivot appears in exactly one
+    row, with coefficient 1.  A key enters the eliminator as its negated
+    position in the sorted key list, so each pivot is its row's smallest key.
+    The back-substitution feeds the stored rows, from the largest pivot key
+    down, to a second eliminator, which clears the pivots stored before.
     """
     keys = sorted({k for v in vectors for k in v})
-    idx = {k: i for i, k in enumerate(keys)}
-    rows = []
+    idx = {k: -i for i, k in enumerate(keys)}
+    elim, back = SparseElim(), SparseElim()
     for v in vectors:
-        if v:
-            rows.append([v.get(k) for k in keys])
-    one = Fraction(1)
-    rank = 0
-    pivots = []
-    for c in range(len(keys)):
-        pr = next(
-            (i for i in range(rank, len(rows))
-             if rows[i][c] is not None and not _is_zero(rows[i][c])),
-            None,
-        )
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        inv = one / rows[rank][c]
-        rows[rank] = [None if x is None or _is_zero(x) else x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i == rank or rows[i][c] is None or _is_zero(rows[i][c]):
-                continue
-            f = rows[i][c]
-            rows[i] = [
-                _sub(rows[i][j], rows[rank][j], f) for j in range(len(keys))
-            ]
-        pivots.append(c)
-        rank += 1
-        if rank == len(rows):
-            break
+        elim.add({idx[k]: c for k, c in _nonzero(v).items()})
+    for pivot in sorted(elim.pivots):
+        back.add(elim.pivots[pivot][0])
     out = []
-    for i in range(rank):
-        out.append({
-            keys[j]: rows[i][j]
-            for j in range(len(keys))
-            if rows[i][j] is not None and not _is_zero(rows[i][j])
-        })
+    for pivot in sorted(back.pivots, reverse=True):
+        row = back.pivots[pivot][0]
+        inv = 1 / row[pivot]  # also makes int entries Fraction
+        out.append({keys[-k]: row[k] * inv for k in sorted(row, reverse=True)})
     return out
 
 
-def _sub(a, b, factor):
-    """a - factor*b where None stands for zero."""
-    if b is None:
-        return a
-    term = factor * b
-    if a is None:
-        return -term
-    return a - term
-
-
 def spans_equal(vecs_a, vecs_b) -> bool:
-    return echelon_basis(vecs_a) == echelon_basis(vecs_b)
+    """Whether two vector lists span the same space: every vector of b lies in
+    the span of a, and both spans have the same rank."""
+    elim = SparseElim()
+    for v in vecs_a:
+        elim.add(_nonzero(v))
+    vecs_b = [_nonzero(v) for v in vecs_b]
+    return not any(elim.reduce(v) for v in vecs_b) and sparse_rank(vecs_b) == elim.rank

@@ -167,15 +167,6 @@ def pi_picard(n: int, m: int) -> PiPicardData:
     )
 
 
-def odd_sector_h1_cech(m: int) -> int:
-    """Odd-sector h^1 of the structure sheaf via the Cech engine."""
-    sheaf = TransitionSheaf(m, standard_transition(m).ctx_b.one())
-    result = cech_cohomology(
-        sheaf, mask_pred=lambda s: mask_parity(s) == 1, want_generators=False
-    )
-    return result.h1.total
-
-
 def picard_report(n: int, m: int) -> dict:
     data = even_picard(n, m)
     pi = pi_picard(n, m)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .cech import TransitionSheaf, cech_cohomology, standard_transition
+from .cech import CechWindow, TransitionSheaf, cech_cohomology, standard_transition
 from .scalars import I, ONE, SQRT2, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, mask_parity
 
@@ -159,8 +159,6 @@ def suite_stabilization(seed: int, cases: int = DEFAULT_CASES) -> dict:
         ctx = standard_transition(m).ctx_b
         sheaf = TransitionSheaf(m, _random_unit(rng, ctx, 2))
         res = cech_cohomology(sheaf, want_generators=False)
-        from .cech import CechWindow
-
         bigger = cech_cohomology(
             sheaf, CechWindow(res.window_used.D + 2), want_generators=False
         )

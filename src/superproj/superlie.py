@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .linalg import SparseElim, express_in_span
 from .scalars import HALF, I, INV_SQRT2, ONE, Scalar
-from .superpoly import Context, SuperDerivation, p1m_transition
+from .superpoly import Context, SuperDerivation, SuperPolynomial, p1m_transition
 
 
 def _standard_context() -> Context:
@@ -325,8 +325,6 @@ def integrability_conditions(d_odd: SuperDerivation = None) -> list:
         if canon in seen:
             continue
         seen.add(canon)
-        from .superpoly import SuperPolynomial
-
         out.append(SuperPolynomial(ctx, {k: v * scale for k, v in terms.items()}))
     return out
 

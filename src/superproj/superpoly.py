@@ -140,11 +140,6 @@ class SuperPolynomial:
             return None
         return seen.pop()
 
-    def parity_split(self):
-        even = {k: v for k, v in self.terms.items() if mask_parity(k[1]) == 0}
-        odd = {k: v for k, v in self.terms.items() if mask_parity(k[1]) == 1}
-        return SuperPolynomial(self.ctx, even), SuperPolynomial(self.ctx, odd)
-
     def mask_filter(self, pred) -> "SuperPolynomial":
         return SuperPolynomial(
             self.ctx, {k: v for k, v in self.terms.items() if pred(k[1])}

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from dense_reference import echelon_basis
 from superproj import cech
 from superproj.cech import (
     CechWindow,
@@ -16,7 +17,7 @@ from superproj.cech import (
 from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
 from superproj.errors import ContextError, DomainError, InvariantError, ParityError
-from superproj.linalg import SparseElim, echelon_basis
+from superproj.linalg import SparseElim
 from superproj.parser import parse_superpoly
 from superproj.properties import _random_unit
 from superproj.scalars import ONE, ZERO
@@ -132,6 +133,29 @@ def test_h1_class_rejects_wrong_m_cocycle(p13):
         p13.h1_class(cocycle)
     with pytest.raises(ContextError):
         p13.h1_span_equals([cocycle])
+
+
+def test_h1_class_rejects_out_of_band_cocycle(p13):
+    # on cech-p13 (D = 7, band -6..6) w^-7 p1 p2 = W * w^-7 p1 p2 is the
+    # coboundary of z^5 t1 t2, and w^7 is regular on the V chart: neither
+    # may come back as a nonzero class
+    assert p13._band == range(-6, 7)
+    for text in ("w^-7*p1*p2", "w^7"):
+        cocycle = parse_superpoly(text, m=3)[0]
+        with pytest.raises(DomainError):
+            p13.h1_class(cocycle)
+    cocycles = [parse_superpoly(t, m=3)[0] for t in P13_COCYCLES + ["w^-7*p1*p2"]]
+    with pytest.raises(DomainError):
+        p13.h1_span_equals(cocycles)
+
+
+def test_h1_class_rejects_mask_outside_predicate():
+    # the odd-sector computation on O of P^(1|3) covers odd masks only
+    sheaf = TransitionSheaf(3, standard_transition(3).ctx_b.one())
+    res = cech_cohomology(sheaf, mask_pred=lambda s: mask_parity(s) == 1)
+    with pytest.raises(DomainError):
+        res.h1_class(sheaf.W)
+    assert res.h1_class(parse_superpoly("w^-1*p1*p2*p3", m=3)[0]) != {}
 
 
 def test_p13_euler_characteristic(p13):
@@ -262,15 +286,18 @@ def test_run_window_matches_general_path(sheaf):
             assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
             assert {p for p, _ in res._image} == {p for p, _ in rref}
             # the class map on the band monomials fixes the rref row by row;
-            # one step past the band on each side checks pass-through
+            # one step past the band on each side has no class
             B = window.D - sheaf.depth
             ctx_b = sheaf.transition.ctx_b
             for s in range(1 << sheaf.m):
                 if mask_pred is not None and not mask_pred(s):
                     continue
-                for j in range(-B - 1, B + 2):
+                for j in range(-B, B + 1):
                     cocycle = ctx_b.monomial(1, (j,), s)
                     assert res.h1_class(cocycle) == _rref_class(rref, cocycle)
+                for j in (-B - 1, B + 1):
+                    with pytest.raises(DomainError):
+                        res.h1_class(ctx_b.monomial(1, (j,), s))
 
 
 def _rref_class(rref, cocycle):

@@ -8,15 +8,27 @@ import pytest
 import superproj
 from superproj.cohomology import (
     DimPair,
+    _coefficient,
+    _integer,
     bott_dim,
     chi_closed,
     chi_zeta,
     cohomology_dims,
     decompose,
-    hn_variant_value,
     zeta_closed,
 )
 from superproj.errors import DomainError
+
+
+def hn_variant_value(n: int, m: int) -> int:
+    """A published variant expression for h^n(O) known to be inconsistent.
+
+    Evaluates (1/n!) d^n/dx^n [(1 + (x+2)^m)/(x+1)] at 0.  At (n,m) = (1,2)
+    this gives -1 while the correct value of h^1(O) is +1 (the sign of the
+    subtracted constant differs); it is kept only so tests can flag the
+    discrepancy.
+    """
+    return _integer(_coefficient(n, -1, 0) + _coefficient(n, -1, m))
 
 
 def test_dimpair_ops():

@@ -1,15 +1,24 @@
+import random
 from fractions import Fraction
 
+import dense_reference
 from superproj.linalg import (
     SparseElim,
     bareiss_rank,
     echelon_basis,
     express_in_span,
-    sparse_kernel,
     sparse_rank,
     spans_equal,
 )
 from superproj.scalars import I, ONE, Scalar
+
+
+def _kernel(vectors):
+    """Kernel combinations d of a column list: sum_j d[j] * vectors[j] == 0."""
+    elim = SparseElim(track=True)
+    for j, v in enumerate(vectors):
+        elim.add(v, tag_key=j)
+    return elim.kernel
 
 
 def test_sparse_rank_basic():
@@ -20,7 +29,7 @@ def test_sparse_rank_basic():
 def test_sparse_kernel_combination():
     v1 = {"x": Fraction(1), "y": Fraction(1)}
     v2 = {"x": Fraction(2), "y": Fraction(2)}
-    kernels = sparse_kernel([v1, v2])
+    kernels = _kernel([v1, v2])
     assert len(kernels) == 1
     combo = kernels[0]
     # the combination must actually annihilate the stack
@@ -108,10 +117,75 @@ def test_int_input_stays_exact():
     assert _floats([elim.pivots, elim.kernel, reduced]) == []
 
     vectors = [{0: 2, 1: 3}, {0: 3, 1: 1}, {0: 1, 1: 5}]
-    kernel = sparse_kernel(vectors)
+    kernel = _kernel(vectors)
     assert len(kernel) == 1
     for i in (0, 1):
         assert sum(c * vectors[j].get(i, 0) for j, c in kernel[0].items()) == 0
     combo = express_in_span([{0: 2, 1: 3}, {0: 3, 1: 1}], {0: 1, 1: 1})
     assert combo == {0: Fraction(2, 7), 1: Fraction(1, 7)}
     assert _floats([kernel, combo]) == []
+
+
+# -- the sparse echelon basis and span test against the dense reference -------
+
+def _random_entry(rng, kind):
+    num, den = rng.randint(-4, 4), rng.randint(1, 3)
+    if kind == "int":
+        return num
+    if kind == "fraction":
+        return Fraction(num, den)
+    return Scalar(num, *(rng.choice((-1, 0, 0, 0, 0, 1)) for _ in range(3)))
+
+
+def _random_vectors(rng, kind, keys):
+    """A vector list with duplicate, dependent, zero and empty members."""
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.1:
+            out.append({})
+        elif roll < 0.2:
+            out.append({rng.choice(keys): _random_entry(rng, kind) * 0})
+        elif out and roll < 0.35:
+            out.append(dict(rng.choice(out)))
+        elif len(out) >= 2 and roll < 0.55:
+            a, b = rng.sample(out, 2)
+            ca, cb = _random_entry(rng, kind), _random_entry(rng, kind)
+            vec = {}
+            for k in set(a) | set(b):
+                vec[k] = ca * a.get(k, 0) + cb * b.get(k, 0)
+            out.append(vec)
+        else:
+            vec = {}
+            for k in rng.sample(keys, rng.randint(1, len(keys))):
+                vec[k] = _random_entry(rng, kind)
+            out.append(vec)
+    return out
+
+
+def test_echelon_basis_and_spans_equal_match_dense_reference():
+    rng = random.Random(2024)
+    kinds = ("int", "fraction", "scalar")
+    key_sets = ([0, 1, 2, 3, 4], ["a", "b", "c"], [(0, 1), (0, 2), (1, 0), (2, 3)])
+    for case in range(2000):
+        kind = kinds[case % 3]
+        keys = key_sets[case // 3 % 3]
+        vecs = _random_vectors(rng, kind, keys)
+        got = echelon_basis(vecs)
+        want = dense_reference.echelon_basis(vecs)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want], case
+        assert [[type(v) for v in r.values()] for r in got] == [
+            [type(v) for v in r.values()] for r in want
+        ], case
+        assert _floats(got) == []
+        if rng.random() < 0.5:
+            other = [
+                {k: v * _random_entry(rng, kind) for k, v in vec.items()}
+                for vec in vecs
+            ]
+            other += _random_vectors(rng, kind, keys)[: rng.randint(0, 1)]
+        else:
+            other = _random_vectors(rng, kind, keys)
+        rng.shuffle(other)
+        want = dense_reference.spans_equal(vecs, other)
+        assert spans_equal(vecs, other) == want, case

@@ -1,6 +1,6 @@
 import pytest
 
-from superproj.cech import TransitionSheaf, standard_transition
+from superproj.cech import TransitionSheaf, cech_cohomology, standard_transition
 from superproj.errors import DomainError
 from superproj.picard import (
     continuous_dim_formula,
@@ -8,14 +8,22 @@ from superproj.picard import (
     even_picard,
     normal_form,
     normal_form_product,
-    odd_sector_h1_cech,
     odd_sector_h1_formula,
     pi_picard,
     picard_report,
     verify_picard_dim_cech,
 )
 from superproj.scalars import ONE, Scalar
-from superproj.superpoly import super_exp
+from superproj.superpoly import mask_parity, super_exp
+
+
+def odd_sector_h1_cech(m: int) -> int:
+    """Odd-sector h^1 of the structure sheaf via the Cech engine."""
+    sheaf = TransitionSheaf(m, standard_transition(m).ctx_b.one())
+    result = cech_cohomology(
+        sheaf, mask_pred=lambda s: mask_parity(s) == 1, want_generators=False
+    )
+    return result.h1.total
 
 
 def test_continuous_dim_values():

@@ -23,7 +23,8 @@ def ctx():
     return Context(("z",), ("t1", "t2", "t3"))
 
 
-def test_koszul_sign_and_parity():
+def test_koszul_sign_and_parity(ctx):
+    assert (ctx.var("t1") + ctx.one()).parity() is None
     assert mask_parity(0b101) == 0
     assert mask_parity(0b1) == 1
     assert koszul_sign(0b1, 0b10) == 1
@@ -50,14 +51,6 @@ def test_laurent_product(ctx):
     z = ctx.var("z")
     zi = ctx.monomial(1, (-1,), 0)
     assert z * zi == ctx.one()
-
-
-def test_parity_split(ctx):
-    p = ctx.var("t1") + ctx.one()
-    even, odd = p.parity_split()
-    assert even == ctx.one()
-    assert odd == ctx.var("t1")
-    assert p.parity() is None
 
 
 def test_partial_even(ctx):
