@@ -8,10 +8,18 @@ computation is repeated at window D and D+1 until the dimensions agree.
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
 each coboundary column is W shifted by a monomial: no general substitution
 and no polynomial product.  h0 is the kernel of the polar-part map.  The
-in-window image comes from one sparse elimination of all columns in which
+in-window image comes from one sparse elimination of the columns in which
 out-of-band keys lead: its stored vectors led by in-band keys are an
 echelon basis of the image, their count gives h1, and one forward pass over
-them sends a cocycle to its class.
+them sends a cocycle to its class.  The q unit columns (w^b p^s, 0 <= b <=
+D) each hold one key with coefficient 1, so they are never eliminated: a
+column's keys with nonnegative exponent are dropped instead, and the class
+of any cocycle term with nonnegative exponent is zero.
+
+When every coefficient of W is rational, so is every value inside a window:
+the window then computes on ``Fraction`` and lifts to ``Scalar`` only what
+leaves it, the h0 generators and (when a class is first asked for) the
+image rows.
 
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
@@ -32,7 +40,7 @@ from .errors import (
     ParityError,
 )
 from .linalg import SparseElim, _axpy, spans_equal
-from .scalars import ONE
+from .scalars import Scalar
 from .superpoly import (
     ChartTransition,
     Context,
@@ -108,8 +116,13 @@ class CohomologyResult:
     _ctx: Context = None  # the V chart, where cocycles live
     _band: range = None  # the in-window C1 exponents
     _masks: frozenset = None  # the odd masks the computation covered
-    # (pivot, row) echelon basis of the in-window image: each row holds no
-    # key that an earlier row leads, and rows are not normalised
+    # the quotient's stored rows led by in-band keys, as (key, row) with the
+    # window's int keys: -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
+    _rows: list = None
+    _keys: tuple = None
+    # (pivot, row) echelon basis of the polar in-window image, decoded from
+    # _rows on the first class asked for: each row holds no key that an
+    # earlier row leads, and rows are not normalised
     _image: list = None
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
@@ -128,6 +141,20 @@ class CohomologyResult:
             raise DomainError(
                 f"cocycle has a term off this result's band {self._band} or masks"
             )
+        if self._image is None:
+            off, m = self._keys
+            low = (1 << m) - 1
+
+            def decode(k):
+                k = -k - 1
+                return (k >> m) - off, k & low
+
+            self._image = [
+                (decode(key), {decode(k): Scalar.coerce(v) for k, v in row.items()})
+                for key, row in self._rows
+            ]
+        # a term with nonnegative exponent is a q unit column: its class is 0
+        vec = {k: c for k, c in vec.items() if k[0] < 0}
         for pivot, row in self._image:
             c = vec.get(pivot)
             if c is None:
@@ -176,23 +203,20 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     ctx_b = sheaf.transition.ctx_b
     B = D - sheaf.depth
     band = range(-B, B + 1)  # in-window C1 exponents
-    w_terms = [(exps[0], mask, c) for (exps, mask), c in sheaf.W.terms.items()]
+    rational = all(c.is_rational() for c in sheaf.W.terms.values())
+    w_terms = [(exps[0], mask, c.rational_value() if rational else c)
+               for (exps, mask), c in sheaf.W.terms.items()]
     components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
 
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
     # the quotient elimination an in-band key k is stored as -k - 1, so that
     # out-of-band keys lead and, in band, the smallest (e, s) leads.
     off = D + sheaf.depth + m
-    low = (1 << m) - 1
-
-    def decode(k):
-        k = -k - 1
-        return (k >> m) - off, k & low
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
-    image = []
+    rows = []
 
     for comp in components:
         parity = mask_parity(comp[0])
@@ -212,23 +236,20 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
                                     c if sign > 0 else -c))
             columns.extend((a, shifted) for a in range(D + 1))
 
-        # h0 is the kernel of the polar-part map; the quotient eliminates the
-        # q unit columns and the p columns together
+        # h0 is the kernel of the polar-part map.  A column's exponents are at
+        # most depth <= D, so its nonpolar keys are all q unit keys, which the
+        # quotient drops: it eliminates the polar parts, in-band keys last.
         h0_elim = SparseElim(track=want_generators)
         quotient = SparseElim()
-        for s in comp:
-            for b in range(D + 1):
-                key = ((b + off) << m) | s
-                quotient.add({-key - 1 if b <= B else key: ONE})
         for j, (a, shifted) in enumerate(columns):
             shift = a << m
             polar, col = {}, {}
             for e, _, key, c in shifted:
                 e -= a
-                key -= shift
                 if e < 0:
+                    key -= shift
                     polar[key] = c
-                col[-key - 1 if -B <= e <= B else key] = c
+                    col[-key - 1 if e >= -B else key] = c
             h0_elim.add(polar, tag_key=j)
             quotient.add(col)
         h0[parity] += len(columns) - h0_elim.rank
@@ -242,23 +263,23 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
                         term = c * v
                         cur = q.get(key)
                         q[key] = term if cur is None else cur + term
-                gens_h0.append(SuperPolynomial(ctx_b, q))
+                gens_h0.append(SuperPolynomial(
+                    ctx_b, {key: Scalar.coerce(v) for key, v in q.items()}
+                ))
 
-        # h1: the stored vectors led by in-band keys hold only in-band keys
-        # and are an echelon basis of the in-window image; listed from the
-        # largest pivot down, no row holds the pivot of an earlier one
-        rows = sorted((k for k in quotient.pivots if k < 0), reverse=True)
-        pivots = set()
-        for key in rows:
-            pivot = decode(key)
-            pivots.add(pivot)
-            row = quotient.pivots[key][0]
-            image.append((pivot, {decode(k): v for k, v in row.items()}))
-        h1[parity] += len(comp) * len(band) - len(rows)
+        # h1: the stored vectors led by in-band keys hold only polar in-band
+        # keys and are an echelon basis of the polar in-window image; listed
+        # from the largest pivot down, no row holds the pivot of an earlier
+        # one.  The q unit columns cover the band's |comp| * (B + 1)
+        # nonnegative monomials.
+        pivots = quotient.pivots
+        lead = sorted((k for k in pivots if k < 0), reverse=True)
+        rows.extend((key, pivots[key][0]) for key in lead)
+        h1[parity] += len(comp) * B - len(lead)
         if want_generators:
             for s in comp:
-                for j in band:
-                    if (j, s) not in pivots:
+                for j in range(-B, 0):
+                    if -(((j + off) << m) | s) - 1 not in pivots:
                         gens_h1.append(ctx_b.monomial(1, (j,), s))
 
     return CohomologyResult(
@@ -271,7 +292,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         _ctx=ctx_b,
         _band=band,
         _masks=frozenset(s for comp in components for s in comp),
-        _image=image,
+        _rows=rows,
+        _keys=(off, m),
     )
 
 
@@ -285,19 +307,24 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
 
     Dimensions are accepted once two consecutive windows agree; otherwise the
     window is advanced once more, and persistent disagreement raises
-    InstabilityError with a suggested retry size.  Over all masks, the
-    accepted parity-resolved h0 - h1 must equal that of O(k) on P^(1|m), k the
-    body exponent of W (the associated graded sheaf is split); a mismatch
-    raises InvariantError.
+    InstabilityError with a suggested retry size.  The D+1 windows are
+    compared by dimensions only and list no generators; when one of them is
+    accepted and generators are wanted, it is run again with them.  Over all
+    masks, the accepted parity-resolved h0 - h1 must equal that of O(k) on
+    P^(1|m), k the body exponent of W (the associated graded sheaf is split);
+    a mismatch raises InvariantError.
     """
     if window is None:
         window = default_window(sheaf)
     cur = _run_window(sheaf, window, mask_pred, want_generators)
     for attempt in range(2):
+        # the D+1 window only confirms the dimensions: it lists no generators
         nxt = _run_window(
-            sheaf, CechWindow(cur.window_used.D + 1), mask_pred, want_generators
+            sheaf, CechWindow(cur.window_used.D + 1), mask_pred, False
         )
         if (cur.h0, cur.h1) == (nxt.h0, nxt.h1):
+            if attempt and want_generators:
+                cur = _run_window(sheaf, cur.window_used, mask_pred, True)
             cur.stabilized = True
             if mask_pred is None:
                 _check_euler_characteristic(sheaf, cur)

@@ -3,10 +3,11 @@
 One eliminator: a sparse Gaussian eliminator on vectors stored as
 ``{key: coeff}`` dicts.  It serves the Cech engine (ranks, kernels, and its
 stored vectors as an echelon basis of the in-window image), the super
-gradient rank, the section solvers, span comparison (a rank test) and the
-reduced echelon bases the tangent engine prints (one back-substitution pass
-over its stored vectors).  The matrices are extremely sparse and the row
-index sets are ad hoc.
+gradient rank, the section solvers, span comparison (a rank test),
+expression in a fixed basis (one tracked elimination of the basis serves
+every target) and the reduced echelon bases the tangent engine prints (one
+back-substitution pass over its stored vectors).  The matrices are
+extremely sparse and the row index sets are ad hoc.
 
 A dense fraction-free (Bareiss) rank for integer matrices is kept beside it
 as the tests' independent rank oracle; no engine path calls it.
@@ -53,6 +54,12 @@ class SparseElim:
         self._count = 0
 
     def add(self, vec: dict, tag_key=None):
+        """Reduce vec and store it as a pivot, or record a kernel combination.
+
+        Every coefficient of vec must be nonzero: the pivot is the largest key
+        whatever its coefficient, so an explicit zero would become a pivot.
+        Returns the new pivot key, or None if vec reduced to zero.
+        """
         vec = dict(vec)
         tag = {tag_key if tag_key is not None else self._count: Fraction(1)} if self.track else None
         self._count += 1
@@ -74,6 +81,15 @@ class SparseElim:
         vec = dict(vec)
         self._eliminate(vec, None)
         return vec
+
+    def express(self, vec: dict):
+        """Coefficients x with sum_t x[t] * (vector added under tag t) == vec,
+        or None if vec lies outside the span (no state change; needs track)."""
+        vec, combo = dict(vec), {}
+        self._eliminate(vec, combo)
+        if vec:
+            return None
+        return {t: -c for t, c in combo.items()}
 
     def _eliminate(self, vec: dict, tag):
         """Clear every pivot key from vec in place, mirroring the steps on tag."""
@@ -108,20 +124,22 @@ def _axpy(target: dict, source: dict, factor):
 def sparse_rank(vectors) -> int:
     elim = SparseElim()
     for v in vectors:
-        elim.add(v)
+        elim.add(_nonzero(v))
     return elim.rank
+
+
+def span_eliminator(basis) -> SparseElim:
+    """A tracked eliminator of a basis list, each vector tagged by its index,
+    for expressing many targets through ``SparseElim.express``."""
+    elim = SparseElim(track=True)
+    for i, b in enumerate(basis):
+        elim.add(_nonzero(b), tag_key=i)
+    return elim
 
 
 def express_in_span(basis, target):
     """Coefficients x with sum_i x[i]*basis[i] == target, or None if outside."""
-    elim = SparseElim(track=True)
-    for i, b in enumerate(basis):
-        elim.add(b, tag_key=i)
-    if elim.add(target, tag_key="target") is not None:
-        return None
-    tag = elim.kernel[-1]
-    del tag["target"]  # its coefficient is 1: no basis vector's tag holds it
-    return {i: -c for i, c in tag.items()}
+    return span_eliminator(basis).express(_nonzero(target))
 
 
 def bareiss_rank(rows) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .linalg import SparseElim, express_in_span
+from .linalg import SparseElim, span_eliminator
 from .scalars import HALF, I, INV_SQRT2, ONE, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, p1m_transition
 
@@ -117,13 +117,14 @@ class NonClosureError(DomainError):
 
 def structure_constants(basis: SuperLieBasis) -> dict:
     """Tensor {(i, j): {k: Scalar}} with [e_i, e_j] = sum_k c_ij^k e_k."""
-    vectors = [basis.elements[name].vectorize() for name in basis.names]
+    elim = span_eliminator(
+        [basis.elements[name].vectorize() for name in basis.names]
+    )
     tensor = {}
     for i, a in enumerate(basis.names):
         for j, b in enumerate(basis.names):
             br = basis.elements[a].bracket(basis.elements[b])
-            target = br.vectorize()
-            combo = express_in_span(vectors, target)
+            combo = elim.express(br.vectorize())
             if combo is None:
                 raise NonClosureError((a, b), br)
             tensor[(a, b)] = {
@@ -251,11 +252,11 @@ def verify_osp22() -> VerificationReport:
         ok = _combo_matches(f, combo, actual)
         report.entries.append((label, ok, str(actual)))
     basis = conformal_basis()
-    vectors = [basis.elements[n].vectorize() for n in basis.names]
+    elim = span_eliminator([basis.elements[n].vectorize() for n in basis.names])
     for i in (1, 2):
         for target in (f"Q{i}", f"S{i}"):
             br = f["K"].bracket(f[target])
-            combo = express_in_span(vectors, br.vectorize())
+            combo = elim.express(br.vectorize())
             rendered = " + ".join(
                 f"({c})*{basis.names[k]}" for k, c in sorted(combo.items())
             ) if combo else "0"

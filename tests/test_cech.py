@@ -20,7 +20,7 @@ from superproj.errors import ContextError, DomainError, InvariantError, ParityEr
 from superproj.linalg import SparseElim
 from superproj.parser import parse_superpoly
 from superproj.properties import _random_unit
-from superproj.scalars import ONE, ZERO
+from superproj.scalars import ONE, ZERO, Scalar
 from superproj.superpoly import mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
@@ -284,7 +284,11 @@ def test_run_window_matches_general_path(sheaf):
             assert (res.h0, res.h1) == (h0, h1)
             assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
             assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
-            assert {p for p, _ in res._image} == {p for p, _ in rref}
+            # the image is decoded on the first class asked for, and holds
+            # the polar rows: the q unit columns are a key projection
+            assert res._image is None
+            res.h1_class(sheaf.transition.ctx_b.zero())
+            assert {p for p, _ in res._image} == {p for p, _ in rref if p[0] < 0}
             # the class map on the band monomials fixes the rref row by row;
             # one step past the band on each side has no class
             B = window.D - sheaf.depth
@@ -313,6 +317,63 @@ def _rref_class(rref, cocycle):
                 else:
                     vec[k] = new
     return vec
+
+
+# -- rational windows compute on Fraction ----------------------------------
+
+def _rational_sheaves():
+    W, _ = parse_superpoly(P13_TRANSITION)
+    return [twist_sheaf(2, 3), twist_sheaf(2, -3), TransitionSheaf(3, W)]
+
+
+def test_rational_window_outputs_are_scalars():
+    # Scalar == Fraction holds, so the reference comparison alone would not
+    # see a Fraction leaking out of a rational window
+    seen = 0
+    for sheaf in _rational_sheaves():
+        res = cech_cohomology(sheaf)
+        values = [c for g in res.generators_h0 + res.generators_h1
+                  for c in g.terms.values()]
+        ctx_b = sheaf.transition.ctx_b
+        for s in sorted(res._masks):
+            for j in res._band:
+                values.extend(res.h1_class(ctx_b.monomial(1, (j,), s)).values())
+        seen += len(values)
+        assert all(type(c) is Scalar for c in values), sheaf
+    assert seen
+
+
+def test_advanced_window_lists_the_generators_of_its_own_run():
+    # the D+1 check runs without generators; when it becomes the result, its
+    # generators come from a run of that window with generators
+    sheaf = twist_sheaf(2, -3)
+    res = cech_cohomology(sheaf, CechWindow(6))
+    assert res.window_used == CechWindow(7) and res.stabilized
+    assert res.h1 == DimPair(6, 6) and len(res.generators_h1) == 12
+    ref = cech._run_window(sheaf, CechWindow(7), None, True)
+    assert [g.terms for g in res.generators_h0] == [g.terms for g in ref.generators_h0]
+    assert [g.terms for g in res.generators_h1] == [g.terms for g in ref.generators_h1]
+
+
+def test_rational_window_makes_no_scalar_product(monkeypatch):
+    sheaves = _rational_sheaves()
+    zeta = TransitionSheaf(2, parse_superpoly("1 + i*p1*p2*w^-1")[0])
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    for sheaf in sheaves:
+        res = cech._run_window(sheaf, default_window(sheaf), None, False)
+        assert res.h0.even + res.h0.odd + res.h1.even + res.h1.odd > 0
+    assert calls == []
+    # the counter sees the Scalar path: a Q(zeta8) coefficient multiplies
+    cech._run_window(zeta, default_window(zeta), None, False)
+    assert calls
 
 
 @pytest.fixture

@@ -26,6 +26,14 @@ def test_sparse_rank_basic():
     assert sparse_rank([{k: Fraction(v) for k, v in r.items()} for r in rows]) == 2
 
 
+def test_explicit_zero_entries_are_not_pivots():
+    # an explicit zero coefficient is no entry: it must neither count towards
+    # the rank nor become a pivot that a later reduction divides by
+    assert sparse_rank([{0: Fraction(0)}]) == 0
+    assert sparse_rank([{0: 1, 1: 0}, {0: 1}]) == 1
+    assert express_in_span([{1: 0, 0: 1}], {1: 1}) is None
+
+
 def test_sparse_kernel_combination():
     v1 = {"x": Fraction(1), "y": Fraction(1)}
     v2 = {"x": Fraction(2), "y": Fraction(2)}

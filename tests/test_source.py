@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import superproj
@@ -17,3 +20,18 @@ def test_engine_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_selftest_output_is_the_same_under_python_O():
+    # the engine's checks must not depend on assert, which -O strips
+    src = str(Path(superproj.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "superproj.cli", "selftest", "--cases", "5"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        for flags in ((), ("-O",))
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout and runs[1].stdout == runs[0].stdout

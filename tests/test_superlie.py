@@ -1,5 +1,6 @@
 import pytest
 
+from superproj.linalg import express_in_span
 from superproj.scalars import HALF, I, ONE, Scalar
 from superproj.superlie import (
     U_SIGMA_TABLE,
@@ -109,7 +110,6 @@ def test_conformal_change_of_basis_consistency():
     change["S1"] = {"Sigma2": -INV_SQRT2, "Sigma4": I * INV_SQRT2}
     change["S2"] = {"Sigma4": -INV_SQRT2, "Sigma2": I * INV_SQRT2}
     us_vectors = [us.elements[n].vectorize() for n in us.names]
-    from superproj.linalg import express_in_span
 
     for a in conf.names:
         for b in conf.names:
@@ -121,6 +121,23 @@ def test_conformal_change_of_basis_consistency():
                 us.names[k]: c for k, c in combo.items() if not c.is_zero()
             }
             assert via_us == direct_named, (a, b)
+
+
+@pytest.mark.parametrize("make_basis", [v_xi_basis, conformal_basis])
+def test_structure_constants_match_per_bracket_expression(make_basis):
+    # one eliminator of the basis serves every bracket; each bracket alone,
+    # expressed against a fresh elimination, must give the same coefficients
+    basis = make_basis()
+    vectors = [basis.elements[n].vectorize() for n in basis.names]
+    expected = {}
+    for a in basis.names:
+        for b in basis.names:
+            br = basis.elements[a].bracket(basis.elements[b])
+            combo = express_in_span(vectors, br.vectorize())
+            expected[(a, b)] = {
+                basis.names[k]: c for k, c in combo.items() if not c.is_zero()
+            }
+    assert structure_constants(basis) == expected
 
 
 def test_osp22_all_equations_pass():
