@@ -7,19 +7,21 @@ computation is repeated at window D and D+1 until the dimensions agree.
 
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
 each coboundary column is W shifted by a monomial: no general substitution
-and no polynomial product.  h0 is the kernel of the polar-part map.  The
-in-window image comes from one sparse elimination of the columns in which
-out-of-band keys lead: its stored vectors led by in-band keys are an
-echelon basis of the image, their count gives h1, and one forward pass over
-them sends a cocycle to its class.  The q unit columns (w^b p^s, 0 <= b <=
-D) each hold one key with coefficient 1, so they are never eliminated: a
-column's keys with nonnegative exponent are dropped instead, and the class
-of any cocycle term with nonnegative exponent is zero.
+and no polynomial product.  Each window is one linear map, the polar-part
+map on the C0 columns, and each mask component eliminates its columns once,
+out-of-band keys leading.  h0 is the kernel: its dimension is the number of
+columns less the rank, and its generators are the tracked kernel
+combinations.  The stored vectors led by in-band keys are an echelon basis
+of the in-window image: their count gives h1, and, moved without their
+kernel tags into one eliminator for the whole window, they reduce a cocycle
+to its class.  The q unit columns (w^b p^s, 0 <= b <= D) each hold one key
+with coefficient 1, so they are never eliminated: a column's keys with
+nonnegative exponent are dropped instead, and the class of any cocycle term
+with nonnegative exponent is zero.
 
 When every coefficient of W is rational, so is every value inside a window:
 the window then computes on ``Fraction`` and lifts to ``Scalar`` only what
-leaves it, the h0 generators and (when a class is first asked for) the
-image rows.
+leaves it, the h0 generators and the class coordinates.
 
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
@@ -39,7 +41,7 @@ from .errors import (
     InvariantError,
     ParityError,
 )
-from .linalg import SparseElim, _axpy, spans_equal
+from .linalg import SparseElim, spans_equal
 from .scalars import Scalar
 from .superpoly import (
     ChartTransition,
@@ -116,14 +118,11 @@ class CohomologyResult:
     _ctx: Context = None  # the V chart, where cocycles live
     _band: range = None  # the in-window C1 exponents
     _masks: frozenset = None  # the odd masks the computation covered
-    # the quotient's stored rows led by in-band keys, as (key, row) with the
-    # window's int keys: -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
-    _rows: list = None
+    # an untracked eliminator holding the window's stored vectors led by
+    # in-band keys, an echelon basis of the polar in-window image; a key
+    # (e, s) is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
+    _coboundaries: SparseElim = None
     _keys: tuple = None
-    # (pivot, row) echelon basis of the polar in-window image, decoded from
-    # _rows on the first class asked for: each row holds no key that an
-    # earlier row leads, and rows are not normalised
-    _image: list = None
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
@@ -141,27 +140,17 @@ class CohomologyResult:
             raise DomainError(
                 f"cocycle has a term off this result's band {self._band} or masks"
             )
-        if self._image is None:
-            off, m = self._keys
-            low = (1 << m) - 1
-
-            def decode(k):
-                k = -k - 1
-                return (k >> m) - off, k & low
-
-            self._image = [
-                (decode(key), {decode(k): Scalar.coerce(v) for k, v in row.items()})
-                for key, row in self._rows
-            ]
+        off, m = self._keys
+        low = (1 << m) - 1
         # a term with nonnegative exponent is a q unit column: its class is 0
-        vec = {k: c for k, c in vec.items() if k[0] < 0}
-        for pivot, row in self._image:
-            c = vec.get(pivot)
-            if c is None:
-                continue
-            lead = row[pivot]
-            _axpy(vec, row, c if lead.is_one() else c / lead)
-        return vec
+        vec = self._coboundaries.reduce(
+            {-(((e + off) << m) | s) - 1: c for (e, s), c in vec.items() if e < 0}
+        )
+        out = {}
+        for k, c in vec.items():
+            k = -k - 1
+            out[(k >> m) - off, k & low] = Scalar.coerce(c)
+        return out
 
     def h1_span_equals(self, cocycles) -> bool:
         """Whether given cocycles span the computed H1 (compared in the quotient)."""
@@ -209,14 +198,14 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
 
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
-    # the quotient elimination an in-band key k is stored as -k - 1, so that
-    # out-of-band keys lead and, in band, the smallest (e, s) leads.
+    # the elimination an in-band key k is stored as -k - 1, so that out-of-band
+    # keys lead and, in band, the smallest (e, s) leads.
     off = D + sheaf.depth + m
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
-    rows = []
+    coboundaries = SparseElim()
 
     for comp in components:
         parity = mask_parity(comp[0])
@@ -237,24 +226,21 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
             columns.extend((a, shifted) for a in range(D + 1))
 
         # h0 is the kernel of the polar-part map.  A column's exponents are at
-        # most depth <= D, so its nonpolar keys are all q unit keys, which the
-        # quotient drops: it eliminates the polar parts, in-band keys last.
-        h0_elim = SparseElim(track=want_generators)
-        quotient = SparseElim()
+        # most depth <= D, so its nonpolar keys are all q unit keys, which are
+        # dropped: one elimination of the polar parts, in-band keys last.
+        elim = SparseElim(track=want_generators)
         for j, (a, shifted) in enumerate(columns):
             shift = a << m
-            polar, col = {}, {}
+            col = {}
             for e, _, key, c in shifted:
                 e -= a
                 if e < 0:
                     key -= shift
-                    polar[key] = c
                     col[-key - 1 if e >= -B else key] = c
-            h0_elim.add(polar, tag_key=j)
-            quotient.add(col)
-        h0[parity] += len(columns) - h0_elim.rank
+            elim.add(col, tag_key=j)
+        h0[parity] += len(columns) - elim.rank
         if want_generators:
-            for combo in h0_elim.kernel:
+            for combo in elim.kernel:
                 q = {}
                 for j, c in combo.items():
                     a, shifted = columns[j]
@@ -268,13 +254,14 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
                 ))
 
         # h1: the stored vectors led by in-band keys hold only polar in-band
-        # keys and are an echelon basis of the polar in-window image; listed
-        # from the largest pivot down, no row holds the pivot of an earlier
-        # one.  The q unit columns cover the band's |comp| * (B + 1)
-        # nonnegative monomials.
-        pivots = quotient.pivots
-        lead = sorted((k for k in pivots if k < 0), reverse=True)
-        rows.extend((key, pivots[key][0]) for key in lead)
+        # keys and are an echelon basis of the polar in-window image.  They
+        # move to the window's eliminator without their kernel tags.  The q
+        # unit columns cover the band's |comp| * (B + 1) nonnegative monomials.
+        pivots = elim.pivots
+        lead = [key for key in pivots if key < 0]
+        for key in lead:
+            coboundaries.pivots[key] = (pivots[key][0], None)
+        coboundaries.rank += len(lead)
         h1[parity] += len(comp) * B - len(lead)
         if want_generators:
             for s in comp:
@@ -292,7 +279,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         _ctx=ctx_b,
         _band=band,
         _masks=frozenset(s for comp in components for s in comp),
-        _rows=rows,
+        _coboundaries=coboundaries,
         _keys=(off, m),
     )
 

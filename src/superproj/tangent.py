@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
-from .errors import DomainError, InstabilityError
+from .errors import DomainError, InstabilityError, InvariantError
 from .linalg import SparseElim, echelon_basis
 from .superpoly import (
     SuperDerivation,
@@ -234,7 +234,16 @@ def global_tangent_fields(m: int, degree_bound: int = None) -> GlobalFieldBasis:
     basis = _echelonize_fields(fields, ctx)
     even = [f for f in basis if f.parity == 0]
     odd = [f for f in basis if f.parity == 1]
-    return GlobalFieldBasis(even_fields=even, odd_fields=odd)
+    result = GlobalFieldBasis(even_fields=even, odd_fields=odd)
+    # the super Euler sequence gives h0 of the tangent sheaf independently
+    # (closed forms plus the super gradient), so the two counts must agree
+    want = euler_tangent_dims(1, m).h0
+    if result.dims != want:
+        raise InvariantError(
+            f"{result.dims} global fields on P^(1|{m}), but the super Euler "
+            f"sequence gives h0(T) = {want}"
+        )
+    return result
 
 
 def bosonization_check(n: int, m: int) -> bool:

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+from superproj import tangent
 from superproj.cohomology import DimPair
-from superproj.errors import DomainError
+from superproj.errors import DomainError, InvariantError
 from superproj.linalg import SparseElim, bareiss_rank, spans_equal
 from superproj.superlie import v_xi_basis
 from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
@@ -75,8 +77,9 @@ def test_gradient_matches_dense_oracle():
 
 
 def test_gradient_kernel_grid():
-    for n in range(1, 4):
-        for m in range(9):
+    # through the Calabi-Yau line P^(n|n+1): the kernel is 1|0 exactly there
+    for n in range(1, 5):
+        for m in range(11):
             got = super_gradient_rank(n, m)["kernel_dim"]
             want = DimPair(1, 0) if m == n + 1 else DimPair(0, 0)
             assert got == want, (n, m)
@@ -128,6 +131,18 @@ def test_global_fields_counts():
 def test_global_fields_match_euler_route():
     for m in range(4):
         assert global_tangent_fields(m).dims == euler_tangent_dims(1, m).h0
+
+
+def test_global_fields_euler_invariant(monkeypatch):
+    real = tangent.euler_tangent_dims
+
+    def wrong_h0(n, m):
+        rep = real(n, m)
+        return replace(rep, h0=rep.h0 + DimPair(1, 0))
+
+    monkeypatch.setattr(tangent, "euler_tangent_dims", wrong_h0)
+    with pytest.raises(InvariantError, match="super Euler sequence"):
+        global_tangent_fields(1)
 
 
 def test_global_fields_bounds():
