@@ -2,8 +2,8 @@
 
 A rank-1|0 sheaf is described by an even invertible transition function W in
 the V-chart variables (w, p1..pm); a section pair (P, Q) glues iff
-Q = W * (P o chart).  Cochain spaces are truncated to a finite window and the
-computation is repeated at window D and D+1 until the dimensions agree.
+Q = W * (P o chart).  Cochain spaces are truncated to a finite window, and
+one window's own result proves that it is exact.
 
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
 each coboundary column is W shifted by a monomial: no general substitution
@@ -18,6 +18,28 @@ to its class.  The q unit columns (w^b p^s, 0 <= b <= D) each hold one key
 with coefficient 1, so they are never eliminated: a column's keys with
 nonnegative exponent are dropped instead, and the class of any cocycle term
 with nonnegative exponent is zero.
+
+Column reach.  Mask s takes the columns z^a t^s for a <= D + r_s.  With k the
+body exponent of W, cancelling the term w^e p^t of W on the column z^a t^s
+takes the body of z^(a + k - e - |t|) t^(s|t), so r starts at 0 and
+r_(s|t) >= r_s + k - e - |t| for each nilpotent term.  The reach columns come
+after all base columns a <= D, so a window that is exact without them keeps
+its kernel combinations and pivots.  The reach needs no proof of its own:
+the certificate below guards it.
+
+Certificate.  Filter the masks by size: the coboundary sends mask s to masks
+containing s, and its graded piece at s is the Cech map of O(k - |s|) on P^1.
+1. A window's h0 never exceeds the true h0: its kernel vectors are
+   independent global sections.
+2. Its h1 never falls below the true h1 once the window covers every
+   graded-H1 monomial w^e p^s, k - |s| < e < 0.  These span H1 under the
+   filtration, and a covered monomial lies in the band, or reduces into it
+   against its component's eliminator, so band -> H1 is onto.
+3. The true h0 - h1 over the covered masks is sum_s (k - |s| + 1) for each
+   parity: the index of a triangular map is the sum of its graded indices.
+So a covered window whose parity-resolved h0 - h1 equals that sum is exact in
+h0, h1, both generator lists and the class map, and a covered window whose
+h0 - h1 exceeds it is an engine fault.
 
 When every coefficient of W is rational, so is every value inside a window:
 the window then computes on ``Fraction`` and lifts to ``Scalar`` only what
@@ -123,6 +145,7 @@ class CohomologyResult:
     # (e, s) is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
     _coboundaries: SparseElim = None
     _keys: tuple = None
+    _covered: bool = False  # every graded-H1 monomial reduces into the band
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
@@ -196,16 +219,27 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     w_terms = [(exps[0], mask, c.rational_value() if rational else c)
                for (exps, mask), c in sheaf.W.terms.items()]
     components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
+    k = sheaf.body_exponent
+
+    # the column reach r_s of each mask (module docstring)
+    masks = [s for comp in components for s in comp]
+    reach = dict.fromkeys(masks, 0)
+    for s in sorted(masks):
+        for e, t, _ in w_terms:
+            if t and not s & t and (s | t) in reach:
+                reach[s | t] = max(reach[s | t],
+                                   reach[s] + k - e - bin(t).count("1"))
 
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
     # the elimination an in-band key k is stored as -k - 1, so that out-of-band
     # keys lead and, in band, the smallest (e, s) leads.
-    off = D + sheaf.depth + m
+    off = D + max(reach.values(), default=0) + sheaf.depth + m
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
     coboundaries = SparseElim()
+    covered = True
 
     for comp in components:
         parity = mask_parity(comp[0])
@@ -213,17 +247,20 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
 
         # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
         # then by a; one shifted term list per S, kept with each column
-        columns = []
+        shifts = []
         for s in comp:
-            k = bin(s).count("1")
+            size = bin(s).count("1")
             shifted = []
             for e, mask, c in w_terms:
                 sign = koszul_sign(mask, s)
                 if sign and (mask | s) in comp_set:
-                    e -= k
+                    e -= size
                     shifted.append((e, mask | s, ((e + off) << m) | mask | s,
                                     c if sign > 0 else -c))
-            columns.extend((a, shifted) for a in range(D + 1))
+            shifts.append((s, shifted))
+        columns = [(a, shifted) for _, shifted in shifts for a in range(D + 1)]
+        columns += [(a, shifted) for s, shifted in shifts
+                    for a in range(D + 1, D + 1 + reach[s])]
 
         # h0 is the kernel of the polar-part map.  A column's exponents are at
         # most depth <= D, so its nonpolar keys are all q unit keys, which are
@@ -263,6 +300,10 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
             coboundaries.pivots[key] = (pivots[key][0], None)
         coboundaries.rank += len(lead)
         h1[parity] += len(comp) * B - len(lead)
+        # each graded-H1 monomial below the band must reduce into the band
+        covered = covered and all(
+            all(key < 0 for key in elim.reduce({((e + off) << m) | s: 1}))
+            for s in comp for e in range(k - bin(s).count("1") + 1, -B))
         if want_generators:
             for s in comp:
                 for j in range(-B, 0):
@@ -278,9 +319,10 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         stabilized=False,
         _ctx=ctx_b,
         _band=band,
-        _masks=frozenset(s for comp in components for s in comp),
+        _masks=frozenset(masks),
         _coboundaries=coboundaries,
         _keys=(off, m),
+        _covered=covered,
     )
 
 
@@ -290,49 +332,35 @@ def default_window(sheaf: TransitionSheaf) -> CechWindow:
 
 def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
                     mask_pred=None, want_generators: bool = True) -> CohomologyResult:
-    """Cech cohomology of a transition sheaf with window stabilization.
+    """Cech cohomology of a transition sheaf from the first certified window.
 
-    Dimensions are accepted once two consecutive windows agree; otherwise the
-    window is advanced once more, and persistent disagreement raises
-    InstabilityError with a suggested retry size.  The D+1 windows are
-    compared by dimensions only and list no generators; when one of them is
-    accepted and generators are wanted, it is run again with them.  Over all
-    masks, the accepted parity-resolved h0 - h1 must equal that of O(k) on
-    P^(1|m), k the body exponent of W (the associated graded sheaf is split);
-    a mismatch raises InvariantError.
+    Windows D, D+1 and D+2 are tried in turn, and the first that certifies
+    itself (module docstring) is returned.  A covered window above the Euler
+    characteristic raises InvariantError; when no window certifies,
+    InstabilityError carries a suggested retry size.
     """
     if window is None:
         window = default_window(sheaf)
-    cur = _run_window(sheaf, window, mask_pred, want_generators)
-    for attempt in range(2):
-        # the D+1 window only confirms the dimensions: it lists no generators
-        nxt = _run_window(
-            sheaf, CechWindow(cur.window_used.D + 1), mask_pred, False
-        )
-        if (cur.h0, cur.h1) == (nxt.h0, nxt.h1):
-            if attempt and want_generators:
-                cur = _run_window(sheaf, cur.window_used, mask_pred, True)
-            cur.stabilized = True
-            if mask_pred is None:
-                _check_euler_characteristic(sheaf, cur)
-            return cur
-        cur = nxt
+    for D in range(window.D, window.D + 3):
+        res = _run_window(sheaf, CechWindow(D), mask_pred, want_generators)
+        if not res._covered:
+            continue
+        chi = [0, 0]
+        for s in res._masks:
+            chi[mask_parity(s)] += sheaf.body_exponent - bin(s).count("1") + 1
+        got = [res.h0.even - res.h1.even, res.h0.odd - res.h1.odd]
+        if got == chi:
+            res.stabilized = True
+            return res
+        if got[0] > chi[0] or got[1] > chi[1]:
+            raise InvariantError(
+                f"Cech h0 - h1 = {got[0]}|{got[1]} at D={D}, above the Euler "
+                f"characteristic {chi[0]}|{chi[1]} of O({sheaf.body_exponent}) "
+                f"on P^(1|{sheaf.m}) over its {len(res._masks)} masks"
+            )
     raise InstabilityError(
-        f"Cech dimensions did not stabilize by D={cur.window_used.D}",
-        suggested=2 * cur.window_used.D,
+        f"Cech dimensions did not stabilize by D={D}", suggested=2 * D
     )
-
-
-def _check_euler_characteristic(sheaf: TransitionSheaf, result: CohomologyResult):
-    closed = cohomology_dims(1, sheaf.m, sheaf.body_exponent)
-    want = (closed[0].even - closed[1].even, closed[0].odd - closed[1].odd)
-    got = (result.h0.even - result.h1.even, result.h0.odd - result.h1.odd)
-    if got != want:
-        raise InvariantError(
-            f"Cech h0 - h1 = {got[0]}|{got[1]} at D={result.window_used.D}, but "
-            f"the Euler characteristic of O({sheaf.body_exponent}) on "
-            f"P^(1|{sheaf.m}) is {want[0]}|{want[1]}"
-        )
 
 
 def oracle_check_line(m: int, ell: int) -> bool:

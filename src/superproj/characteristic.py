@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 
 def berezinian_twist_projected(n: int, m: int) -> int:
@@ -74,7 +74,7 @@ def characteristic_report(n: int, m: int) -> CharacteristicReport:
     projected = berezinian_twist_projected(n, m)
     euler = berezinian_twist_euler(n, m)
     if projected != euler:
-        raise DomainError(
+        raise InvariantError(
             f"Berezinian twist routes disagree: {projected} != {euler}"
         )
     table = {}

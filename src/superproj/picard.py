@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .scalars import Scalar
 from .superpoly import SuperPolynomial, mask_parity, super_log
 
@@ -155,7 +155,7 @@ def pi_picard(n: int, m: int) -> PiPicardData:
         dim = 0
     cross = odd_sector_h1_formula(m) if n == 1 else 0
     if n == 1 and m >= 3 and cross != dim:
-        raise DomainError(
+        raise InvariantError(
             f"odd-sector cross-check failed: {cross} != {dim} at m={m}"
         )
     return PiPicardData(

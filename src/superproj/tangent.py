@@ -217,31 +217,35 @@ def _echelonize_fields(fields, ctx) -> list:
 
 
 def global_tangent_fields(m: int, degree_bound: int = None) -> GlobalFieldBasis:
-    """All global vector fields on P^(1|m) by the pole-freeness ansatz."""
+    """All global vector fields on P^(1|m) by the pole-freeness ansatz.
+
+    The fields found at the bound are independent global fields, so per
+    parity their count is at most h0 of the tangent sheaf, which the super
+    Euler sequence gives independently (closed forms plus the super
+    gradient).  An equal count certifies the basis; a larger one is an
+    engine fault, a smaller one a bound too low.
+    """
     if m > 4:
         raise DomainError("global field solver covers m <= 4")
     bound = degree_bound if degree_bound is not None else 2 + m
     if bound < 2:
         raise DomainError("degree_bound must be at least 2")
     ctx = p1m_transition(m).ctx_a
-    fields = _solve_global_fields(m, bound, bound - 1)
-    again = _solve_global_fields(m, bound + 1, bound)
-    if len(again) != len(fields):
-        raise InstabilityError(
-            f"global field count still growing at degree bound {bound}",
-            suggested=bound + 2,
-        )
-    basis = _echelonize_fields(fields, ctx)
+    basis = _echelonize_fields(_solve_global_fields(m, bound, bound - 1), ctx)
     even = [f for f in basis if f.parity == 0]
     odd = [f for f in basis if f.parity == 1]
     result = GlobalFieldBasis(even_fields=even, odd_fields=odd)
-    # the super Euler sequence gives h0 of the tangent sheaf independently
-    # (closed forms plus the super gradient), so the two counts must agree
     want = euler_tangent_dims(1, m).h0
-    if result.dims != want:
+    got = result.dims
+    if got.even > want.even or got.odd > want.odd:
         raise InvariantError(
-            f"{result.dims} global fields on P^(1|{m}), but the super Euler "
+            f"{got} global fields on P^(1|{m}), but the super Euler "
             f"sequence gives h0(T) = {want}"
+        )
+    if got != want:
+        raise InstabilityError(
+            f"{got} global fields at degree bound {bound}, below h0(T) = {want}",
+            suggested=bound + 1,
         )
     return result
 

@@ -16,7 +16,13 @@ from superproj.cech import (
 )
 from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
-from superproj.errors import ContextError, DomainError, InvariantError, ParityError
+from superproj.errors import (
+    ContextError,
+    DomainError,
+    InstabilityError,
+    InvariantError,
+    ParityError,
+)
 from superproj.linalg import SparseElim
 from superproj.parser import parse_superpoly
 from superproj.properties import _random_unit
@@ -24,6 +30,7 @@ from superproj.scalars import ONE, ZERO, Scalar
 from superproj.superpoly import mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
+C0_TRUNCATION = "w^2 + w^-1*p1*p2"  # needs the columns z^(D+1) t1 t2
 P13_COCYCLES = [
     "w^-1*p1*p2",
     "w^-1*p1*p3",
@@ -192,7 +199,10 @@ def _reference_window(sheaf, window, mask_pred, want_generators):
     and SuperPolynomial products, the in-window image from a tracked kernel
     and the quotient from a dense echelon_basis.  Returns (h0, h1,
     generators_h0, generators_h1, image_rref); image_rref holds (pivot, row)
-    pairs of the fully reduced image rows, each pivot the row's smallest key."""
+    pairs of the fully reduced image rows, each pivot the row's smallest key.
+
+    Mask s takes the columns z^a t^s for a <= D + reach[s], the base columns
+    a <= D of every mask first."""
     D, depth, m = window.D, sheaf.depth, sheaf.m
     tr = sheaf.transition
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
@@ -200,17 +210,19 @@ def _reference_window(sheaf, window, mask_pred, want_generators):
     components = cech._mask_components(
         m, {mask for (_, mask) in sheaf.W.terms}, mask_pred
     )
+    reach = _reference_reach(sheaf, components)
     h0, h1 = {0: 0, 1: 0}, {0: 0, 1: 0}
     gens_h0, gens_h1, image_rref = [], [], []
     for comp in components:
         parity = mask_parity(comp[0])
         comp_set = set(comp)
         p_images = []
-        for s in comp:
-            for a in range(D + 1):
-                img = sheaf.W * tr.to_b(ctx_a.monomial(1, (a,), s))
-                img = img.mask_filter(lambda mk: mk in comp_set)
-                p_images.append({(e[0], mk): c for (e, mk), c in img.terms.items()})
+        order = [(s, a) for s in comp for a in range(D + 1)]
+        order += [(s, a) for s in comp for a in range(D + 1, D + 1 + reach[s])]
+        for s, a in order:
+            img = sheaf.W * tr.to_b(ctx_a.monomial(1, (a,), s))
+            img = img.mask_filter(lambda mk: mk in comp_set)
+            p_images.append({(e[0], mk): c for (e, mk), c in img.terms.items()})
 
         elim = SparseElim(track=True)
         for j, vec in enumerate(p_images):
@@ -256,6 +268,8 @@ def _reference_cases():
         cases.append((f"unit-m{m}-seed{seed}", TransitionSheaf(m, W)))
     W, _ = parse_superpoly(P13_TRANSITION)
     cases.append(("cech-p13", TransitionSheaf(3, W)))
+    W, _ = parse_superpoly(C0_TRUNCATION, m=2)
+    cases.append(("c0-truncation", TransitionSheaf(2, W)))
     for m in range(5):
         for ell in range(-3, 4):
             cases.append((f"twist-m{m}-ell{ell}", twist_sheaf(m, ell)))
@@ -309,6 +323,21 @@ def test_run_window_matches_general_path(sheaf):
                         res.h1_class(ctx_b.monomial(1, (j,), s))
 
 
+def _reference_reach(sheaf, components):
+    """Extra C0 columns per mask: the body of z^(a + k - e - |t|) t^(s|t)
+    cancels the term w^e p^t of W on the column z^a t^s."""
+    k = sheaf.body_exponent
+    reach = {}
+    for comp in components:
+        for s in sorted(comp):
+            reach.setdefault(s, 0)
+            for (exps, t) in sheaf.W.terms:
+                if t and not s & t and (s | t) in comp:
+                    step = reach[s] + k - exps[0] - bin(t).count("1")
+                    reach[s | t] = max(reach.get(s | t, 0), step)
+    return reach
+
+
 def _rref_class(rref, cocycle):
     """A cocycle reduced against the reference's fully reduced rows."""
     vec = {(e[0], mk): c for (e, mk), c in cocycle.terms.items()}
@@ -349,15 +378,33 @@ def test_rational_window_outputs_are_scalars():
 
 
 def test_advanced_window_lists_the_generators_of_its_own_run():
-    # the D+1 check runs without generators; when it becomes the result, its
-    # generators come from a run of that window with generators
+    # D = 6 leaves w^-4 p1 p2 out of the band: the window is not covered, so
+    # D = 7 is run and lists the generators of its own run
     sheaf = twist_sheaf(2, -3)
+    assert not cech._run_window(sheaf, CechWindow(6), None, False)._covered
     res = cech_cohomology(sheaf, CechWindow(6))
     assert res.window_used == CechWindow(7) and res.stabilized
     assert res.h1 == DimPair(6, 6) and len(res.generators_h1) == 12
     ref = cech._run_window(sheaf, CechWindow(7), None, True)
     assert [g.terms for g in res.generators_h0] == [g.terms for g in ref.generators_h0]
     assert [g.terms for g in res.generators_h1] == [g.terms for g in ref.generators_h1]
+
+
+@pytest.mark.parametrize("want", (True, False))
+def test_one_window_per_call(monkeypatch, want):
+    """A default window certifies itself: no second window is run."""
+    calls = []
+    real = cech._run_window
+
+    def run_window(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cech, "_run_window", run_window)
+    for name, sheaf in REFERENCE_CASES:
+        calls.clear()
+        res = cech_cohomology(sheaf, want_generators=want)
+        assert calls == [default_window(sheaf)] and res.stabilized, name
 
 
 def test_rational_window_makes_no_scalar_product(monkeypatch):
@@ -381,32 +428,61 @@ def test_rational_window_makes_no_scalar_product(monkeypatch):
     assert calls
 
 
-@pytest.fixture
-def wrong_h1(monkeypatch):
-    """Make every window report one extra even h1 dimension."""
+def _one_more_even(monkeypatch, field):
+    """Make every window report one extra even dimension in field."""
     real = cech._run_window
 
     def run_window(*args):
         res = real(*args)
-        return replace(res, h1=res.h1 + DimPair(1, 0))
+        return replace(res, **{field: getattr(res, field) + DimPair(1, 0)})
 
     monkeypatch.setattr(cech, "_run_window", run_window)
 
 
-def test_euler_characteristic_invariant(wrong_h1):
+@pytest.fixture
+def wrong_h1(monkeypatch):
+    """Every window reports one extra even h1 dimension: a too-small window."""
+    _one_more_even(monkeypatch, "h1")
+
+
+@pytest.fixture
+def wrong_h0(monkeypatch):
+    """Every window reports one extra even h0 dimension: no window can."""
+    _one_more_even(monkeypatch, "h0")
+
+
+def _odd_masks(s):
+    return mask_parity(s) == 1
+
+
+@pytest.mark.parametrize("mask_pred", (None, lambda s: s != 0))
+def test_euler_characteristic_invariant(wrong_h0, mask_pred):
+    # a covered window above the Euler characteristic of its split filtration
+    # is an engine fault, whatever masks it covers
     with pytest.raises(InvariantError, match="Euler characteristic"):
-        cech_cohomology(twist_sheaf(2, -1), want_generators=False)
-    # restricted mask sets have no closed form, so they are not checked
-    res = cech_cohomology(
-        twist_sheaf(2, -1), mask_pred=lambda s: mask_parity(s) == 1,
-        want_generators=False,
-    )
-    assert res.stabilized
+        cech_cohomology(twist_sheaf(2, -1), mask_pred=mask_pred,
+                        want_generators=False)
 
 
-def test_invariant_violation_exits_1(wrong_h1, capsys):
+@pytest.mark.parametrize("mask_pred", (None, _odd_masks))
+def test_too_small_window_is_instability(wrong_h1, mask_pred):
+    # below the Euler characteristic, a window may be too small: D, D + 1 and
+    # D + 2 are tried, and the retry suggests twice the last
+    sheaf = twist_sheaf(2, -1)
+    D = default_window(sheaf).D
+    with pytest.raises(InstabilityError) as info:
+        cech_cohomology(sheaf, mask_pred=mask_pred, want_generators=False)
+    assert info.value.suggested == 2 * (D + 2)
+
+
+def test_invariant_violation_exits_1(wrong_h0, capsys):
     assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 1
     assert "invariant violated" in capsys.readouterr().err
+
+
+def test_too_small_window_exits_3(wrong_h1, capsys):
+    assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 3
+    assert "instability" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("want", (True, False))
@@ -450,8 +526,6 @@ def test_serre_duality_on_law_suite_draws():
     assert off_split > 0
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="C0 columns truncated at z^D leave out part of the coboundary")
 def test_c0_truncation_example():
     """W = w^2 + w^-1 p1 p2 on P^(1|2): h0 = 4|4 and h1 = 0|0.
 
@@ -469,6 +543,22 @@ def test_c0_truncation_example():
     g_i(1/w) and Q cover every p_i exponent.  So the coboundary is onto and
     h1 = 0|0, and h0 - h1 = 4|4 is the Euler characteristic of O(2).
     """
-    W, _ = parse_superpoly("w^2 + w^-1*p1*p2", m=2)
+    W, _ = parse_superpoly(C0_TRUNCATION, m=2)
     res = cech_cohomology(TransitionSheaf(2, W), want_generators=False)
     assert (res.h0, res.h1) == (DimPair(4, 4), DimPair(0, 0))
+
+
+def test_odd_sector_example():
+    """W = 2 w^4 - p3 p4 on P^(1|4), odd masks only: h0 = 0|24, h1 = 0|0.
+
+    By hand, from the mask-size filtration: the graded piece at mask s is
+    O(4 - |s|) on P^1, and an odd |s| <= 3 has 4 - |s| >= 1, so no graded
+    piece has an H1 and h1 = 0.  Then h0 is the Euler characteristic,
+    sum_s (4 - |s| + 1) = 4 * 4 + 4 * 2 = 24, all odd.  The columns
+    z^a t^s with a <= D leave out the z^(D+2) t^(s|p3p4) that cancel the
+    p3 p4 term of z^D t^s, so without the reach the window reads h1 = 0|2.
+    """
+    W, _ = parse_superpoly("2*w^4 - p3*p4", m=4)
+    res = cech_cohomology(TransitionSheaf(4, W), mask_pred=_odd_masks,
+                          want_generators=False)
+    assert (res.h0, res.h1) == (DimPair(0, 24), DimPair(0, 0))

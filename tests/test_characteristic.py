@@ -1,5 +1,6 @@
 import pytest
 
+from superproj import characteristic
 from superproj.characteristic import (
     berezinian_twist_euler,
     berezinian_twist_projected,
@@ -11,7 +12,8 @@ from superproj.characteristic import (
     topological_twist,
     topological_twists_isomorphic,
 )
-from superproj.errors import DomainError
+from superproj.cli import main
+from superproj.errors import DomainError, InvariantError
 
 
 def test_twist_routes_agree():
@@ -75,3 +77,13 @@ def test_json_shape():
     assert {tuple(e.values()) for e in rep["de_rham"]} == {
         (0, 0, 1), (0, 1, 2), (0, 2, 1), (2, 0, 1), (2, 1, 2), (2, 2, 1),
     }
+
+
+def test_berezinian_routes_disagreeing_is_an_invariant(monkeypatch, capsys):
+    # a disagreement between the engine's own two routes is a fault (exit 1),
+    # not a usage error (exit 2)
+    monkeypatch.setattr(characteristic, "berezinian_twist_euler", lambda n, m: 99)
+    with pytest.raises(InvariantError, match="Berezinian twist routes"):
+        characteristic_report(3, 4)
+    assert main(["characteristic", "--n", "3", "--m", "4"]) == 1
+    assert "invariant violated" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import pytest
 
+from superproj import picard
 from superproj.cech import TransitionSheaf, cech_cohomology, standard_transition
-from superproj.errors import DomainError
+from superproj.cli import main
+from superproj.errors import DomainError, InvariantError
 from superproj.picard import (
     continuous_dim_formula,
     continuous_generators,
@@ -111,3 +113,13 @@ def test_picard_report_json():
     assert rep["schema"] == 1
     assert rep["continuous_dim"] == 3
     assert rep["pi"]["nonsplit_parameter_dim"] == 2
+
+
+def test_odd_sector_cross_check_is_an_invariant(monkeypatch, capsys):
+    # a disagreement between the engine's own two counts is a fault (exit 1),
+    # not a usage error (exit 2)
+    monkeypatch.setattr(picard, "odd_sector_h1_formula", lambda m: -1)
+    with pytest.raises(InvariantError, match="odd-sector cross-check"):
+        pi_picard(1, 4)
+    assert main(["picard", "--n", "1", "--m", "4"]) == 1
+    assert "invariant violated" in capsys.readouterr().err

@@ -2,6 +2,7 @@ from superproj.properties import (
     ALL_SUITES,
     exp_log_round_trips,
     run_all,
+    suite_duality,
     suite_sign_laws,
 )
 
@@ -61,3 +62,10 @@ def test_run_all_is_memoised_and_returns_copies():
     second = run_all(5, 6)
     assert second == [suite(5, 6) for suite in ALL_SUITES]
     assert second[0] is not run_all(5, 6)[0]
+
+
+def test_duality_wide():
+    # draws that reach past the law suites: body and nilpotent exponents in
+    # [-4, 4], up to 4 nilpotent terms, m = 1..5
+    assert suite_duality(11, 300) == {"suite": "duality", "cases": 300, "failures": 0}
+    assert suite_duality not in ALL_SUITES

@@ -5,7 +5,7 @@ import pytest
 
 from superproj import tangent
 from superproj.cohomology import DimPair
-from superproj.errors import DomainError, InvariantError
+from superproj.errors import DomainError, InstabilityError, InvariantError
 from superproj.linalg import SparseElim, bareiss_rank, spans_equal
 from superproj.superlie import v_xi_basis
 from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
@@ -133,16 +133,35 @@ def test_global_fields_match_euler_route():
         assert global_tangent_fields(m).dims == euler_tangent_dims(1, m).h0
 
 
-def test_global_fields_euler_invariant(monkeypatch):
+@pytest.mark.parametrize("skew, error", (
+    (-1, InvariantError),  # more fields than h0(T): an engine fault
+    (1, InstabilityError),  # fewer: the degree bound is too low
+))
+def test_global_fields_euler_invariant(monkeypatch, skew, error):
     real = tangent.euler_tangent_dims
 
     def wrong_h0(n, m):
         rep = real(n, m)
-        return replace(rep, h0=rep.h0 + DimPair(1, 0))
+        return replace(rep, h0=DimPair(rep.h0.even + skew, rep.h0.odd))
 
     monkeypatch.setattr(tangent, "euler_tangent_dims", wrong_h0)
-    with pytest.raises(InvariantError, match="super Euler sequence"):
-        global_tangent_fields(1)
+    with pytest.raises(error, match="h0\\(T\\)") as info:
+        global_tangent_fields(1, degree_bound=4)
+    if error is InstabilityError:
+        assert info.value.suggested == 5
+
+
+def test_global_fields_solve_once(monkeypatch):
+    calls = []
+    real = tangent._solve_global_fields
+
+    def solve(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tangent, "_solve_global_fields", solve)
+    assert global_tangent_fields(2).dims == DimPair(8, 8)
+    assert calls == [(2, 4, 3)]
 
 
 def test_global_fields_bounds():
