@@ -316,8 +316,15 @@ def _compare(expected: dict, actual: dict) -> bool:
 def run_golden(suite=None, cases_override: int = None,
                seed_override: int = None) -> dict:
     """Recompute golden records; suite selects ids, None runs everything."""
+    if cases_override is not None and cases_override < 1:
+        # zero cases would check nothing, yet match every zero failure count
+        raise SuperprojError(f"cases must be at least 1, got {cases_override}")
+    records = load_records()
+    missing = set(suite or ()) - {rec.id for rec in records}
+    if missing:
+        raise SuperprojError(f"no golden fixture for {sorted(missing)}")
     report = {"schema": 1, "results": [], "all_passed": True}
-    for rec in load_records():
+    for rec in records:
         if suite is not None and rec.id not in suite:
             continue
         if rec.id not in CHECKERS:

@@ -3,14 +3,16 @@
 One eliminator: a sparse Gaussian eliminator on vectors stored as
 ``{key: coeff}`` dicts.  It serves the Cech engine (ranks, kernels, and its
 stored vectors as an echelon basis of the in-window image), the super
-gradient rank, the section solvers, span comparison (a rank test),
-expression in a fixed basis (one tracked elimination of the basis serves
-every target) and the reduced echelon bases the tangent engine prints (one
-back-substitution pass over its stored vectors).  The matrices are
+gradient rank, the global field basis (its tracked kernel), the section
+solvers, span comparison (a rank test) and expression in a fixed basis (one
+tracked elimination of the basis serves every target).  The matrices are
 extremely sparse and the row index sets are ad hoc.
 
-A dense fraction-free (Bareiss) rank for integer matrices is kept beside it
-as the tests' independent rank oracle; no engine path calls it.
+Two references are kept beside it for the tests, and no engine path calls
+either: ``echelon_basis``, a reduced echelon basis by one back-substitution
+pass over the eliminator's stored vectors, and ``bareiss_rank``, a dense
+fraction-free rank for integer matrices.  The benchmark tracer also wraps
+both by name.
 
 Coefficients are ``Fraction`` or ``Scalar``; both are exact fields.  ``int``
 coefficients are accepted: a vector stored as a pivot under an ``int`` lead

@@ -245,16 +245,7 @@ class SuperPolynomial:
         (exps, _), c = next(iter(body.items()))
         t_inv = self.ctx.monomial(c.inverse(), tuple(-e for e in exps), 0)
         n = self * t_inv - 1  # nilpotent
-        out = self.ctx.one()
-        power = self.ctx.one()
-        k = 1
-        while True:
-            power = power * n
-            if power.is_zero():
-                break
-            out = out + power * Scalar.from_rational(Fraction((-1) ** k))
-            k += 1
-        return out * t_inv
+        return _nilpotent_series(n, self.ctx.one(), lambda k: (-1) ** k) * t_inv
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -387,21 +378,24 @@ class SuperPolynomial:
         return f"SuperPolynomial({self})"
 
 
+def _nilpotent_series(n: SuperPolynomial, out: SuperPolynomial, coeff) -> SuperPolynomial:
+    """out + sum_(k >= 1) coeff(k) * n^k, summed until n^k = 0 (n nilpotent)."""
+    power = n
+    k = 1
+    while not power.is_zero():
+        out = out + power * coeff(k)
+        power = power * n
+        k += 1
+    return out
+
+
 def super_exp(p: SuperPolynomial) -> SuperPolynomial:
     """exp of an even nilpotent element (finite series)."""
     if p.parity() != 0:
         raise ParityError("super_exp requires an even element")
     if not p.is_nilpotent():
         raise DomainError("super_exp requires a nilpotent element")
-    out = p.ctx.one()
-    power = p.ctx.one()
-    k = 1
-    while True:
-        power = power * p
-        if power.is_zero():
-            return out
-        out = out + power * Fraction(1, factorial(k))
-        k += 1
+    return _nilpotent_series(p, p.ctx.one(), lambda k: Fraction(1, factorial(k)))
 
 
 def super_log(g: SuperPolynomial):
@@ -419,15 +413,7 @@ def super_log(g: SuperPolynomial):
     if any(exps):
         raise DomainError("super_log requires a constant reduced part")
     n = g * c.inverse() - 1
-    out = g.ctx.zero()
-    power = g.ctx.one()
-    k = 1
-    while True:
-        power = power * n
-        if power.is_zero():
-            return c, out
-        out = out + power * Fraction((-1) ** (k + 1), k)
-        k += 1
+    return c, _nilpotent_series(n, g.ctx.zero(), lambda k: Fraction((-1) ** (k + 1), k))
 
 
 class ChartTransition:

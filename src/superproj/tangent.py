@@ -13,7 +13,8 @@ Independently, global fields on P^(1|m) are found by brute force: a
 polynomial ansatz on the U chart, pushed to the V chart, with all polar
 coefficients required to vanish.  The chart map sends z^d t^S to
 w^(-d-|S|) p^S with sign +1, so each ansatz field's polar part has a closed
-form and needs no general substitution.
+form and needs no general substitution.  The printed field basis is the
+tracked kernel of one elimination of those polar parts, already reduced.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import DomainError, InstabilityError, InvariantError
-from .linalg import SparseElim, echelon_basis
+from .linalg import SparseElim
 from .superpoly import (
     SuperDerivation,
     koszul_sign,
@@ -148,7 +149,8 @@ def _ansatz(m: int, bound_z: int, bound_t: int) -> list:
     """Ansatz fields on the U chart of P^(1|m), each with its V-chart polar part.
 
     The fields are z^d t^S d/dz (d <= bound_z) and z^d t^S d/dt_i
-    (d <= bound_t).  Since z^d t^S = w^(-d-|S|) p^S with sign +1, the
+    (d <= bound_t), each named by its ``SuperDerivation.vectorize`` key
+    ``(v, (d,), S)``.  Since z^d t^S = w^(-d-|S|) p^S with sign +1, the
     pushforwards are
 
         z^d t^S d/dz    = -w^(2-d-|S|) p^S d/dw
@@ -156,15 +158,12 @@ def _ansatz(m: int, bound_z: int, bound_t: int) -> list:
         z^d t^S d/dt_i  =  w^(1-d-|S|) p^S d/dp_i,
 
     and the polar part keeps the terms with a negative w exponent, keyed as
-    ``SuperDerivation.vectorize`` keys them.  Returns (field, polar) pairs.
+    ``vectorize`` keys them.  Returns (key, polar) pairs.
     """
-    ctx = p1m_transition(m).ctx_a
     out = []
     for mask in range(1 << m):
         size = bin(mask).count("1")
         for deg in range(bound_z + 1):
-            coeff = ctx.monomial(1, (deg,), mask)
-            field = SuperDerivation(ctx, mask_parity(mask), {"z": coeff})
             e = 1 - deg - size
             polar = {("w", (e + 1,), mask): _MINUS_ONE} if e + 1 < 0 else {}
             if e < 0:
@@ -175,38 +174,40 @@ def _ansatz(m: int, bound_z: int, bound_t: int) -> list:
                         polar[(f"p{i + 1}", (e,), mask | bit)] = (
                             _MINUS_ONE if sign > 0 else _ONE
                         )
-            out.append((field, polar))
+            out.append((("z", (deg,), mask), polar))
         for i in range(1, m + 1):
             for deg in range(bound_t + 1):
-                coeff = ctx.monomial(1, (deg,), mask)
-                field = SuperDerivation(ctx, mask_parity(mask) ^ 1, {f"t{i}": coeff})
                 e = 1 - deg - size
-                out.append((field, {(f"p{i}", (e,), mask): _ONE} if e < 0 else {}))
+                polar = {(f"p{i}", (e,), mask): _ONE} if e < 0 else {}
+                out.append(((f"t{i}", (deg,), mask), polar))
     return out
 
 
 def _solve_global_fields(m: int, bound_z: int, bound_t: int) -> list:
-    ansatz = _ansatz(m, bound_z, bound_t)
+    """The pole-free fields as rows ``{key: coeff}`` over the ansatz keys, in
+    reduced echelon form: ascending by smallest key, each lead 1 and absent
+    from every other row.
+
+    The columns enter one tracked elimination in descending key order, each
+    tagged by its key.  A kernel combination holds its own column with
+    coefficient 1 and otherwise only pivot columns fed before it, whose keys
+    are larger; so its own key leads it and no other combination holds that
+    key.  The kernel reversed is thus the unique reduced echelon basis, the
+    one ``linalg.echelon_basis`` would return.
+    """
     elim = SparseElim(track=True)
-    for j, (_, polar) in enumerate(ansatz):
-        elim.add(polar, tag_key=j)
-    fields = []
-    for combo in elim.kernel:
-        total = None
-        for j, c in combo.items():
-            piece = ansatz[j][0] * c
-            total = piece if total is None else total + piece
-        fields.append(total)
-    return fields
+    for key, polar in sorted(_ansatz(m, bound_z, bound_t), reverse=True):
+        elim.add(polar, tag_key=key)
+    return elim.kernel[::-1]
 
 
-def _echelonize_fields(fields, ctx) -> list:
-    vecs = [f.vectorize() for f in fields]
+def _rows_to_fields(rows, ctx) -> list:
+    """``SuperDerivation``s of rows ``{(v, exps, mask): coeff}``."""
     out = []
-    for row in echelon_basis(vecs):
+    for row in rows:
         coeffs = {}
         parity = None
-        for (name, exps, mask), c in row.items():
+        for (name, exps, mask), c in sorted(row.items()):
             kind, _ = ctx.lookup(name)
             p = mask_parity(mask) ^ (0 if kind == "even" else 1)
             parity = p if parity is None else parity
@@ -231,7 +232,7 @@ def global_tangent_fields(m: int, degree_bound: int = None) -> GlobalFieldBasis:
     if bound < 2:
         raise DomainError("degree_bound must be at least 2")
     ctx = p1m_transition(m).ctx_a
-    basis = _echelonize_fields(_solve_global_fields(m, bound, bound - 1), ctx)
+    basis = _rows_to_fields(_solve_global_fields(m, bound, bound - 1), ctx)
     even = [f for f in basis if f.parity == 0]
     odd = [f for f in basis if f.parity == 1]
     result = GlobalFieldBasis(even_fields=even, odd_fields=odd)
@@ -257,7 +258,7 @@ def bosonization_check(n: int, m: int) -> bool:
     tr = p1m_transition(m) if n == 1 else pnm_transition(n, m)
     ctx = tr.ctx_a
     even_names = ctx.even
-    elim = SparseElim(track=True)
+    elim = SparseElim()
     count = 0
     for name in even_names:
         for i, j in combinations(range(m), 2):
@@ -269,9 +270,9 @@ def bosonization_check(n: int, m: int) -> bool:
                 for key, c in pushed.vectorize().items()
                 if any(e < 0 for e in key[1])
             }
-            elim.add(polar, tag_key=count)
+            elim.add(polar)
             count += 1
-    return bool(elim.kernel)
+    return elim.rank < count
 
 
 def tangent_report_json(n: int, m: int, with_basis: bool = False) -> dict:

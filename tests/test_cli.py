@@ -128,3 +128,10 @@ def test_selftest_subset_runs(capsys):
 
     report = run_golden(suite={"characteristic"})
     assert report["all_passed"]
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_rejects_fewer_than_one_case(capsys, cases):
+    code, out, err = run(capsys, "selftest", "--cases", cases)
+    assert code == 2 and out == ""
+    assert "at least 1" in err

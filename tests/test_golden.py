@@ -50,3 +50,18 @@ def test_p13_record_euler_characteristic_is_closed_form():
     expected = load_record("cech-p13").expected
     assert expected["euler_characteristic"] == chi
     assert [a - b for a, b in zip(expected["h0"], expected["h1"])] == chi
+
+
+def test_run_golden_rejects_ids_without_a_fixture():
+    # a misspelt id would otherwise select nothing and pass with nothing checked
+    with pytest.raises(SuperprojError, match="oracle_grid"):
+        run_golden(suite={"oracle_grid"})
+    with pytest.raises(SuperprojError, match="'missing'"):
+        run_golden(suite={"characteristic", "missing"})
+
+
+@pytest.mark.parametrize("cases", [0, -3])
+def test_run_golden_rejects_fewer_than_one_case(cases):
+    # with no cases every property suite reports zero failures, a vacuous match
+    with pytest.raises(SuperprojError, match="at least 1"):
+        run_golden(suite={"exp-log"}, cases_override=cases)

@@ -22,6 +22,26 @@ def test_engine_has_no_assert_statements():
     assert found == []
 
 
+def test_test_oracles_stay_off_engine_paths():
+    # echelon_basis and bareiss_rank are the tests' references; an engine
+    # path that used them would be checked against itself
+    oracles = {"echelon_basis", "bareiss_rank"}
+    found = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name in oracles:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert found == []
+
+
 def test_selftest_output_is_the_same_under_python_O():
     # the engine's checks must not depend on assert, which -O strips
     src = str(Path(superproj.__file__).parent.parent)

@@ -6,13 +6,14 @@ import pytest
 from superproj import tangent
 from superproj.cohomology import DimPair
 from superproj.errors import DomainError, InstabilityError, InvariantError
-from superproj.linalg import SparseElim, bareiss_rank, spans_equal
+from superproj.linalg import SparseElim, bareiss_rank, echelon_basis, spans_equal
 from superproj.superlie import v_xi_basis
 from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
 from superproj.tangent import (
     _ansatz,
     _compositions,
-    _echelonize_fields,
+    _rows_to_fields,
+    _solve_global_fields,
     bosonization_check,
     euler_tangent_dims,
     global_tangent_fields,
@@ -220,7 +221,8 @@ def _reference_polars(m, bound_z, bound_t):
 
 
 def _reference_fields(m):
-    """``global_tangent_fields(m)`` through the general pushforward."""
+    """``global_tangent_fields(m)`` through the general pushforward, sums of
+    ansatz fields and ``linalg.echelon_basis``."""
     bound = 2 + m
     ctx = p1m_transition(m).ctx_a
     ansatz = _reference_ansatz(m, bound, bound - 1)
@@ -234,19 +236,50 @@ def _reference_fields(m):
             piece = ansatz[j] * c
             total = piece if total is None else total + piece
         fields.append(total)
-    basis = _echelonize_fields(fields, ctx)
+    basis = _rows_to_fields(echelon_basis([f.vectorize() for f in fields]), ctx)
     return [f for f in basis if f.parity == 0] + [f for f in basis if f.parity == 1]
 
 
 def test_polar_parts_match_pushforward():
+    # each key's polar part against the general pushforward of that key's field
     for m in range(5):
         for bound in (2 + m, 3 + m):
             pairs = _ansatz(m, bound, bound - 1)
-            assert [f for f, _ in pairs] == _reference_ansatz(m, bound, bound - 1)
+            fields = _reference_ansatz(m, bound, bound - 1)
+            assert [key for key, _ in pairs] == [
+                next(iter(f.vectorize())) for f in fields
+            ]
             ref = _reference_polars(m, bound, bound - 1)
-            assert len(pairs) == len(ref)
-            for j, ((field, polar), want) in enumerate(zip(pairs, ref)):
-                assert polar == want, (m, bound, j, str(field))
+            for (key, polar), want in zip(pairs, ref):
+                assert polar == want, (m, bound, key)
+
+
+def test_solved_rows_are_the_reduced_echelon_basis():
+    # the tracked kernel, reversed, is the basis echelon_basis would print
+    for m in range(5):
+        for bound in range(2 + m, 5 + m):
+            rows = _solve_global_fields(m, bound, bound - 1)
+            assert rows == echelon_basis(rows), (m, bound)
+
+
+def test_global_fields_one_elimination(monkeypatch):
+    # one add per ansatz column, beside the adds of the Euler route's own
+    # super gradient; no echelon pass adds the rows again
+    adds = []
+    real_add = SparseElim.add
+
+    def add(self, vec, tag_key=None):
+        adds.append(tag_key)
+        return real_add(self, vec, tag_key)
+
+    monkeypatch.setattr(SparseElim, "add", add)
+    for m in range(5):
+        adds.clear()
+        euler_tangent_dims(1, m)
+        euler_adds = len(adds)
+        adds.clear()
+        global_tangent_fields(m)
+        assert len(adds) == len(_ansatz(m, 2 + m, 1 + m)) + euler_adds, m
 
 
 def test_global_fields_match_pushforward_solver():
