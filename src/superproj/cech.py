@@ -53,7 +53,6 @@ systems (union-find on masks) instead of one large one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import (
@@ -66,7 +65,6 @@ from .errors import (
 from .linalg import SparseElim, spans_equal
 from .scalars import Scalar
 from .superpoly import (
-    ChartTransition,
     Context,
     SuperPolynomial,
     koszul_sign,
@@ -75,9 +73,7 @@ from .superpoly import (
 )
 
 
-@lru_cache(maxsize=None)
-def standard_transition(m: int) -> ChartTransition:
-    return p1m_transition(m)
+standard_transition = p1m_transition
 
 
 class TransitionSheaf:

@@ -22,7 +22,7 @@ from math import comb
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
 from .errors import DomainError, InvariantError
 from .scalars import Scalar
-from .superpoly import SuperPolynomial, mask_parity, super_log
+from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
 
 
 def continuous_dim_formula(n: int, m: int) -> int:
@@ -59,6 +59,16 @@ def _pole_band(mask: int) -> range:
     return range(1, size)
 
 
+def _truncate_to_bands(n_log: SuperPolynomial) -> SuperPolynomial:
+    """n_log modulo additive coboundaries: the terms whose pole order lies in
+    their mask's band."""
+    return SuperPolynomial(n_log.ctx, {
+        (exps, mask): coeff
+        for (exps, mask), coeff in n_log.terms.items()
+        if -exps[0] in _pole_band(mask)
+    })
+
+
 def continuous_generators(m: int) -> list:
     """One representative transition function per free normal-form coefficient."""
     ctx = standard_transition(m).ctx_b
@@ -74,13 +84,10 @@ def continuous_generators(m: int) -> list:
 def even_picard(n: int, m: int) -> PicardGroupData:
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
+    ctx = pnm_transition(n, m).ctx_b
+    gens = [ctx.var(ctx.even[0])]
     if n == 1:
-        ctx = standard_transition(m).ctx_b
-        gens = [ctx.var("w")] + continuous_generators(m)
-    else:
-        from .superpoly import pnm_transition
-
-        gens = [pnm_transition(n, m).ctx_b.var("w1")]
+        gens += continuous_generators(m)
     return PicardGroupData(
         n=n,
         m=m,
@@ -100,24 +107,14 @@ def normal_form(sheaf: TransitionSheaf):
     k = sheaf.body_exponent
     unit = sheaf.W * ctx.monomial(1, (-k,), 0)
     c, n_log = super_log(unit)
-    reduced = {}
-    for (exps, mask), coeff in n_log.terms.items():
-        if -exps[0] in _pole_band(mask):
-            reduced[(exps, mask)] = coeff
-    return k, c, SuperPolynomial(ctx, reduced)
+    return k, c, _truncate_to_bands(n_log)
 
 
 def normal_form_product(label_a, label_b):
     """Group law on class labels: degrees and log parts add, units multiply."""
     ka, ca, na = label_a
     kb, cb, nb = label_b
-    total = na + nb
-    reduced = {
-        key: coeff
-        for key, coeff in total.terms.items()
-        if -key[0][0] in _pole_band(key[1])
-    }
-    return ka + kb, ca * cb, SuperPolynomial(total.ctx, reduced)
+    return ka + kb, ca * cb, _truncate_to_bands(na + nb)
 
 
 def verify_picard_dim_cech(m: int) -> bool:

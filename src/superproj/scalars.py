@@ -38,10 +38,6 @@ class Scalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rational(q) -> "Scalar":
-        return Scalar(_as_fraction(q))
-
-    @staticmethod
     def coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x

@@ -11,6 +11,7 @@ variables written in increasing index order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import ContextError, DomainError, ParityError
@@ -441,47 +442,39 @@ class ChartTransition:
         return p.substitute(self.b_in_a, self.ctx_a)
 
 
-def p1m_transition(m: int) -> ChartTransition:
-    """The two standard charts of the projective superline with m odd directions.
-
-    Chart A: (z, t1..tm); chart B: (w, p1..pm); z = 1/w, ti = pi/w.
-    """
-    ctx_a = Context(("z",), tuple(f"t{i}" for i in range(1, m + 1)))
-    ctx_b = Context(("w",), tuple(f"p{i}" for i in range(1, m + 1)))
-    w_inv = ctx_b.monomial(1, (-1,), 0)
-    z_inv = ctx_a.monomial(1, (-1,), 0)
-    a_in_b = {"z": w_inv}
-    b_in_a = {"w": z_inv}
-    for i in range(1, m + 1):
-        a_in_b[f"t{i}"] = ctx_b.var(f"p{i}") * w_inv
-        b_in_a[f"p{i}"] = ctx_a.var(f"t{i}") * z_inv
-    return ChartTransition(ctx_a, ctx_b, a_in_b, b_in_a)
-
-
+@lru_cache(maxsize=None)
 def pnm_transition(n: int, m: int) -> ChartTransition:
-    """Charts 0 and 1 of projective superspace with n even, m odd directions.
+    """Charts 0 and 1 of projective superspace P^(n|m), built once per (n, m).
 
-    Chart A: (z1..zn, t1..tm) with z1 = 1/w1, zj = wj/w1, ti = pi/w1.
+    Chart A: (z1..zn, t1..tm); chart B: (w1..wn, p1..pm); z1 = 1/w1,
+    zj = wj/w1, ti = pi/w1.  For n = 1 the even variables are the bare z and
+    w.  The pair and its rule dicts are shared by every caller in the
+    process: read them, never mutate them.
     """
-    ctx_a = Context(
-        tuple(f"z{j}" for j in range(1, n + 1)),
-        tuple(f"t{i}" for i in range(1, m + 1)),
-    )
-    ctx_b = Context(
-        tuple(f"w{j}" for j in range(1, n + 1)),
-        tuple(f"p{i}" for i in range(1, m + 1)),
-    )
-    w1_inv = ctx_b.var("w1").inverse()
-    z1_inv = ctx_a.var("z1").inverse()
-    a_in_b = {"z1": w1_inv}
-    b_in_a = {"w1": z1_inv}
-    for j in range(2, n + 1):
-        a_in_b[f"z{j}"] = ctx_b.var(f"w{j}") * w1_inv
-        b_in_a[f"w{j}"] = ctx_a.var(f"z{j}") * z1_inv
-    for i in range(1, m + 1):
-        a_in_b[f"t{i}"] = ctx_b.var(f"p{i}") * w1_inv
-        b_in_a[f"p{i}"] = ctx_a.var(f"t{i}") * z1_inv
+    if n < 1 or m < 0:
+        raise DomainError("need n >= 1 and m >= 0")
+    suffixes = [""] if n == 1 else [str(j) for j in range(1, n + 1)]
+    odd = range(1, m + 1)
+    ctx_a = Context([f"z{j}" for j in suffixes], [f"t{i}" for i in odd])
+    ctx_b = Context([f"w{j}" for j in suffixes], [f"p{i}" for i in odd])
+    (z1, *zs), (w1, *ws) = ctx_a.even, ctx_b.even
+    w1_inv = ctx_b.var(w1).inverse()
+    z1_inv = ctx_a.var(z1).inverse()
+    a_in_b = {z1: w1_inv}
+    b_in_a = {w1: z1_inv}
+    for a, b in zip(zs + list(ctx_a.odd), ws + list(ctx_b.odd)):
+        a_in_b[a] = ctx_b.var(b) * w1_inv
+        b_in_a[b] = ctx_a.var(a) * z1_inv
     return ChartTransition(ctx_a, ctx_b, a_in_b, b_in_a)
+
+
+def p1m_transition(m: int) -> ChartTransition:
+    """The shared chart pair of the projective superline P^(1|m).
+
+    Chart A: (z, t1..tm); chart B: (w, p1..pm); z = 1/w, ti = pi/w.  The
+    same object as ``pnm_transition(1, m)``.
+    """
+    return pnm_transition(1, m)
 
 
 class SuperDerivation:

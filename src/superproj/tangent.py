@@ -62,6 +62,8 @@ def super_gradient_rank(n: int, m: int) -> dict:
     ``(v, exps, mask)``.  Returns domain and kernel dimensions split by
     source parity.
     """
+    if n < 1 or m < 0:
+        raise DomainError("need n >= 1 and m >= 0")
     d = m - n - 1
     if d < 0:
         return {"domain_dim": DimPair(0, 0), "kernel_dim": DimPair(0, 0)}
@@ -226,6 +228,8 @@ def global_tangent_fields(m: int, degree_bound: int = None) -> GlobalFieldBasis:
     gradient).  An equal count certifies the basis; a larger one is an
     engine fault, a smaller one a bound too low.
     """
+    if m < 0:
+        raise DomainError("need m >= 0")
     if m > 4:
         raise DomainError("global field solver covers m <= 4")
     bound = degree_bound if degree_bound is not None else 2 + m
@@ -255,7 +259,7 @@ def bosonization_check(n: int, m: int) -> bool:
     """Whether any field sum(c_ij^a theta_i theta_j d/dz_a) extends globally."""
     if m < 2:
         return False
-    tr = p1m_transition(m) if n == 1 else pnm_transition(n, m)
+    tr = pnm_transition(n, m)
     ctx = tr.ctx_a
     even_names = ctx.even
     elim = SparseElim()

@@ -5,7 +5,21 @@ from hypothesis import strategies as st
 from superproj.errors import ParseError
 from superproj.parser import parse_superpoly
 from superproj.scalars import I, SQRT2, Scalar
-from superproj.superpoly import p1m_transition
+from superproj.superpoly import ChartTransition, p1m_transition
+
+
+def test_parse_builds_the_chart_pair_once(monkeypatch):
+    built = []
+    init = ChartTransition.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(ChartTransition, "__init__", counting_init)
+    for _ in range(2):
+        parse_superpoly("1 + p1*p2*w^-1", m=5)
+    assert len(built) <= 1
 
 
 def test_transition_example():

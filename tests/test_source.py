@@ -42,6 +42,28 @@ def test_test_oracles_stay_off_engine_paths():
     assert found == []
 
 
+def test_chart_pairs_are_built_only_in_superpoly():
+    # pnm_transition builds each chart pair once per process; a module that
+    # called ChartTransition itself would rebuild pairs and re-run the
+    # round-trip check on every call
+    found = []
+    for path in SOURCES:
+        if path.name == "superpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None
+            )
+            if name == "ChartTransition":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_selftest_output_is_the_same_under_python_O():
     # the engine's checks must not depend on assert, which -O strips
     src = str(Path(superproj.__file__).parent.parent)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from superproj.cech import standard_transition
 from superproj.errors import ContextError, DomainError, ParityError
 from superproj.scalars import I, ONE, Scalar
 from superproj.superpoly import (
@@ -109,6 +110,22 @@ def test_pnm_transition_roundtrip():
     for name in tr.ctx_a.even + tr.ctx_a.odd:
         v = tr.ctx_a.var(name)
         assert tr.to_a(tr.to_b(v)) == v
+
+
+def test_one_shared_chart_pair_per_n_m():
+    for m in range(4):
+        tr = p1m_transition(m)
+        assert pnm_transition(1, m) is tr
+        assert standard_transition(m) is tr
+        assert tr.ctx_a.even == ("z",) and tr.ctx_b.even == ("w",)
+    assert pnm_transition(2, 1).ctx_a.even == ("z1", "z2")
+
+
+def test_chart_builder_rejects_bad_dimensions():
+    with pytest.raises(DomainError):
+        pnm_transition(0, 2)
+    with pytest.raises(DomainError):
+        p1m_transition(-1)
 
 
 def test_transition_validation():

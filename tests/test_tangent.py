@@ -92,6 +92,12 @@ def test_gradient_domain_dims():
     assert data["domain_dim"] == DimPair(9, 8)
 
 
+@pytest.mark.parametrize("n, m", [(-1, 2), (0, 2), (1, -3)])
+def test_gradient_rejects_bad_dimensions(n, m):
+    with pytest.raises(DomainError):
+        super_gradient_rank(n, m)
+
+
 def test_h0_law_away_from_exception():
     for n in range(1, 4):
         for m in range(5):
@@ -178,6 +184,10 @@ def test_global_fields_bounds():
         global_tangent_fields(5)
     with pytest.raises(DomainError):
         global_tangent_fields(2, degree_bound=1)
+    # m is checked before the degree bound, which defaults to 2 + m
+    for bound in (None, 5):
+        with pytest.raises(DomainError, match="m >= 0"):
+            global_tangent_fields(-1, bound)
 
 
 def test_bosonization_only_at_1_2():
