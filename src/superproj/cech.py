@@ -6,7 +6,7 @@ Q = W * (P o chart).  Cochain spaces are truncated to a finite window, and
 one window's own result proves that it is exact.
 
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
-each coboundary column is W shifted by a monomial: no general substitution
+each coboundary column is W shifted by a monomial: no polynomial chart map
 and no polynomial product.  Each window is one linear map, the polar-part
 map on the C0 columns, and each mask component eliminates its columns once,
 out-of-band keys leading.  h0 is the kernel: its dimension is the number of

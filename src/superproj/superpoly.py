@@ -6,6 +6,10 @@ polynomial is a dict from monomial keys ``(exps, mask)`` to ``Scalar``
 coefficients, where ``exps`` is the tuple of even exponents and ``mask`` is a
 bitmask over the odd variables.  All signs follow the Koszul rule with odd
 variables written in increasing index order.
+
+The two standard charts of P^(n|m) come from ``pnm_transition``.  Their
+chart map sends each monomial to one monomial with sign +1, so it relabels
+keys and never multiplies polynomials.
 """
 
 from __future__ import annotations
@@ -287,35 +291,6 @@ class SuperPolynomial:
                 out[key] = val if s is None else s + val
         return SuperPolynomial(self.ctx, out)
 
-    def substitute(self, rules: dict, target: Context) -> "SuperPolynomial":
-        """Algebra homomorphism sending each variable to its image polynomial.
-
-        Every variable of the source context needs a rule.  Negative even
-        exponents require the image to be a unit (single-term body).
-        """
-        for name in self.ctx.even + self.ctx.odd:
-            if name not in rules:
-                raise ContextError(f"no substitution rule for {name!r}")
-        out = target.zero()
-        cache = {}
-
-        def image_power(name, e):
-            key = (name, e)
-            if key not in cache:
-                cache[key] = rules[name] ** e
-            return cache[key]
-
-        for (exps, mask), c in self.terms.items():
-            term = target.scalar(c)
-            for pos, e in enumerate(exps):
-                if e:
-                    term = term * image_power(self.ctx.even[pos], e)
-            for pos in range(len(self.ctx.odd)):
-                if mask & (1 << pos):
-                    term = term * rules[self.ctx.odd[pos]]
-            out = out + term
-        return out
-
     def eval_body(self, point: dict) -> Scalar:
         """Evaluate the body at a point given as {even name: rational or Scalar}."""
         total = Scalar(0)
@@ -417,29 +392,44 @@ def super_log(g: SuperPolynomial):
     return c, _nilpotent_series(n, g.ctx.zero(), lambda k: Fraction((-1) ** (k + 1), k))
 
 
-class ChartTransition:
-    """Two coordinate charts with mutually inverse substitution rules.
+def _chart_map(p: SuperPolynomial, source: Context, target: Context) -> SuperPolynomial:
+    """z^a t^S <-> w1^(-|a|-|S|) w2^a2..wn^an p^S, coefficient unchanged.
 
-    ``a_in_b`` expresses each chart-A variable in chart-B coordinates and
-    vice versa.  Consistency (round trips are the identity) is checked on
-    every variable at construction.
+    z1 = 1/w1, zj = wj/w1 and ti = pi/w1 send each monomial to one monomial
+    with sign +1 (w1 is even), and the map is its own inverse.
+    """
+    if p.ctx != source:
+        raise ContextError(f"expected a polynomial on {source!r}, got {p.ctx!r}")
+    return SuperPolynomial(target, {
+        ((-sum(exps) - bin(mask).count("1"),) + exps[1:], mask): c
+        for (exps, mask), c in p.terms.items()
+    })
+
+
+class ChartTransition:
+    """Charts A (z1..zn, t1..tm) and B (w1..wn, p1..pm) of P^(n|m).
+
+    z1 = 1/w1, zj = wj/w1, ti = pi/w1: ``to_b`` and ``to_a`` relabel
+    monomials by ``_chart_map``.  The round trip is checked on every
+    variable at construction.
     """
 
-    def __init__(self, ctx_a: Context, ctx_b: Context, a_in_b: dict, b_in_a: dict):
+    def __init__(self, ctx_a: Context, ctx_b: Context):
+        if not ctx_a.even or (len(ctx_a.even), len(ctx_a.odd)) != (
+            len(ctx_b.even), len(ctx_b.odd)
+        ):
+            raise DomainError(f"charts of different shapes: {ctx_a!r}, {ctx_b!r}")
         self.ctx_a = ctx_a
         self.ctx_b = ctx_b
-        self.a_in_b = a_in_b
-        self.b_in_a = b_in_a
         for name in ctx_a.even + ctx_a.odd:
-            back = ctx_a.var(name).substitute(a_in_b, ctx_b).substitute(b_in_a, ctx_a)
-            if back != ctx_a.var(name):
-                raise DomainError(f"chart rules do not invert on {name!r}")
+            if self.to_a(self.to_b(ctx_a.var(name))) != ctx_a.var(name):
+                raise DomainError(f"chart map does not invert on {name!r}")
 
     def to_b(self, p: SuperPolynomial) -> SuperPolynomial:
-        return p.substitute(self.a_in_b, self.ctx_b)
+        return _chart_map(p, self.ctx_a, self.ctx_b)
 
     def to_a(self, p: SuperPolynomial) -> SuperPolynomial:
-        return p.substitute(self.b_in_a, self.ctx_a)
+        return _chart_map(p, self.ctx_b, self.ctx_a)
 
 
 @lru_cache(maxsize=None)
@@ -448,24 +438,17 @@ def pnm_transition(n: int, m: int) -> ChartTransition:
 
     Chart A: (z1..zn, t1..tm); chart B: (w1..wn, p1..pm); z1 = 1/w1,
     zj = wj/w1, ti = pi/w1.  For n = 1 the even variables are the bare z and
-    w.  The pair and its rule dicts are shared by every caller in the
-    process: read them, never mutate them.
+    w.  The pair is shared by every caller in the process: read it, never
+    mutate it.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
     suffixes = [""] if n == 1 else [str(j) for j in range(1, n + 1)]
     odd = range(1, m + 1)
-    ctx_a = Context([f"z{j}" for j in suffixes], [f"t{i}" for i in odd])
-    ctx_b = Context([f"w{j}" for j in suffixes], [f"p{i}" for i in odd])
-    (z1, *zs), (w1, *ws) = ctx_a.even, ctx_b.even
-    w1_inv = ctx_b.var(w1).inverse()
-    z1_inv = ctx_a.var(z1).inverse()
-    a_in_b = {z1: w1_inv}
-    b_in_a = {w1: z1_inv}
-    for a, b in zip(zs + list(ctx_a.odd), ws + list(ctx_b.odd)):
-        a_in_b[a] = ctx_b.var(b) * w1_inv
-        b_in_a[b] = ctx_a.var(a) * z1_inv
-    return ChartTransition(ctx_a, ctx_b, a_in_b, b_in_a)
+    return ChartTransition(
+        Context([f"z{j}" for j in suffixes], [f"t{i}" for i in odd]),
+        Context([f"w{j}" for j in suffixes], [f"p{i}" for i in odd]),
+    )
 
 
 def p1m_transition(m: int) -> ChartTransition:
@@ -577,10 +560,10 @@ class SuperDerivation:
         if self.ctx != transition.ctx_a:
             raise ContextError("derivation lives on the wrong chart")
         ctx_b = transition.ctx_b
-        coeffs = {}
-        for name in ctx_b.even + ctx_b.odd:
-            g = transition.b_in_a[name]
-            coeffs[name] = transition.to_b(self.apply(g))
+        coeffs = {
+            name: transition.to_b(self.apply(transition.to_a(ctx_b.var(name))))
+            for name in ctx_b.even + ctx_b.odd
+        }
         return SuperDerivation(ctx_b, self.parity, coeffs)
 
     def vectorize(self) -> dict:

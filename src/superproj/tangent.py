@@ -13,7 +13,7 @@ Independently, global fields on P^(1|m) are found by brute force: a
 polynomial ansatz on the U chart, pushed to the V chart, with all polar
 coefficients required to vanish.  The chart map sends z^d t^S to
 w^(-d-|S|) p^S with sign +1, so each ansatz field's polar part has a closed
-form and needs no general substitution.  The printed field basis is the
+form and needs no pushforward.  The printed field basis is the
 tracked kernel of one elimination of those polar parts, already reduced.
 """
 
@@ -256,9 +256,8 @@ def global_tangent_fields(m: int, degree_bound: int = None) -> GlobalFieldBasis:
 
 
 def bosonization_check(n: int, m: int) -> bool:
-    """Whether any field sum(c_ij^a theta_i theta_j d/dz_a) extends globally."""
-    if m < 2:
-        return False
+    """Whether any field sum(c_ij^a theta_i theta_j d/dz_a) extends globally
+    (never for m < 2, which has no such field)."""
     tr = pnm_transition(n, m)
     ctx = tr.ctx_a
     even_names = ctx.even

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from dense_reference import echelon_basis
+from substitution_reference import chart_rules, substitute
 from superproj import cech
 from superproj.cech import (
     CechWindow,
@@ -195,17 +196,19 @@ def test_coboundary_twist_invariance():
 # -- the general path as a reference for the monomial-shift engine ----------
 
 def _reference_window(sheaf, window, mask_pred, want_generators):
-    """One window by the general path: columns through ChartTransition.to_b
-    and SuperPolynomial products, the in-window image from a tracked kernel
-    and the quotient from a dense echelon_basis.  Returns (h0, h1,
-    generators_h0, generators_h1, image_rref); image_rref holds (pivot, row)
-    pairs of the fully reduced image rows, each pivot the row's smallest key.
+    """One window by the general path: columns through the general
+    substitution of ``tests/substitution_reference.py`` and SuperPolynomial
+    products, the in-window image from a tracked kernel and the quotient
+    from a dense echelon_basis.  Returns (h0, h1, generators_h0,
+    generators_h1, image_rref); image_rref holds (pivot, row) pairs of the
+    fully reduced image rows, each pivot the row's smallest key.
 
     Mask s takes the columns z^a t^s for a <= D + reach[s], the base columns
     a <= D of every mask first."""
     D, depth, m = window.D, sheaf.depth, sheaf.m
     tr = sheaf.transition
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
+    a_in_b, _ = chart_rules(ctx_a, ctx_b)
     band = range(-(D - depth), D - depth + 1)
     components = cech._mask_components(
         m, {mask for (_, mask) in sheaf.W.terms}, mask_pred
@@ -220,7 +223,7 @@ def _reference_window(sheaf, window, mask_pred, want_generators):
         order = [(s, a) for s in comp for a in range(D + 1)]
         order += [(s, a) for s in comp for a in range(D + 1, D + 1 + reach[s])]
         for s, a in order:
-            img = sheaf.W * tr.to_b(ctx_a.monomial(1, (a,), s))
+            img = sheaf.W * substitute(ctx_a.monomial(1, (a,), s), a_in_b, ctx_b)
             img = img.mask_filter(lambda mk: mk in comp_set)
             p_images.append({(e[0], mk): c for (e, mk), c in img.terms.items()})
 

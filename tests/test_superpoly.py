@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from substitution_reference import chart_rules, pushforward, substitute
 from superproj.cech import standard_transition
 from superproj.errors import ContextError, DomainError, ParityError
 from superproj.scalars import I, ONE, Scalar
@@ -129,15 +131,82 @@ def test_chart_builder_rejects_bad_dimensions():
 
 
 def test_transition_validation():
-    ctx_a = Context(("z",), ())
-    ctx_b = Context(("w",), ())
+    # the chart map needs the same, nonzero number of even variables and the
+    # same number of odd variables on both charts
+    for even_b, odd_b in ((("w",), ()), (("w1", "w2"), ("p1",)), ((), ("p1",))):
+        with pytest.raises(DomainError):
+            ChartTransition(Context(("z",), ("t1",)), Context(even_b, odd_b))
     with pytest.raises(DomainError):
-        ChartTransition(
-            ctx_a,
-            ctx_b,
-            {"z": ctx_b.var("w")},  # not mutually inverse
-            {"w": ctx_a.var("z") + ctx_a.one()},
-        )
+        ChartTransition(Context((), ("t1",)), Context((), ("p1",)))
+
+
+def _random_laurent(rng, ctx):
+    """A few terms, each even variable with a negative exponent in one."""
+    n, m = len(ctx.even), len(ctx.odd)
+    p = ctx.zero()
+    for k in range(n + rng.randint(1, 4)):
+        exps = [rng.randint(-3, 3) for _ in range(n)]
+        if k < n:
+            exps[k] = rng.randint(-4, -1)
+        coeff = Scalar.coerce(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+        if rng.random() < 0.3:
+            coeff = coeff * I
+        p = p + ctx.monomial(coeff, exps, rng.randrange(1 << m))
+    return p
+
+
+def test_chart_map_matches_substitution():
+    rng = random.Random(15)
+    for n in range(1, 4):
+        for m in range(5):
+            tr = pnm_transition(n, m)
+            a_in_b, b_in_a = chart_rules(tr.ctx_a, tr.ctx_b)
+            for _ in range(10):
+                p = _random_laurent(rng, tr.ctx_a)
+                assert tr.to_b(p) == substitute(p, a_in_b, tr.ctx_b), (n, m, p)
+                q = _random_laurent(rng, tr.ctx_b)
+                assert tr.to_a(q) == substitute(q, b_in_a, tr.ctx_a), (n, m, q)
+
+
+def test_chart_map_multiplies_nothing(monkeypatch):
+    tr = pnm_transition(2, 3)
+    p = _random_laurent(random.Random(3), tr.ctx_a)
+    calls = []
+    for name in ("__mul__", "inverse"):
+        real = getattr(SuperPolynomial, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(SuperPolynomial, name, counted)
+    fresh = pnm_transition.__wrapped__(2, 3)
+    assert fresh.to_a(fresh.to_b(p)) == p
+    assert calls == []
+
+
+def test_chart_map_rejects_the_wrong_chart():
+    tr = pnm_transition(1, 2)
+    for wrong in (tr.ctx_b.var("w"), pnm_transition(1, 3).ctx_a.var("z")):
+        with pytest.raises(ContextError):
+            tr.to_b(wrong)
+    for wrong in (tr.ctx_a.var("t1"), pnm_transition(2, 2).ctx_b.var("w1")):
+        with pytest.raises(ContextError):
+            tr.to_a(wrong)
+
+
+def test_pushforward_matches_substitution():
+    rng = random.Random(7)
+    for n, m in ((1, 2), (2, 2), (3, 1)):
+        tr = pnm_transition(n, m)
+        ctx = tr.ctx_a
+        for _ in range(5):
+            mask = rng.randrange(1 << m)
+            name = rng.choice(ctx.even + ctx.odd)
+            parity = mask_parity(mask) ^ (name in ctx.odd)
+            exps = [rng.randint(-2, 2) for _ in ctx.even]
+            field = SuperDerivation(ctx, parity, {name: ctx.monomial(1, exps, mask)})
+            assert field.pushforward(tr) == pushforward(field, tr.ctx_b), (n, m, field)
 
 
 def test_derivation_parity_validation(ctx):

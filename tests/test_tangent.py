@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from substitution_reference import pushforward
 from superproj import tangent
 from superproj.cohomology import DimPair
 from superproj.errors import DomainError, InstabilityError, InvariantError
@@ -196,6 +197,13 @@ def test_bosonization_only_at_1_2():
     assert not bosonization_check(1, 1)
 
 
+def test_bosonization_rejects_bad_dimensions():
+    for n, m in ((0, 1), (1, -5), (-2, 0), (0, 3)):
+        with pytest.raises(DomainError):
+            bosonization_check(n, m)
+    assert [bosonization_check(n, m) for n in (1, 2) for m in (0, 1)] == [False] * 4
+
+
 def test_report_json():
     rep = tangent_report_json(1, 2, with_basis=True)
     assert rep["h0"] == [8, 8]
@@ -222,10 +230,11 @@ def _reference_ansatz(m, bound_z, bound_t):
 
 
 def _reference_polars(m, bound_z, bound_t):
-    """Polar parts of the ansatz fields through the general pushforward."""
-    tr = p1m_transition(m)
+    """Polar parts of the ansatz fields through the general pushforward of
+    ``tests/substitution_reference.py``."""
+    ctx_b = p1m_transition(m).ctx_b
     return [
-        {key: c for key, c in field.pushforward(tr).vectorize().items() if key[1][0] < 0}
+        {key: c for key, c in pushforward(field, ctx_b).vectorize().items() if key[1][0] < 0}
         for field in _reference_ansatz(m, bound_z, bound_t)
     ]
 
