@@ -7,14 +7,19 @@ Everything here rests on the split decomposition
 so dimensions reduce to classical Bott numbers on P^n.  The binomial sums are
 the authoritative values; the derivative closed forms (chi/zeta) are an
 independent cross-check layer.  Each is (1/k!) d^k/dx^k at x = 0 of
-(x+1)^a * (x+2)^b, i.e. its x^k Taylor coefficient, read off exactly from two
-truncated binomial series: a generating-function coefficient, not a Bott sum.
+(x+1)^a * (x+2)^b, i.e. its x^k Taylor coefficient: a generating-function
+coefficient, not a Bott sum.  It is the integer convolution
+
+    sum over i of  C(a, i) * C(b, k - i) * 2^(b - k + i),
+
+with C(a, i) = (-1)^i C(i - a - 1, i) for a < 0.  Every caller has b >= 0, so
+k - i <= b in each term and the power of 2 is a whole number: the
+coefficient is computed in int arithmetic, without fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError
@@ -102,25 +107,17 @@ def cohomology_dims(n: int, m: int, ell: int) -> dict:
 # -- derivative closed forms (cross-check layer) ---------------------------
 
 
-def _series(c: int, a: int, k: int) -> list:
-    """Coefficients of (x + c)^a up to x^k; a may be negative (c != 0)."""
-    out, binom = [], Fraction(1)  # binom = C(a, j), the generalized binomial
-    for j in range(k + 1):
-        out.append(binom * Fraction(c) ** (a - j))
-        binom = binom * (a - j) / (j + 1)
-    return out
+def _gbinom(a: int, i: int) -> int:
+    """The binomial C(a, i) for any integer a and i >= 0."""
+    return comb(a, i) if a >= 0 else (-1) ** i * comb(i - a - 1, i)
 
 
-def _coefficient(k: int, a: int, b: int) -> Fraction:
-    """The x^k Taylor coefficient at 0 of (x+1)^a * (x+2)^b."""
-    p, q = _series(1, a, k), _series(2, b, k)
-    return sum(p[i] * q[k - i] for i in range(k + 1))
-
-
-def _integer(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise DomainError(f"closed form evaluated to non-integer {value}")
-    return value.numerator
+def _coefficient(k: int, a: int, b: int) -> int:
+    """The x^k Taylor coefficient at 0 of (x+1)^a * (x+2)^b, for b >= 0."""
+    if b < 0:
+        raise DomainError("the (x+2)^b factor needs b >= 0")
+    return sum(_gbinom(a, i) * comb(b, k - i) * 2 ** (b - k + i)
+               for i in range(max(0, k - b), k + 1))
 
 
 def chi_zeta(n: int, m: int, ell: int, which: str) -> int:
@@ -135,7 +132,7 @@ def chi_zeta(n: int, m: int, ell: int, which: str) -> int:
     if which == "chi_m_lt_l":
         if not m < ell:
             raise DomainError("chi_m_lt_l requires m < ell")
-        return _integer(_coefficient(n, ell + n - m, m))
+        return _coefficient(n, ell + n - m, m)
     if which == "chi_m_ge_l":
         if not (0 <= ell <= m):
             raise DomainError("chi_m_ge_l requires 0 <= ell <= m")
@@ -143,19 +140,23 @@ def chi_zeta(n: int, m: int, ell: int, which: str) -> int:
         if order < 0:
             raise DomainError("chi_m_ge_l derivative order is negative for m > ell + n")
         # m!/(n! ell!) * d^order/dx^order (x+1)^n (x+2)^ell at 0
-        scale = Fraction(factorial(m) * factorial(order), factorial(n) * factorial(ell))
-        return _integer(scale * _coefficient(order, n, ell))
+        value = factorial(m) * factorial(order) * _coefficient(order, n, ell)
+        denominator = factorial(n) * factorial(ell)
+        quotient, remainder = divmod(value, denominator)
+        if remainder:
+            raise DomainError(f"closed form evaluated to non-integer {value}/{denominator}")
+        return quotient
     if which == "zeta_le":
         if not ell + n + 1 <= 0:
             raise DomainError("zeta_le requires ell + n + 1 <= 0")
-        return _integer(_coefficient(n, -ell - 1, m))
+        return _coefficient(n, -ell - 1, m)
     if which == "zeta_gt":
         if not ell + n + 1 > 0:
             raise DomainError("zeta_gt requires ell + n + 1 > 0")
         # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k;
         # empty for ell < 0
         tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))
-        return _integer(_coefficient(n, -ell - 1, m) - tail)
+        return _coefficient(n, -ell - 1, m) - tail
     raise DomainError(f"unknown regime selector {which!r}")
 
 

@@ -39,13 +39,6 @@ def load_records() -> list:
     return records
 
 
-def load_record(record_id: str) -> GoldenRecord:
-    for rec in load_records():
-        if rec.id == record_id:
-            return rec
-    raise SuperprojError(f"no fixture for record {record_id!r}")
-
-
 # -- checkers, one per record id --------------------------------------------
 
 def _check_oracle_grid(rec):

@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cech import CechWindow, TransitionSheaf, cech_cohomology, standard_transition
-from .cohomology import DimPair
-from .errors import InstabilityError, InvariantError
 from .scalars import I, ONE, SQRT2, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, mask_parity
 
@@ -200,37 +198,6 @@ def random_even_nilpotent(rng: random.Random, ctx: Context, depth: int):
         exps = tuple(rng.randint(-depth, depth) for _ in ctx.even)
         out = out + ctx.monomial(_random_scalar(rng), exps, mask)
     return out
-
-
-def suite_duality(seed: int, cases: int = DEFAULT_CASES) -> dict:
-    """Serre duality of Cech dims on a wide family of transition sheaves.
-
-    h^i(L) = h^(1-i)(L^dual (x) O(m-2)), parities swapped for odd m: the
-    Berezinian of P^(1|m) is O(m-2) up to parity, so the dual sheaf has
-    transition W^-1 w^(m-2).  W = c w^k (1 + up to 4 even nilpotent terms),
-    k and the nilpotent exponents in [-4, 4], m = 1..5.  A window that does
-    not certify counts as a failure.  Not in ``ALL_SUITES``: the golden
-    property-suite record compares that list's whole failure dict.
-    """
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        m = rng.randint(1, 5)
-        ctx = standard_transition(m).ctx_b
-        body = ctx.monomial(rng.choice([1, -1, 2, Fraction(1, 2)]),
-                            (rng.randint(-4, 4),), 0)
-        W = body * (ctx.one() + random_even_nilpotent(rng, ctx, 4))
-        dual = W.inverse() * ctx.monomial(1, (m - 2,), 0)
-        try:
-            a = cech_cohomology(TransitionSheaf(m, W), want_generators=False)
-            b = cech_cohomology(TransitionSheaf(m, dual), want_generators=False)
-        except (InstabilityError, InvariantError):
-            failures += 1
-            continue
-        flip = (lambda d: DimPair(d.odd, d.even)) if m % 2 else (lambda d: d)
-        if (a.h0, a.h1) != (flip(b.h1), flip(b.h0)):
-            failures += 1
-    return {"suite": "duality", "cases": cases, "failures": failures}
 
 
 def exp_log_round_trips(seed: int, count: int = 500, m_max: int = 6,

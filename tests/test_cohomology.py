@@ -4,12 +4,12 @@ import sys
 from math import comb
 
 import pytest
+from closed_form_reference import _coefficient as reference_coefficient
 
 import superproj
 from superproj.cohomology import (
     DimPair,
     _coefficient,
-    _integer,
     bott_dim,
     chi_closed,
     chi_zeta,
@@ -28,7 +28,7 @@ def hn_variant_value(n: int, m: int) -> int:
     subtracted constant differs); it is kept only so tests can flag the
     discrepancy.
     """
-    return _integer(_coefficient(n, -1, 0) + _coefficient(n, -1, m))
+    return _coefficient(n, -1, 0) + _coefficient(n, -1, m)
 
 
 def test_dimpair_ops():
@@ -101,10 +101,32 @@ def test_chi_m_ge_l_negative_order():
         chi_zeta(1, 4, 1, "chi_m_ge_l")  # m > ell + n
 
 
+def test_coefficient_matches_fraction_series():
+    for k in range(12):
+        for a in range(-15, 15):
+            for b in range(10):
+                value = _coefficient(k, a, b)
+                assert type(value) is int, (k, a, b)
+                assert value == reference_coefficient(k, a, b), (k, a, b)
+
+
+def test_coefficient_rejects_negative_b():
+    with pytest.raises(DomainError):
+        _coefficient(2, 3, -1)
+    with pytest.raises(DomainError):
+        _coefficient(0, 0, -1)
+
+
+def test_chi_zeta_returns_int_in_every_regime():
+    for n, m, ell, which in ((2, 1, 3, "chi_m_lt_l"), (2, 3, 2, "chi_m_ge_l"),
+                             (2, 3, -4, "zeta_le"), (2, 3, 1, "zeta_gt")):
+        assert type(chi_zeta(n, m, ell, which)) is int, which
+
+
 def test_closed_forms_match_sums_grid():
-    for n in range(1, 5):
-        for m in range(6):
-            for ell in range(-8, 9):
+    for n in range(1, 6):
+        for m in range(9):
+            for ell in range(-12, 13):
                 dims = cohomology_dims(n, m, ell)
                 chi = chi_closed(n, m, ell)
                 if chi is not None:

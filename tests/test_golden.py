@@ -2,7 +2,14 @@ import pytest
 
 from superproj.cohomology import cohomology_dims
 from superproj.errors import SuperprojError
-from superproj.golden import CHECKERS, load_record, load_records, run_golden
+from superproj.golden import CHECKERS, load_records, run_golden
+
+
+def load_record(record_id: str):
+    for rec in load_records():
+        if rec.id == record_id:
+            return rec
+    raise SuperprojError(f"no fixture for record {record_id!r}")
 
 
 def test_fixture_checker_bijection():

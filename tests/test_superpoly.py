@@ -32,7 +32,7 @@ def test_koszul_sign_and_parity(ctx):
     assert mask_parity(0b1) == 1
     assert koszul_sign(0b1, 0b10) == 1
     assert koszul_sign(0b10, 0b1) == -1
-    assert koszul_sign(0b11, 0b11) == 0 or True  # overlapping masks never multiply
+    assert koszul_sign(0b11, 0b11) == 0  # overlapping masks never multiply
 
 
 def test_odd_squares_vanish(ctx):
