@@ -41,9 +41,14 @@ So a covered window whose parity-resolved h0 - h1 equals that sum is exact in
 h0, h1, both generator lists and the class map, and a covered window whose
 h0 - h1 exceeds it is an engine fault.
 
-When every coefficient of W is rational, so is every value inside a window:
-the window then computes on ``Fraction`` and lifts to ``Scalar`` only what
-leaves it, the h0 generators and the class coordinates.
+When every coefficient of W is rational, the window runs on L*W, with L the
+lcm of W's coefficient denominators: every column entry is an ``int``, and
+the elimination is fraction free.  A constant rescaling is an isomorphism of
+sheaves, so h0, h1, both generator lists and the class map do not change:
+the normalised kernel combinations are the same, the h0 generators are
+divided by L, and the stored ``int`` vectors span the same image.  Only what
+leaves the window is lifted to ``Scalar``: the h0 generators and the class
+coordinates.
 
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
@@ -53,6 +58,7 @@ systems (union-find on masks) instead of one large one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import (
@@ -137,7 +143,8 @@ class CohomologyResult:
     _band: range = None  # the in-window C1 exponents
     _masks: frozenset = None  # the odd masks the computation covered
     # an untracked eliminator holding the window's stored vectors led by
-    # in-band keys, an echelon basis of the polar in-window image; a key
+    # in-band keys, an echelon basis of the polar in-window image (int rows
+    # for a rational W, against which a Scalar cocycle reduces exactly); a key
     # (e, s) is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
     _coboundaries: SparseElim = None
     _keys: tuple = None
@@ -211,9 +218,14 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     ctx_b = sheaf.transition.ctx_b
     B = D - sheaf.depth
     band = range(-B, B + 1)  # in-window C1 exponents
-    rational = all(c.is_rational() for c in sheaf.W.terms.values())
-    w_terms = [(exps[0], mask, c.rational_value() if rational else c)
-               for (exps, mask), c in sheaf.W.terms.items()]
+    # a rational W runs scaled by the lcm of its denominators, on int
+    scale = 1
+    w_terms = [(exps[0], mask, c) for (exps, mask), c in sheaf.W.terms.items()]
+    if all(c.is_rational() for _, _, c in w_terms):
+        w_terms = [(e, mask, c.rational_value()) for e, mask, c in w_terms]
+        scale = lcm(*(c.denominator for _, _, c in w_terms))
+        w_terms = [(e, mask, c.numerator * (scale // c.denominator))
+                   for e, mask, c in w_terms]
     components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
     k = sheaf.body_exponent
 
@@ -282,6 +294,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
                         term = c * v
                         cur = q.get(key)
                         q[key] = term if cur is None else cur + term
+                if scale != 1:
+                    q = {key: v / scale for key, v in q.items()}
                 gens_h0.append(SuperPolynomial(
                     ctx_b, {key: Scalar.coerce(v) for key, v in q.items()}
                 ))

@@ -14,14 +14,20 @@ pass over the eliminator's stored vectors, and ``bareiss_rank``, a dense
 fraction-free rank for integer matrices.  The benchmark tracer also wraps
 both by name.
 
-Coefficients are ``Fraction`` or ``Scalar``; both are exact fields.  ``int``
-coefficients are accepted: a vector stored as a pivot under an ``int`` lead
-has its ``int`` entries made ``Fraction``, so no division yields a float.
+Coefficients are ``int``, ``Fraction`` or ``Scalar``.  Where a pivot lead
+and the entry it clears are both ``int``, the step is fraction free (Bareiss,
+Math. Comp. 22, 1968): integer columns stay ``int`` throughout, and each
+stored vector of ``int`` entries is primitive, divided by its content gcd.
+What leaves the eliminator is exact and never a float: a kernel combination
+is scaled so that its own column has coefficient ``Fraction(1)``, and
+``reduce`` and ``express`` divide by the multipliers they accumulated, so an
+``int`` entry divided becomes a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .scalars import Scalar
 
@@ -46,6 +52,12 @@ class SparseElim:
     pivots accumulated so far; a vector that reduces to zero contributes a
     kernel combination instead of a pivot.  A new pivot is the largest key of
     the reduced vector, so a stored vector holds no key above its pivot.
+
+    A step whose pivot lead a and hit value b are both ``int`` is fraction
+    free: with g = gcd(a, b), vec becomes (a/g) vec - (b/g) pvec, the sign
+    chosen so that the multiplier a/g is positive.  Any other step divides,
+    vec - (b/a) pvec.  A stored vector of ``int`` entries is divided by their
+    content gcd, taken jointly with its tag when tracked, so it is primitive.
     """
 
     def __init__(self, track: bool = False):
@@ -60,20 +72,23 @@ class SparseElim:
 
         Every coefficient of vec must be nonzero: the pivot is the largest key
         whatever its coefficient, so an explicit zero would become a pivot.
-        Returns the new pivot key, or None if vec reduced to zero.
+        A kernel combination holds its own column with coefficient
+        ``Fraction(1)``, which makes it unique.  Returns the new pivot key, or
+        None if vec reduced to zero.
         """
         vec = dict(vec)
-        tag = {tag_key if tag_key is not None else self._count: Fraction(1)} if self.track else None
+        own = tag_key if tag_key is not None else self._count
+        tag = {own: 1} if self.track else None
         self._count += 1
         self._eliminate(vec, tag)
         if not vec:
             if self.track:
-                self.kernel.append(tag)
+                # the own coefficient is the product of the positive int
+                # multipliers, since no stored tag holds this column
+                self.kernel.append(_scaled(tag, tag[own]))
             return None
         pivot_key = max(vec)
-        if type(vec[pivot_key]) is int:
-            # an int lead would make the division by it a float division
-            vec = {k: Fraction(v) if type(v) is int else v for k, v in vec.items()}
+        _make_primitive(vec, tag, vec[pivot_key])
         self.pivots[pivot_key] = (vec, tag)
         self.rank += 1
         return pivot_key
@@ -81,21 +96,26 @@ class SparseElim:
     def reduce(self, vec: dict) -> dict:
         """Reduce a vector against the accumulated pivots (no state change)."""
         vec = dict(vec)
-        self._eliminate(vec, None)
-        return vec
+        scale = self._eliminate(vec, None)
+        return vec if scale == 1 else _scaled(vec, scale)
 
     def express(self, vec: dict):
         """Coefficients x with sum_t x[t] * (vector added under tag t) == vec,
         or None if vec lies outside the span (no state change; needs track)."""
         vec, combo = dict(vec), {}
-        self._eliminate(vec, combo)
+        scale = self._eliminate(vec, combo)
         if vec:
             return None
-        return {t: -c for t, c in combo.items()}
+        return _scaled(combo, -scale)
 
-    def _eliminate(self, vec: dict, tag):
-        """Clear every pivot key from vec in place, mirroring the steps on tag."""
+    def _eliminate(self, vec: dict, tag) -> int:
+        """Clear every pivot key from vec in place, mirroring the steps on tag.
+
+        Returns the product of the fraction-free multipliers: vec ends as that
+        positive int times the exact remainder.
+        """
         pivots = self.pivots
+        scale = 1
         while True:
             hit = None
             for key in vec:
@@ -103,10 +123,24 @@ class SparseElim:
                     hit = key
                     break
             if hit is None:
-                return
+                return scale
             pvec, ptag = pivots[hit]
-            lead = pvec[hit]  # a pivot coefficient of 1 needs no division
-            factor = vec[hit] if _is_one(lead) else vec[hit] / lead
+            lead, factor = pvec[hit], vec[hit]
+            if type(lead) is int and type(factor) is int:
+                g = gcd(lead, factor)
+                if lead < 0:
+                    g = -g
+                lead //= g
+                factor //= g
+                if lead != 1:
+                    scale *= lead
+                    for key, val in vec.items():
+                        vec[key] = val * lead
+                    if tag is not None:
+                        for key, val in tag.items():
+                            tag[key] = val * lead
+            elif not _is_one(lead):  # a pivot coefficient of 1 needs no division
+                factor = factor / lead
             _axpy(vec, pvec, factor)
             if tag is not None:
                 _axpy(tag, ptag, factor)
@@ -117,10 +151,42 @@ def _axpy(target: dict, source: dict, factor):
     for key, val in source.items():
         cur = target.get(key)
         new = (cur - factor * val) if cur is not None else -factor * val
-        if _is_zero(new):
+        if new.is_zero() if type(new) is Scalar else not new:
             target.pop(key, None)
         else:
             target[key] = new
+
+
+def _make_primitive(vec: dict, tag, lead):
+    """Divide an all-``int`` vector, with its tag, by their content gcd."""
+    if type(lead) is not int or lead in (1, -1):
+        return  # not an int vector, or a unit lead, whose content is 1
+    try:  # math.gcd refuses a Fraction or Scalar entry
+        g = gcd(*vec.values(), *(tag.values() if tag is not None else ()))
+    except TypeError:
+        return
+    if g != 1:
+        for key, val in vec.items():
+            vec[key] = val // g
+        if tag is not None:
+            for key, val in tag.items():
+                tag[key] = val // g
+
+
+def _scaled(vec: dict, d: int) -> dict:
+    """vec / d for a nonzero int d, exactly: an ``int`` entry becomes a
+    Fraction, and d = 1 or -1 divides nothing."""
+    out = {}
+    for key, val in vec.items():
+        if type(val) is int:
+            out[key] = Fraction(val, d)
+        elif d == 1:
+            out[key] = val
+        elif d == -1:
+            out[key] = -val
+        else:
+            out[key] = val / d
+    return out
 
 
 def sparse_rank(vectors) -> int:
@@ -137,11 +203,6 @@ def span_eliminator(basis) -> SparseElim:
     for i, b in enumerate(basis):
         elim.add(_nonzero(b), tag_key=i)
     return elim
-
-
-def express_in_span(basis, target):
-    """Coefficients x with sum_i x[i]*basis[i] == target, or None if outside."""
-    return span_eliminator(basis).express(_nonzero(target))
 
 
 def bareiss_rank(rows) -> int:
@@ -194,7 +255,8 @@ def echelon_basis(vectors):
     out = []
     for pivot in sorted(back.pivots, reverse=True):
         row = back.pivots[pivot][0]
-        inv = 1 / row[pivot]  # also makes int entries Fraction
+        lead = row[pivot]
+        inv = Fraction(1, lead) if type(lead) is int else 1 / lead
         out.append({keys[-k]: row[k] * inv for k in sorted(row, reverse=True)})
     return out
 

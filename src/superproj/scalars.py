@@ -157,6 +157,9 @@ class Scalar:
         return (c0, c2, (c1 - c3) / 2, (c1 + c3) / 2)
 
     def __str__(self):
+        c0, c1, c2, c3 = self.c
+        if c1 == 0 and c2 == 0 and c3 == 0:
+            return str(c0)  # str(Fraction(0)) is "0"
         parts = []
         names = ("", "i", "sqrt2", "i*sqrt2")
         for q, name in zip(self.basis_1_i_s_is(), names):

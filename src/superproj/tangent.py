@@ -59,8 +59,8 @@ def super_gradient_rank(n: int, m: int) -> dict:
     The map sends f to (df/dX_0, ..., df/dX_n, -df/dT_1, ..., -df/dT_m); the
     minus signs on odd rows come from the super transposition.  Each source
     monomial X^a T^S is one sparse column of its n+1+m partials, keyed
-    ``(v, exps, mask)``.  Returns domain and kernel dimensions split by
-    source parity.
+    ``(v, exps, mask)``, with ``int`` entries, so the elimination is fraction
+    free.  Returns domain and kernel dimensions split by source parity.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
@@ -78,12 +78,10 @@ def super_gradient_rank(n: int, m: int) -> dict:
                 for v, e in enumerate(exps):
                     if e:
                         lowered = exps[:v] + (e - 1,) + exps[v + 1:]
-                        col[(v, lowered, mask)] = Fraction(e)
+                        col[(v, lowered, mask)] = e
                 for below, b in enumerate(mask_bits):
                     # left derivative sign (-1)^below, times the odd row's minus sign
-                    col[(n + 1 + b, exps, mask & ~(1 << b))] = (
-                        _ONE if below & 1 else _MINUS_ONE
-                    )
+                    col[(n + 1 + b, exps, mask & ~(1 << b))] = 1 if below & 1 else -1
                 domain[parity] += 1
                 elims[parity].add(col)
     return {

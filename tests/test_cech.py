@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,7 @@ from superproj.errors import (
 from superproj.linalg import SparseElim
 from superproj.parser import parse_superpoly
 from superproj.properties import _random_unit
-from superproj.scalars import ONE, ZERO, Scalar
+from superproj.scalars import I, ONE, ZERO, Scalar
 from superproj.superpoly import mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
@@ -356,7 +357,7 @@ def _rref_class(rref, cocycle):
     return vec
 
 
-# -- rational windows compute on Fraction ----------------------------------
+# -- rational windows compute on int ---------------------------------------
 
 def _rational_sheaves():
     W, _ = parse_superpoly(P13_TRANSITION)
@@ -378,6 +379,48 @@ def test_rational_window_outputs_are_scalars():
         seen += len(values)
         assert all(type(c) is Scalar for c in values), sheaf
     assert seen
+
+
+def _dense_rational_transition(m=5):
+    """c w (1 + sum q_s w^e p^s) over ten even masks, denominators 7 and 4."""
+    ctx = standard_transition(m).ctx_b
+    masks = [s for s in range(1, 1 << m) if mask_parity(s) == 0][:10]
+    nil = ctx.zero()
+    for i, s in enumerate(masks):
+        q = Fraction((-1) ** i * (i % 5 + 1), (7, 4)[i % 2])
+        nil = nil + ctx.monomial(q, (-(i % 2),), s)
+    return ctx.monomial(Fraction(3, 7), (1,), 0) * (ctx.one() + nil)
+
+
+def test_rational_window_matches_its_scalar_multiple():
+    # I*W is isomorphic to W, and its window runs on Scalar: the int window
+    # scaled by lcm(7, 4) must give the same cohomology, I times the sections
+    # and the same class map
+    W = _dense_rational_transition()
+    a = cech_cohomology(TransitionSheaf(5, W))
+    b = cech_cohomology(TransitionSheaf(5, W * I))
+    assert a.h0.total and a.h1.total
+    assert (a.h0, a.h1, a.window_used) == (b.h0, b.h1, b.window_used)
+    assert [g.terms for g in b.generators_h1] == [g.terms for g in a.generators_h1]
+    assert [g.terms for g in b.generators_h0] == [
+        (g * I).terms for g in a.generators_h0
+    ]
+    ctx_b = standard_transition(5).ctx_b
+    probes = [g * Scalar(Fraction(2, 3), 1) for g in a.generators_h1]
+    probes += [ctx_b.monomial(Fraction(-5, 7), (j,), s)
+               for s in sorted(a._masks)[::4] for j in (-1, -3)]
+    probes.append(sum(probes[1:], probes[0]))
+    classes = [a.h1_class(p) for p in probes]
+    assert any(len(c) > 1 for c in classes)
+    assert classes == [b.h1_class(p) for p in probes]
+
+
+def test_rational_window_stores_int_rows():
+    sheaves = _rational_sheaves() + [TransitionSheaf(5, _dense_rational_transition())]
+    for sheaf in sheaves:
+        res = cech._run_window(sheaf, default_window(sheaf), None, True)
+        rows = [vec for vec, _ in res._coboundaries.pivots.values()]
+        assert rows and all(type(v) is int for row in rows for v in row.values())
 
 
 def test_advanced_window_lists_the_generators_of_its_own_run():

@@ -6,8 +6,8 @@ from superproj.linalg import (
     SparseElim,
     bareiss_rank,
     echelon_basis,
-    express_in_span,
     sparse_rank,
+    span_eliminator,
     spans_equal,
 )
 from superproj.scalars import I, ONE, Scalar
@@ -31,7 +31,7 @@ def test_explicit_zero_entries_are_not_pivots():
     # the rank nor become a pivot that a later reduction divides by
     assert sparse_rank([{0: Fraction(0)}]) == 0
     assert sparse_rank([{0: 1, 1: 0}, {0: 1}]) == 1
-    assert express_in_span([{1: 0, 0: 1}], {1: 1}) is None
+    assert span_eliminator([{1: 0, 0: 1}]).express({1: 1}) is None
 
 
 def test_sparse_kernel_combination():
@@ -52,11 +52,11 @@ def test_express_in_span():
     b1 = {"x": Scalar(1)}
     b2 = {"x": Scalar(1), "y": Scalar(1)}
     target = {"y": Scalar(3)}
-    combo = express_in_span([b1, b2], target)
+    combo = span_eliminator([b1, b2]).express(target)
     assert combo is not None
     assert combo.get(1) == Scalar(3)
     assert combo.get(0, Scalar(0)) == Scalar(-3)
-    assert express_in_span([b1], {"z": Scalar(1)}) is None
+    assert span_eliminator([b1]).express({"z": Scalar(1)}) is None
 
 
 def test_bareiss_rank():
@@ -77,6 +77,14 @@ def test_echelon_basis_fraction():
     for row in basis:
         lead = row[min(row)]
         assert lead == 1
+
+
+def test_echelon_basis_of_int_rows_is_fraction():
+    # an int row stays int inside the eliminator; the final scaling by the
+    # lead must not be a float division
+    basis = echelon_basis([{0: 2, 1: 4}])
+    assert basis == [{0: Fraction(1), 1: Fraction(2)}]
+    assert [type(v) for v in basis[0].values()] == [Fraction, Fraction]
 
 
 def test_echelon_basis_scalar_entries():
@@ -118,7 +126,8 @@ def test_int_input_stays_exact():
     elim.add({0: 3, 1: 1})
     elim.add({0: 5, 2: 7})
     elim.add({0: 1, 1: 4, 2: 2})  # dependent: reduces to a kernel combination
-    assert elim.pivots[0][0] == {0: Fraction(7, 3)}
+    # int rows stay int, primitive jointly with their tag: 7 e0 = 3 v1 - v0
+    assert elim.pivots[0] == ({0: 7}, {1: 3, 0: -1})
     assert len(elim.kernel) == 1
     reduced = elim.reduce({0: 1, 1: 1, 2: 1, 3: 2})
     assert reduced == {3: 2}
@@ -129,7 +138,7 @@ def test_int_input_stays_exact():
     assert len(kernel) == 1
     for i in (0, 1):
         assert sum(c * vectors[j].get(i, 0) for j, c in kernel[0].items()) == 0
-    combo = express_in_span([{0: 2, 1: 3}, {0: 3, 1: 1}], {0: 1, 1: 1})
+    combo = span_eliminator([{0: 2, 1: 3}, {0: 3, 1: 1}]).express({0: 1, 1: 1})
     assert combo == {0: Fraction(2, 7), 1: Fraction(1, 7)}
     assert _floats([kernel, combo]) == []
 
@@ -197,3 +206,63 @@ def test_echelon_basis_and_spans_equal_match_dense_reference():
         rng.shuffle(other)
         want = dense_reference.spans_equal(vecs, other)
         assert spans_equal(vecs, other) == want, case
+
+
+# -- the fraction-free int path against the Fraction path ---------------------
+
+def _int_vector(rng, keys):
+    vec = {}
+    for k in rng.sample(keys, rng.randint(1, min(4, len(keys)))):
+        vec[k] = rng.choice((1, -1)) * rng.choice((1, 2, 3, 4, 6, 9, 35, 10**6 + 3))
+    return vec
+
+
+def _int_combination(rng, vecs):
+    """An int combination of members, without explicit zeros (maybe empty)."""
+    out = {}
+    for vec in rng.sample(vecs, min(len(vecs), rng.randint(2, 3))):
+        c = rng.choice((-3, -2, -1, 1, 2, 5))
+        for k, v in vec.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_int_path_matches_fraction_path():
+    """int columns eliminate fraction free; everything that leaves the
+    eliminator equals, value for value, what the same columns as Fraction
+    give, and holds no float."""
+    rng = random.Random(1968)
+    int_rows = 0
+    for case in range(400):
+        keys = rng.sample(range(-20, 20), rng.randint(2, 9))
+        vecs = []
+        for _ in range(rng.randint(1, 10)):
+            vec = {}
+            if len(vecs) >= 2 and rng.random() < 0.4:
+                vec = _int_combination(rng, vecs)  # dependent, or empty
+            vecs.append(vec or _int_vector(rng, keys))
+        fracs = [{k: Fraction(v) for k, v in vec.items()} for vec in vecs]
+        by_int, by_frac = SparseElim(track=True), SparseElim(track=True)
+        for j, (vi, vf) in enumerate(zip(vecs, fracs)):
+            assert by_int.add(vi, tag_key=j) == by_frac.add(vf, tag_key=j), case
+        assert by_int.rank == by_frac.rank, case
+        assert sorted(by_int.pivots) == sorted(by_frac.pivots), case
+        assert by_int.kernel == by_frac.kernel, case
+        assert [[type(c) for c in k.values()] for k in by_int.kernel] == [
+            [type(c) for c in k.values()] for k in by_frac.kernel
+        ], case
+        int_rows += sum(
+            all(type(v) is int for v in vec.values())
+            for vec, _ in by_int.pivots.values()
+        )
+        targets = [_int_vector(rng, keys), _int_combination(rng, vecs) or {keys[0]: 1}]
+        for target in targets:
+            frac = {k: Fraction(v) for k, v in target.items()}
+            reduced = by_int.reduce(target)
+            assert reduced == by_frac.reduce(frac), case
+            combo = by_int.express(target)
+            assert combo == by_frac.express(frac), case
+            assert _floats([reduced, combo]) == [], case
+        assert _floats([by_int.pivots, by_int.kernel]) == [], case
+    # the int columns ran the fraction-free path and stayed int
+    assert int_rows > 1000

@@ -26,12 +26,12 @@ def test_test_oracles_stay_off_engine_paths():
     # echelon_basis and bareiss_rank are the tests' references, defined in
     # linalg; substitute, the general substitution, lives only in
     # tests/substitution_reference.py.  An engine path that used one would
-    # be checked against itself.  load_record and suite_duality are
-    # test-only helpers kept in tests/test_golden.py and
-    # tests/test_properties.py
+    # be checked against itself.  load_record, suite_duality and
+    # express_in_span are test-only helpers kept in tests/test_golden.py,
+    # tests/test_properties.py and tests/test_superlie.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
-        "load_record": None, "suite_duality": None,
+        "load_record": None, "suite_duality": None, "express_in_span": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []

@@ -1,6 +1,6 @@
 import pytest
 
-from superproj.linalg import express_in_span
+from superproj.linalg import span_eliminator
 from superproj.scalars import HALF, I, ONE, Scalar
 from superproj.superlie import (
     U_SIGMA_TABLE,
@@ -17,6 +17,13 @@ from superproj.superlie import (
     verify_osp22,
 )
 from superproj.superpoly import SuperDerivation, p1m_transition
+
+
+def express_in_span(basis, target):
+    """Coefficients x with sum_i x[i]*basis[i] == target, or None if outside."""
+    return span_eliminator(basis).express(
+        {k: c for k, c in target.items() if not c.is_zero()}
+    )
 
 
 @pytest.fixture(scope="module")
