@@ -48,7 +48,8 @@ sheaves, so h0, h1, both generator lists and the class map do not change:
 the normalised kernel combinations are the same, the h0 generators are
 divided by L, and the stored ``int`` vectors span the same image.  Only what
 leaves the window is lifted to ``Scalar``: the h0 generators and the class
-coordinates.
+coordinates.  A rational cocycle reduces the same way, scaled by the lcm of
+its own denominators, against the ``int`` rows.
 
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
@@ -69,7 +70,7 @@ from .errors import (
     ParityError,
 )
 from .linalg import SparseElim, spans_equal
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .superpoly import (
     Context,
     SuperPolynomial,
@@ -169,13 +170,17 @@ class CohomologyResult:
         off, m = self._keys
         low = (1 << m) - 1
         # a term with nonnegative exponent is a q unit column: its class is 0
-        vec = self._coboundaries.reduce(
-            {-(((e + off) << m) | s) - 1: c for (e, s), c in vec.items() if e < 0}
-        )
+        vec = {-(((e + off) << m) | s) - 1: c for (e, s), c in vec.items() if e < 0}
+        # a rational cocycle reduces as ints scaled by the lcm of its
+        # denominators, and only the class is lifted back to Scalar
+        scale = 1
+        if all(c.is_rational() for c in vec.values()):
+            scale = lcm(*(c.d for c in vec.values()))
+            vec = {k: c.n[0] * (scale // c.d) for k, c in vec.items()}
         out = {}
-        for k, c in vec.items():
+        for k, c in self._coboundaries.reduce(vec).items():
             k = -k - 1
-            out[(k >> m) - off, k & low] = Scalar.coerce(c)
+            out[(k >> m) - off, k & low] = Scalar.coerce(c) / scale
         return out
 
     def h1_span_equals(self, cocycles) -> bool:
@@ -222,10 +227,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     scale = 1
     w_terms = [(exps[0], mask, c) for (exps, mask), c in sheaf.W.terms.items()]
     if all(c.is_rational() for _, _, c in w_terms):
-        w_terms = [(e, mask, c.rational_value()) for e, mask, c in w_terms]
-        scale = lcm(*(c.denominator for _, _, c in w_terms))
-        w_terms = [(e, mask, c.numerator * (scale // c.denominator))
-                   for e, mask, c in w_terms]
+        scale = lcm(*(c.d for _, _, c in w_terms))
+        w_terms = [(e, mask, c.n[0] * (scale // c.d)) for e, mask, c in w_terms]
     components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
     k = sheaf.body_exponent
 
@@ -318,7 +321,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
             for s in comp:
                 for j in range(-B, 0):
                     if -(((j + off) << m) | s) - 1 not in pivots:
-                        gens_h1.append(ctx_b.monomial(1, (j,), s))
+                        gens_h1.append(SuperPolynomial(ctx_b, {((j,), s): ONE}))
 
     return CohomologyResult(
         h0=DimPair(h0[0], h0[1]),

@@ -415,6 +415,24 @@ def test_rational_window_matches_its_scalar_multiple():
     assert classes == [b.h1_class(p) for p in probes]
 
 
+def test_rational_cocycle_class_matches_the_scalar_path():
+    # a rational cocycle reduces on int, scaled by the lcm of its
+    # denominators; I times it reduces on Scalar, and the class map is linear
+    a = cech_cohomology(TransitionSheaf(5, _dense_rational_transition()))
+    ctx_b = standard_transition(5).ctx_b
+    probes = [ctx_b.monomial(Fraction(-5, 7), (j,), s)
+              for s in sorted(a._masks)[::3] for j in (-1, -2, -5, a._band[0])]
+    probes += [g * Fraction(2, 3) + g * Fraction(1, 4) for g in a.generators_h1[::7]]
+    probes.append(sum(probes[1:], probes[0]))
+    classes = [a.h1_class(p) for p in probes]
+    assert any(len(c) > 1 for c in classes)
+    assert any(v.d > 1 for c in classes for v in c.values())
+    assert all(v.is_rational() for c in classes for v in c.values())
+    assert [{k: v * I for k, v in c.items()} for c in classes] == [
+        a.h1_class(p * I) for p in probes
+    ]
+
+
 def test_rational_window_stores_int_rows():
     sheaves = _rational_sheaves() + [TransitionSheaf(5, _dense_rational_transition())]
     for sheaf in sheaves:

@@ -70,6 +70,19 @@ def test_chart_pairs_are_built_only_in_superpoly():
     assert found == []
 
 
+def test_scalar_fraction_view_stays_off_engine_paths():
+    # Scalar.c builds four Fractions on every read; the engine reads the int
+    # numerators n and the denominator d instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "c"
+    ]
+    assert found == []
+
+
 def test_selftest_output_is_the_same_under_python_O():
     # the engine's checks must not depend on assert, which -O strips
     src = str(Path(superproj.__file__).parent.parent)
