@@ -35,7 +35,7 @@ containing s, and its graded piece at s is the Cech map of O(k - |s|) on P^1.
    graded-H1 monomial w^e p^s, k - |s| < e < 0.  These span H1 under the
    filtration, and a covered monomial lies in the band, or reduces into it
    against its component's eliminator, so band -> H1 is onto.
-3. The true h0 - h1 over the covered masks is sum_s (k - |s| + 1) for each
+3. The true h0 - h1 is sum_s (k - |s| + 1) over the 2^m masks, for each
    parity: the index of a triangular map is the sum of its graded indices.
 So a covered window whose parity-resolved h0 - h1 equals that sum is exact in
 h0, h1, both generator lists and the class map, and a covered window whose
@@ -99,9 +99,8 @@ class TransitionSheaf:
         if len(body) != 1:
             raise DomainError("transition function body must be c*w^k, c != 0")
         self.W = W
-        (exps, _), c = next(iter(body.items()))
+        [(exps, _)] = body
         self.body_exponent = exps[0]
-        self.body_coeff = c
 
     @property
     def depth(self) -> int:
@@ -142,7 +141,6 @@ class CohomologyResult:
     stabilized: bool
     _ctx: Context = None  # the V chart, where cocycles live
     _band: range = None  # the in-window C1 exponents
-    _masks: frozenset = None  # the odd masks the computation covered
     # an untracked eliminator holding the window's stored vectors led by
     # in-band keys, an echelon basis of the polar in-window image (int rows
     # for a rational W, against which a Scalar cocycle reduces exactly); a key
@@ -155,18 +153,16 @@ class CohomologyResult:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
 
         The result holds no pivot key of the image, so it is unique modulo
-        the image.  A term outside the window's band or on a mask the
-        computation left out has no class here and raises DomainError.
+        the image.  A term outside the window's band has no class here and
+        raises DomainError.
         """
         if cocycle.ctx != self._ctx:
             raise ContextError(
                 f"cocycle lives in {cocycle.ctx!r}, not the V chart {self._ctx!r}"
             )
         vec = {(exps[0], mask): c for (exps, mask), c in cocycle.terms.items()}
-        if any(e not in self._band or s not in self._masks for e, s in vec):
-            raise DomainError(
-                f"cocycle has a term off this result's band {self._band} or masks"
-            )
+        if any(e not in self._band for e, _ in vec):
+            raise DomainError(f"cocycle has a term off this result's band {self._band}")
         off, m = self._keys
         low = (1 << m) - 1
         # a term with nonnegative exponent is a q unit column: its class is 0
@@ -190,11 +186,9 @@ class CohomologyResult:
         return spans_equal(given, computed)
 
 
-def _mask_components(m: int, term_masks, mask_pred=None):
+def _mask_components(m: int, term_mask_set):
     """Partition odd masks into sectors the coboundary cannot mix."""
-    masks = [s for s in range(1 << m) if mask_pred is None or mask_pred(s)]
-    allowed = set(masks)
-    parent = {s: s for s in masks}
+    parent = list(range(1 << m))
 
     def find(s):
         while parent[s] != s:
@@ -202,20 +196,19 @@ def _mask_components(m: int, term_masks, mask_pred=None):
             s = parent[s]
         return s
 
-    for s in masks:
-        for t in term_masks:
-            if t and not (s & t) and (s | t) in allowed:
+    for s in range(1 << m):
+        for t in term_mask_set:
+            if t and not (s & t):
                 a, b = find(s), find(s | t)
                 if a != b:
                     parent[a] = b
     groups = {}
-    for s in masks:
+    for s in range(1 << m):
         groups.setdefault(find(s), []).append(s)
     return sorted(groups.values())
 
 
-def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
-                want_generators: bool):
+def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: bool):
     """One full computation at a fixed window; no stabilization logic."""
     window.check(sheaf)
     D = window.D
@@ -229,22 +222,21 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
     if all(c.is_rational() for _, _, c in w_terms):
         scale = lcm(*(c.d for _, _, c in w_terms))
         w_terms = [(e, mask, c.n[0] * (scale // c.d)) for e, mask, c in w_terms]
-    components = _mask_components(m, {mask for _, mask, _ in w_terms}, mask_pred)
+    components = _mask_components(m, {mask for _, mask, _ in w_terms})
     k = sheaf.body_exponent
 
     # the column reach r_s of each mask (module docstring)
-    masks = [s for comp in components for s in comp]
-    reach = dict.fromkeys(masks, 0)
-    for s in sorted(masks):
+    reach = [0] * (1 << m)
+    for s in range(1 << m):
         for e, t, _ in w_terms:
-            if t and not s & t and (s | t) in reach:
+            if t and not s & t:
                 reach[s | t] = max(reach[s | t],
                                    reach[s] + k - e - bin(t).count("1"))
 
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
     # the elimination an in-band key k is stored as -k - 1, so that out-of-band
     # keys lead and, in band, the smallest (e, s) leads.
-    off = D + max(reach.values(), default=0) + sheaf.depth + m
+    off = D + max(reach) + sheaf.depth + m
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
@@ -254,7 +246,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
 
     for comp in components:
         parity = mask_parity(comp[0])
-        comp_set = set(comp)
 
         # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
         # then by a; one shifted term list per S, kept with each column
@@ -264,7 +255,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
             shifted = []
             for e, mask, c in w_terms:
                 sign = koszul_sign(mask, s)
-                if sign and (mask | s) in comp_set:
+                if sign:
                     e -= size
                     shifted.append((e, mask | s, ((e + off) << m) | mask | s,
                                     c if sign > 0 else -c))
@@ -332,7 +323,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, mask_pred,
         stabilized=False,
         _ctx=ctx_b,
         _band=band,
-        _masks=frozenset(masks),
         _coboundaries=coboundaries,
         _keys=(off, m),
         _covered=covered,
@@ -344,7 +334,7 @@ def default_window(sheaf: TransitionSheaf) -> CechWindow:
 
 
 def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
-                    mask_pred=None, want_generators: bool = True) -> CohomologyResult:
+                    want_generators: bool = True) -> CohomologyResult:
     """Cech cohomology of a transition sheaf from the first certified window.
 
     Windows D, D+1 and D+2 are tried in turn, and the first that certifies
@@ -355,11 +345,11 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
     if window is None:
         window = default_window(sheaf)
     for D in range(window.D, window.D + 3):
-        res = _run_window(sheaf, CechWindow(D), mask_pred, want_generators)
+        res = _run_window(sheaf, CechWindow(D), want_generators)
         if not res._covered:
             continue
         chi = [0, 0]
-        for s in res._masks:
+        for s in range(1 << sheaf.m):
             chi[mask_parity(s)] += sheaf.body_exponent - bin(s).count("1") + 1
         got = [res.h0.even - res.h1.even, res.h0.odd - res.h1.odd]
         if got == chi:
@@ -369,7 +359,7 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
             raise InvariantError(
                 f"Cech h0 - h1 = {got[0]}|{got[1]} at D={D}, above the Euler "
                 f"characteristic {chi[0]}|{chi[1]} of O({sheaf.body_exponent}) "
-                f"on P^(1|{sheaf.m}) over its {len(res._masks)} masks"
+                f"on P^(1|{sheaf.m})"
             )
     raise InstabilityError(
         f"Cech dimensions did not stabilize by D={D}", suggested=2 * D

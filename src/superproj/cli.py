@@ -247,8 +247,10 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InstabilityError as exc:
-        print(f"instability: {exc} (retry with --window {exc.suggested})",
-              file=sys.stderr)
+        hint = ""
+        if args.command == "cech":  # the only command with --window
+            hint = f" (retry with --window {exc.suggested})"
+        print(f"instability: {exc}{hint}", file=sys.stderr)
         return EXIT_INSTABILITY
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

@@ -200,13 +200,22 @@ def _check_osp22(rec):
 
 
 def _check_integrability(rec):
-    from .superlie import check_srs_pair, integrability_conditions, standard_fields
+    from .linalg import spans_equal
+    from .parser import parse_in_context
+    from .superlie import (
+        ansatz_context,
+        check_srs_pair,
+        integrability_conditions,
+        standard_fields,
+    )
 
     conditions = integrability_conditions()
     rendered = {str(c) for c in conditions}
     missing = []
     for text in rec.inputs["conditions"]:
-        if not any(_same_quadratic(text, c) for c in conditions):
+        # a printed quadratic matches a returned condition up to scale
+        parsed = parse_in_context(text, ansatz_context())
+        if not any(spans_equal([parsed.terms], [c.terms]) for c in conditions):
             missing.append(text)
     f = standard_fields()
     d1 = f["Xi3"] + f["Xi5"]
@@ -224,24 +233,6 @@ def _check_integrability(rec):
         "d2_sq_zero": srs.d2_square_zero,
         "anticommutator_matches": srs.anticommutator == expected_anti,
     }
-
-
-def _same_quadratic(text: str, condition) -> bool:
-    """Compare a printed quadratic with a returned condition up to scale."""
-    from .parser import parse_in_context
-
-    parsed = parse_in_context(text, condition.ctx)
-    if set(parsed.terms) != set(condition.terms):
-        return False
-    keys = list(parsed.terms)
-    ratio = None
-    for k in keys:
-        r = parsed.terms[k] / condition.terms[k]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
 
 
 def _check_characteristic(rec):

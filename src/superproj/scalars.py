@@ -95,13 +95,18 @@ class Scalar:
         return _make((-n0, -n1, -n2, -n3), self.d)
 
     def __sub__(self, other):
-        other = Scalar.coerce(other)
+        if other.__class__ is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         b0, b1, b2, b3 = other.n
         return _sum(self.n, self.d, (-b0, -b1, -b2, -b3), other.d)
 
     def __rsub__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         n0, n1, n2, n3 = self.n
-        other = Scalar.coerce(other)
         return _sum(other.n, other.d, (-n0, -n1, -n2, -n3), self.d)
 
     def __mul__(self, other):
@@ -168,10 +173,17 @@ class Scalar:
             if other < 0:
                 g = -g
             return _make((n0 // g, n1 // g, n2 // g, n3 // g), self.d * (other // g))
-        return self * Scalar.coerce(other).inverse()
+        if other.__class__ is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) * self.inverse()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -197,13 +209,6 @@ class Scalar:
         return hash((self.n, self.d))
 
     # -- rendering ------------------------------------------------------
-
-    def basis_1_i_s_is(self):
-        """Coefficients (r, s, t, u) with value r + s*i + t*sqrt2 + u*i*sqrt2."""
-        n0, n1, n2, n3 = self.n
-        d = self.d
-        return (Fraction(n0, d), Fraction(n2, d),
-                Fraction(n1 - n3, 2 * d), Fraction(n1 + n3, 2 * d))
 
     def __str__(self):
         n0, n1, n2, n3 = self.n

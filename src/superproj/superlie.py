@@ -267,19 +267,19 @@ def verify_osp22() -> VerificationReport:
 # -- N=2 distributions --------------------------------------------------------
 
 ALPHA_NAMES = tuple(f"a{i}" for i in range(1, 9))
-BETA_NAMES = tuple(f"b{i}" for i in range(1, 9))
 
 
-def ansatz_context(extra=ALPHA_NAMES) -> Context:
-    return Context(("z",) + tuple(extra), ("t1", "t2"))
+def ansatz_context() -> Context:
+    """The U chart of P^(1|2) with the formal even parameters a1..a8 adjoined."""
+    return Context(("z",) + ALPHA_NAMES, ("t1", "t2"))
 
 
-def general_odd_section(param_names=ALPHA_NAMES, ctx: Context = None) -> SuperDerivation:
-    """D_odd = sum over i of param_i * Xi_i with formal even parameters."""
-    ctx = ctx or ansatz_context(param_names)
+def general_odd_section() -> SuperDerivation:
+    """D_odd = sum over i of a_i * Xi_i with formal even parameters a1..a8."""
+    ctx = ansatz_context()
     f = standard_fields(ctx)
     total = None
-    for i, name in enumerate(param_names, start=1):
+    for i, name in enumerate(ALPHA_NAMES, start=1):
         piece = f[f"Xi{i}"] * ONE
         piece = SuperDerivation(
             ctx, 1, {v: ctx.var(name) * c for v, c in piece.coeffs.items()}
@@ -288,13 +288,14 @@ def general_odd_section(param_names=ALPHA_NAMES, ctx: Context = None) -> SuperDe
     return total
 
 
-def integrability_conditions(d_odd: SuperDerivation = None) -> list:
-    """Quadratic parameter conditions equivalent to D_odd^2 = 0.
+def integrability_conditions() -> list:
+    """Quadratic parameter conditions equivalent to D_odd^2 = 0, for D_odd
+    the general odd section.
 
     Each condition is returned as a polynomial in the formal parameters
     (a SuperPolynomial with no z/theta content).
     """
-    d_odd = d_odd if d_odd is not None else general_odd_section()
+    d_odd = general_odd_section()
     ctx = d_odd.ctx
     square = d_odd.bracket(d_odd) * HALF
     param_positions = [
@@ -342,7 +343,7 @@ class SrsReport:
         return all(ok for _, _, ok in self.frame_results)
 
 
-DEFAULT_SAMPLES = (0, 1, -1, 2, Fraction(1, 2), -3)
+FRAME_SAMPLES = (0, 1, -1, 2, Fraction(1, 2), -3)
 
 
 def _frame_rank(fields, even_name, odd_names, point) -> bool:
@@ -360,13 +361,13 @@ def _frame_rank(fields, even_name, odd_names, point) -> bool:
     return elim.rank == 3
 
 
-def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation,
-                   samples=DEFAULT_SAMPLES) -> SrsReport:
+def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation) -> SrsReport:
     """Distribution checks for a candidate N=2 pair on P^(1|2).
 
     Verifies D1^2 = D2^2 = 0, computes {D1, D2}, and samples the frame
     condition (the 3x3 reduced coefficient matrix of D1, D2, {D1,D2} against
-    d/dz, d/dt1, d/dt2 is invertible) at rational points in both charts.
+    d/dz, d/dt1, d/dt2 is invertible) at the FRAME_SAMPLES points in both
+    charts.
     """
     tr = p1m_transition(2)
     if d1.ctx != tr.ctx_a or d2.ctx != tr.ctx_a:
@@ -377,11 +378,11 @@ def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation,
     anti = d1.bracket(d2)
     frame = []
     u_fields = [anti, d1, d2]
-    for s in samples:
+    for s in FRAME_SAMPLES:
         ok = _frame_rank(u_fields, "z", ("t1", "t2"), {"z": s})
         frame.append(("U", s, ok))
     v_fields = [x.pushforward(tr) for x in u_fields]
-    for s in samples:
+    for s in FRAME_SAMPLES:
         ok = _frame_rank(v_fields, "w", ("p1", "p2"), {"w": s})
         frame.append(("V", s, ok))
     return SrsReport(

@@ -107,10 +107,11 @@ def euler_tangent_dims(n: int, m: int) -> TangentReport:
     d1 = cohomology_dims(n, m, 1)
     h0_mid = (n + 1) * d1[0] + m * d1[0].swap()
     hn_mid = (n + 1) * d1[n] + m * d1[n].swap()
-    kernel = super_gradient_rank(n, m)["kernel_dim"]
-    if m % 2:
-        # H^n(O) pairs against an odd-twisted dual space
-        kernel = kernel.swap()
+    if n <= 2:
+        kernel = super_gradient_rank(n, m)["kernel_dim"]
+        if m % 2:
+            # H^n(O) pairs against an odd-twisted dual space
+            kernel = kernel.swap()
     if n == 1:
         h0 = h0_mid - d0[0] + kernel
         h1 = hn_mid - (d0[1] - kernel)
@@ -118,6 +119,8 @@ def euler_tangent_dims(n: int, m: int) -> TangentReport:
         h0 = h0_mid - d0[0]
         h1 = kernel
     else:
+        # H^1(T) lies between H^1(O(1))^(n+1|m) = 0 and H^2(O) = 0, so
+        # neither dimension reads the kernel
         h0 = h0_mid - d0[0]
         h1 = DimPair(0, 0)
     sl = sl_dimension(n, m)
@@ -217,22 +220,21 @@ def _rows_to_fields(rows, ctx) -> list:
     return out
 
 
-def global_tangent_fields(m: int, degree_bound: int = None) -> GlobalFieldBasis:
+def global_tangent_fields(m: int) -> GlobalFieldBasis:
     """All global vector fields on P^(1|m) by the pole-freeness ansatz.
 
-    The fields found at the bound are independent global fields, so per
-    parity their count is at most h0 of the tangent sheaf, which the super
-    Euler sequence gives independently (closed forms plus the super
-    gradient).  An equal count certifies the basis; a larger one is an
-    engine fault, a smaller one a bound too low.
+    The ansatz takes d/dz coefficients up to z-degree 2 + m and d/dt_i ones
+    up to 1 + m.  The fields found at that bound are independent global
+    fields, so per parity their count is at most h0 of the tangent sheaf,
+    which the super Euler sequence gives independently (closed forms plus
+    the super gradient).  An equal count certifies the basis; a larger one
+    is an engine fault, a smaller one a bound too low.
     """
     if m < 0:
         raise DomainError("need m >= 0")
     if m > 4:
         raise DomainError("global field solver covers m <= 4")
-    bound = degree_bound if degree_bound is not None else 2 + m
-    if bound < 2:
-        raise DomainError("degree_bound must be at least 2")
+    bound = 2 + m
     ctx = p1m_transition(m).ctx_a
     basis = _rows_to_fields(_solve_global_fields(m, bound, bound - 1), ctx)
     even = [f for f in basis if f.parity == 0]

@@ -158,15 +158,6 @@ def test_h1_class_rejects_out_of_band_cocycle(p13):
         p13.h1_span_equals(cocycles)
 
 
-def test_h1_class_rejects_mask_outside_predicate():
-    # the odd-sector computation on O of P^(1|3) covers odd masks only
-    sheaf = TransitionSheaf(3, standard_transition(3).ctx_b.one())
-    res = cech_cohomology(sheaf, mask_pred=lambda s: mask_parity(s) == 1)
-    with pytest.raises(DomainError):
-        res.h1_class(sheaf.W)
-    assert res.h1_class(parse_superpoly("w^-1*p1*p2*p3", m=3)[0]) != {}
-
-
 def test_p13_euler_characteristic(p13):
     # chi from the split filtration of this sheaf: even 1 - 3 = -2, odd -2
     chi_even = (p13.h0.even - p13.h1.even)
@@ -180,6 +171,8 @@ def test_structure_sheaf_h1_zero():
         assert res.h0.even >= 1
         assert res.h0 == cohomology_dims(1, m, 0)[0]
         assert res.h1 == cohomology_dims(1, m, 0)[1]
+    # the mask p1 p2 p3 is O(-3) on P^1: w^-1 p1 p2 p3 is a nonzero class
+    assert res.h1_class(parse_superpoly("w^-1*p1*p2*p3", m=3)[0]) != {}
 
 
 def test_coboundary_twist_invariance():
@@ -196,7 +189,7 @@ def test_coboundary_twist_invariance():
 
 # -- the general path as a reference for the monomial-shift engine ----------
 
-def _reference_window(sheaf, window, mask_pred, want_generators):
+def _reference_window(sheaf, window, want_generators):
     """One window by the general path: columns through the general
     substitution of ``tests/substitution_reference.py`` and SuperPolynomial
     products, the in-window image from a tracked kernel and the quotient
@@ -211,9 +204,7 @@ def _reference_window(sheaf, window, mask_pred, want_generators):
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
     a_in_b, _ = chart_rules(ctx_a, ctx_b)
     band = range(-(D - depth), D - depth + 1)
-    components = cech._mask_components(
-        m, {mask for (_, mask) in sheaf.W.terms}, mask_pred
-    )
+    components = cech._mask_components(m, {mask for (_, mask) in sheaf.W.terms})
     reach = _reference_reach(sheaf, components)
     h0, h1 = {0: 0, 1: 0}, {0: 0, 1: 0}
     gens_h0, gens_h1, image_rref = [], [], []
@@ -281,10 +272,6 @@ def _reference_cases():
 
 
 REFERENCE_CASES = _reference_cases()
-PICARD_PREDICATES = (
-    lambda s: s != 0 and mask_parity(s) == 0,
-    lambda s: mask_parity(s) == 1,
-)
 
 
 @pytest.mark.parametrize(
@@ -292,39 +279,32 @@ PICARD_PREDICATES = (
 )
 def test_run_window_matches_general_path(sheaf):
     window = default_window(sheaf)
-    preds = (None,) + (PICARD_PREDICATES if sheaf.m in (2, 3) else ())
-    for mask_pred in preds:
-        for want in (True, False):
-            h0, h1, gens_h0, gens_h1, rref = _reference_window(
-                sheaf, window, mask_pred, want
-            )
-            res = cech._run_window(sheaf, window, mask_pred, want)
-            assert (res.h0, res.h1) == (h0, h1)
-            assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
-            assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
-            # the polar band monomials moved by the class map are the rref's
-            # polar pivots: the q unit columns are a key projection
-            B = window.D - sheaf.depth
-            ctx_b = sheaf.transition.ctx_b
-            moved = {
-                (j, s)
-                for s in range(1 << sheaf.m)
-                if mask_pred is None or mask_pred(s)
-                for j in range(-B, 0)
-                if res.h1_class(ctx_b.monomial(1, (j,), s)) != {(j, s): ONE}
-            }
-            assert moved == {p for p, _ in rref if p[0] < 0}
-            # the class map on the band monomials fixes the rref row by row;
-            # one step past the band on each side has no class
-            for s in range(1 << sheaf.m):
-                if mask_pred is not None and not mask_pred(s):
-                    continue
-                for j in range(-B, B + 1):
-                    cocycle = ctx_b.monomial(1, (j,), s)
-                    assert res.h1_class(cocycle) == _rref_class(rref, cocycle)
-                for j in (-B - 1, B + 1):
-                    with pytest.raises(DomainError):
-                        res.h1_class(ctx_b.monomial(1, (j,), s))
+    for want in (True, False):
+        h0, h1, gens_h0, gens_h1, rref = _reference_window(sheaf, window, want)
+        res = cech._run_window(sheaf, window, want)
+        assert (res.h0, res.h1) == (h0, h1)
+        assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
+        assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
+        # the polar band monomials moved by the class map are the rref's
+        # polar pivots: the q unit columns are a key projection
+        B = window.D - sheaf.depth
+        ctx_b = sheaf.transition.ctx_b
+        moved = {
+            (j, s)
+            for s in range(1 << sheaf.m)
+            for j in range(-B, 0)
+            if res.h1_class(ctx_b.monomial(1, (j,), s)) != {(j, s): ONE}
+        }
+        assert moved == {p for p, _ in rref if p[0] < 0}
+        # the class map on the band monomials fixes the rref row by row;
+        # one step past the band on each side has no class
+        for s in range(1 << sheaf.m):
+            for j in range(-B, B + 1):
+                cocycle = ctx_b.monomial(1, (j,), s)
+                assert res.h1_class(cocycle) == _rref_class(rref, cocycle)
+            for j in (-B - 1, B + 1):
+                with pytest.raises(DomainError):
+                    res.h1_class(ctx_b.monomial(1, (j,), s))
 
 
 def _reference_reach(sheaf, components):
@@ -373,7 +353,7 @@ def test_rational_window_outputs_are_scalars():
         values = [c for g in res.generators_h0 + res.generators_h1
                   for c in g.terms.values()]
         ctx_b = sheaf.transition.ctx_b
-        for s in sorted(res._masks):
+        for s in range(1 << sheaf.m):
             for j in res._band:
                 values.extend(res.h1_class(ctx_b.monomial(1, (j,), s)).values())
         seen += len(values)
@@ -408,7 +388,7 @@ def test_rational_window_matches_its_scalar_multiple():
     ctx_b = standard_transition(5).ctx_b
     probes = [g * Scalar(Fraction(2, 3), 1) for g in a.generators_h1]
     probes += [ctx_b.monomial(Fraction(-5, 7), (j,), s)
-               for s in sorted(a._masks)[::4] for j in (-1, -3)]
+               for s in range(1 << 5)[::4] for j in (-1, -3)]
     probes.append(sum(probes[1:], probes[0]))
     classes = [a.h1_class(p) for p in probes]
     assert any(len(c) > 1 for c in classes)
@@ -421,7 +401,7 @@ def test_rational_cocycle_class_matches_the_scalar_path():
     a = cech_cohomology(TransitionSheaf(5, _dense_rational_transition()))
     ctx_b = standard_transition(5).ctx_b
     probes = [ctx_b.monomial(Fraction(-5, 7), (j,), s)
-              for s in sorted(a._masks)[::3] for j in (-1, -2, -5, a._band[0])]
+              for s in range(1 << 5)[::3] for j in (-1, -2, -5, a._band[0])]
     probes += [g * Fraction(2, 3) + g * Fraction(1, 4) for g in a.generators_h1[::7]]
     probes.append(sum(probes[1:], probes[0]))
     classes = [a.h1_class(p) for p in probes]
@@ -436,7 +416,7 @@ def test_rational_cocycle_class_matches_the_scalar_path():
 def test_rational_window_stores_int_rows():
     sheaves = _rational_sheaves() + [TransitionSheaf(5, _dense_rational_transition())]
     for sheaf in sheaves:
-        res = cech._run_window(sheaf, default_window(sheaf), None, True)
+        res = cech._run_window(sheaf, default_window(sheaf), True)
         rows = [vec for vec, _ in res._coboundaries.pivots.values()]
         assert rows and all(type(v) is int for row in rows for v in row.values())
 
@@ -445,11 +425,11 @@ def test_advanced_window_lists_the_generators_of_its_own_run():
     # D = 6 leaves w^-4 p1 p2 out of the band: the window is not covered, so
     # D = 7 is run and lists the generators of its own run
     sheaf = twist_sheaf(2, -3)
-    assert not cech._run_window(sheaf, CechWindow(6), None, False)._covered
+    assert not cech._run_window(sheaf, CechWindow(6), False)._covered
     res = cech_cohomology(sheaf, CechWindow(6))
     assert res.window_used == CechWindow(7) and res.stabilized
     assert res.h1 == DimPair(6, 6) and len(res.generators_h1) == 12
-    ref = cech._run_window(sheaf, CechWindow(7), None, True)
+    ref = cech._run_window(sheaf, CechWindow(7), True)
     assert [g.terms for g in res.generators_h0] == [g.terms for g in ref.generators_h0]
     assert [g.terms for g in res.generators_h1] == [g.terms for g in ref.generators_h1]
 
@@ -484,11 +464,11 @@ def test_rational_window_makes_no_scalar_product(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     monkeypatch.setattr(Scalar, "__rmul__", counted)
     for sheaf in sheaves:
-        res = cech._run_window(sheaf, default_window(sheaf), None, False)
+        res = cech._run_window(sheaf, default_window(sheaf), False)
         assert res.h0.even + res.h0.odd + res.h1.even + res.h1.odd > 0
     assert calls == []
     # the counter sees the Scalar path: a Q(zeta8) coefficient multiplies
-    cech._run_window(zeta, default_window(zeta), None, False)
+    cech._run_window(zeta, default_window(zeta), False)
     assert calls
 
 
@@ -515,10 +495,6 @@ def wrong_h0(monkeypatch):
     _one_more_even(monkeypatch, "h0")
 
 
-def _odd_masks(s):
-    return mask_parity(s) == 1
-
-
 def test_euler_characteristic_invariant(wrong_h0):
     # a covered window above the Euler characteristic of its split filtration
     # is an engine fault
@@ -526,21 +502,13 @@ def test_euler_characteristic_invariant(wrong_h0):
         cech_cohomology(twist_sheaf(2, -1), want_generators=False)
 
 
-def test_euler_characteristic_invariant_with_mask_pred(wrong_h0):
-    # the check holds on a restricted mask set too
-    with pytest.raises(InvariantError, match="Euler characteristic"):
-        cech_cohomology(twist_sheaf(2, -1), mask_pred=lambda s: s != 0,
-                        want_generators=False)
-
-
-@pytest.mark.parametrize("mask_pred", (None, _odd_masks))
-def test_too_small_window_is_instability(wrong_h1, mask_pred):
+def test_too_small_window_is_instability(wrong_h1):
     # below the Euler characteristic, a window may be too small: D, D + 1 and
     # D + 2 are tried, and the retry suggests twice the last
     sheaf = twist_sheaf(2, -1)
     D = default_window(sheaf).D
     with pytest.raises(InstabilityError) as info:
-        cech_cohomology(sheaf, mask_pred=mask_pred, want_generators=False)
+        cech_cohomology(sheaf, want_generators=False)
     assert info.value.suggested == 2 * (D + 2)
 
 
@@ -551,7 +519,9 @@ def test_invariant_violation_exits_1(wrong_h0, capsys):
 
 def test_too_small_window_exits_3(wrong_h1, capsys):
     assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 3
-    assert "instability" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the default window D = 6 and D + 1, D + 2 fail: retry at 2 * 8
+    assert err.startswith("instability:") and "(retry with --window 16)" in err
 
 
 @pytest.mark.parametrize("want", (True, False))
@@ -568,7 +538,7 @@ def test_one_elimination_per_window(monkeypatch, case, want):
         return real(self, vec, tag_key)
 
     monkeypatch.setattr(SparseElim, "add", add)
-    cech._run_window(sheaf, window, None, want)
+    cech._run_window(sheaf, window, want)
     assert len(calls) == (1 << sheaf.m) * (window.D + 1)
 
 
@@ -618,16 +588,16 @@ def test_c0_truncation_example():
 
 
 def test_odd_sector_example():
-    """W = 2 w^4 - p3 p4 on P^(1|4), odd masks only: h0 = 0|24, h1 = 0|0.
+    """W = 2 w^4 - p3 p4 on P^(1|4): h0 = 24|24, h1 = 0|0.
 
     By hand, from the mask-size filtration: the graded piece at mask s is
-    O(4 - |s|) on P^1, and an odd |s| <= 3 has 4 - |s| >= 1, so no graded
+    O(4 - |s|) on P^1, and every |s| <= 4 has 4 - |s| >= 0, so no graded
     piece has an H1 and h1 = 0.  Then h0 is the Euler characteristic,
-    sum_s (4 - |s| + 1) = 4 * 4 + 4 * 2 = 24, all odd.  The columns
-    z^a t^s with a <= D leave out the z^(D+2) t^(s|p3p4) that cancel the
-    p3 p4 term of z^D t^s, so without the reach the window reads h1 = 0|2.
+    sum_s (4 - |s| + 1): even 5 + 6 * 3 + 1 = 24, odd 4 * 4 + 4 * 2 = 24.
+    The columns z^a t^s with a <= D leave out the z^(D+2) t^(s|p3p4) that
+    cancel the p3 p4 term of z^D t^s, so without the reach every window
+    reads h1 = 2|2 and none certifies itself.
     """
     W, _ = parse_superpoly("2*w^4 - p3*p4", m=4)
-    res = cech_cohomology(TransitionSheaf(4, W), mask_pred=_odd_masks,
-                          want_generators=False)
-    assert (res.h0, res.h1) == (DimPair(0, 24), DimPair(0, 0))
+    res = cech_cohomology(TransitionSheaf(4, W), want_generators=False)
+    assert (res.h0, res.h1) == (DimPair(24, 24), DimPair(0, 0))

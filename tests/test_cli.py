@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +138,42 @@ def test_selftest_rejects_fewer_than_one_case(capsys, cases):
     code, out, err = run(capsys, "selftest", "--cases", cases)
     assert code == 2 and out == ""
     assert "at least 1" in err
+
+
+# sha256 of stdout and the exit code of each README command line, and of the
+# cheap selftest, as the engine printed them when this table was recorded; a
+# change meant to leave the outputs alone must leave this table alone
+PINNED_STDOUT = {
+    "cohomology --n 1 --m 3 --ell -1 --oracle":
+        ("8c6e435b29f9bc16847210df70d94d0cc5d13afd60b3c78d32c2df1bc97752d9", 0),
+    "cech --m 3 --transition '1+(p1*p2+p1*p3+p2*p3)*w^-1'":
+        ("16eb1788b04827204e6ae312eaa440fe70ab6a4a1f30ec938c988b83dcd99121", 0),
+    "picard --n 1 --m 4 --verify":
+        ("ee74b86510170b6b48bfdef4d88074810aecf27ff9ce678b8ca4755f879b8b2d", 0),
+    "tangent --n 1 --m 2 --basis":
+        ("b12e1f502bf97484bc2e96d3dc36bdfe01f7a7b76b6789416e27a036d58f522c", 0),
+    "osp22-verify":
+        ("1c8175c98a4231c68b845ae3adf3fd6989edecf9d5fd7d7ef0909fd5c14f643a", 0),
+    "characteristic --n 3 --m 4":
+        ("57546c70509d10a7a5bc96d82f2003a37d2c125a7bbf0d85649fd7e154eb9de1", 0),
+    "selftest":
+        ("9389f79d8764bb2eea6110fed820dacca77682a23657825a5e706db2f0e2fbbd", 0),
+    "selftest --cases 20":
+        ("9389f79d8764bb2eea6110fed820dacca77682a23657825a5e706db2f0e2fbbd", 0),
+}
+
+
+def test_pinned_commands_are_the_readme_examples():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line]
+    pinned = [shlex.split(cmd) for cmd in PINNED_STDOUT if cmd != "selftest --cases 20"]
+    assert examples == pinned
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_stdout_is_pinned(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == PINNED_STDOUT[command]

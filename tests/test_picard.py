@@ -16,16 +16,14 @@ from superproj.picard import (
     verify_picard_dim_cech,
 )
 from superproj.scalars import ONE, Scalar
-from superproj.superpoly import mask_parity, super_exp
+from superproj.superpoly import super_exp
 
 
 def odd_sector_h1_cech(m: int) -> int:
-    """Odd-sector h^1 of the structure sheaf via the Cech engine."""
+    """Odd-sector h^1 of the structure sheaf via the Cech engine: W = 1
+    couples no two masks, so it is the odd part of H^1(O)."""
     sheaf = TransitionSheaf(m, standard_transition(m).ctx_b.one())
-    result = cech_cohomology(
-        sheaf, mask_pred=lambda s: mask_parity(s) == 1, want_generators=False
-    )
-    return result.h1.total
+    return cech_cohomology(sheaf, want_generators=False).h1.odd
 
 
 def test_continuous_dim_values():

@@ -5,8 +5,10 @@ import pytest
 
 from substitution_reference import pushforward
 from superproj import tangent
+from superproj.cli import main
 from superproj.cohomology import DimPair
 from superproj.errors import DomainError, InstabilityError, InvariantError
+from superproj.golden import run_golden
 from superproj.linalg import SparseElim, bareiss_rank, echelon_basis, spans_equal
 from superproj.superlie import v_xi_basis
 from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
@@ -156,15 +158,38 @@ def test_global_fields_euler_invariant(monkeypatch):
     # more fields than h0(T): an engine fault
     _skew_h0(monkeypatch, -1)
     with pytest.raises(InvariantError, match="h0\\(T\\)"):
-        global_tangent_fields(1, degree_bound=4)
+        global_tangent_fields(1)
 
 
 def test_global_fields_too_few_is_instability(monkeypatch):
-    # fewer fields than h0(T): the degree bound is too low
+    # fewer fields than h0(T): the degree bound 2 + m is too low
     _skew_h0(monkeypatch, 1)
     with pytest.raises(InstabilityError, match="h0\\(T\\)") as info:
-        global_tangent_fields(1, degree_bound=4)
-    assert info.value.suggested == 5
+        global_tangent_fields(1)
+    assert info.value.suggested == 4
+
+
+def test_basis_instability_exits_3_without_a_window_hint(monkeypatch, capsys):
+    # tangent has no --window to retry with
+    _skew_h0(monkeypatch, 1)
+    assert main(["tangent", "--n", "1", "--m", "2", "--basis"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("instability:") and "--window" not in err
+
+
+def test_euler_route_reads_the_gradient_only_for_n_at_most_2(monkeypatch):
+    # for n >= 3 neither h0 nor h1 of T reads the super gradient's kernel
+    real = tangent.super_gradient_rank
+
+    def gradient(n, m):
+        if n >= 3:
+            raise AssertionError(f"super gradient read at n = {n}")
+        return real(n, m)
+
+    monkeypatch.setattr(tangent, "super_gradient_rank", gradient)
+    assert euler_tangent_dims(3, 4).h0 == DimPair(31, 32)
+    assert euler_tangent_dims(4, 5).rigid
+    assert run_golden(suite={"tangent-dims"})["all_passed"]
 
 
 def test_global_fields_solve_once(monkeypatch):
@@ -183,12 +208,8 @@ def test_global_fields_solve_once(monkeypatch):
 def test_global_fields_bounds():
     with pytest.raises(DomainError):
         global_tangent_fields(5)
-    with pytest.raises(DomainError):
-        global_tangent_fields(2, degree_bound=1)
-    # m is checked before the degree bound, which defaults to 2 + m
-    for bound in (None, 5):
-        with pytest.raises(DomainError, match="m >= 0"):
-            global_tangent_fields(-1, bound)
+    with pytest.raises(DomainError, match="m >= 0"):
+        global_tangent_fields(-1)
 
 
 def test_bosonization_only_at_1_2():
