@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import I, SQRT2, Scalar
+from .scalars import I, SQRT2
 from .superpoly import Context, SuperPolynomial, p1m_transition
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/()]))")

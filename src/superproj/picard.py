@@ -21,7 +21,6 @@ from math import comb
 
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
 from .errors import DomainError, InvariantError
-from .scalars import Scalar
 from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
 
 

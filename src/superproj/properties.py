@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cech import CechWindow, TransitionSheaf, cech_cohomology, standard_transition
-from .scalars import I, ONE, SQRT2, Scalar
+from .scalars import I, SQRT2, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, mask_parity
 
 DEFAULT_CASES = 1000

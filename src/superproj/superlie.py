@@ -99,10 +99,12 @@ def v_xi_basis() -> SuperLieBasis:
     return SuperLieBasis(names, {n: f[n] for n in names})
 
 
+_CONFORMAL_NAMES = ("H", "K", "D", "Y", "Q1", "Q2", "S1", "S2")
+
+
 def conformal_basis() -> SuperLieBasis:
     f = standard_fields()
-    names = ["H", "K", "D", "Y", "Q1", "Q2", "S1", "S2"]
-    return SuperLieBasis(names, {n: f[n] for n in names})
+    return SuperLieBasis(list(_CONFORMAL_NAMES), {n: f[n] for n in _CONFORMAL_NAMES})
 
 
 class NonClosureError(DomainError):
@@ -251,14 +253,13 @@ def verify_osp22() -> VerificationReport:
         actual = f[a].bracket(f[b])
         ok = _combo_matches(f, combo, actual)
         report.entries.append((label, ok, str(actual)))
-    basis = conformal_basis()
-    elim = span_eliminator([basis.elements[n].vectorize() for n in basis.names])
+    elim = span_eliminator([f[n].vectorize() for n in _CONFORMAL_NAMES])
     for i in (1, 2):
         for target in (f"Q{i}", f"S{i}"):
             br = f["K"].bracket(f[target])
             combo = elim.express(br.vectorize())
             rendered = " + ".join(
-                f"({c})*{basis.names[k]}" for k, c in sorted(combo.items())
+                f"({c})*{_CONFORMAL_NAMES[k]}" for k, c in sorted(combo.items())
             ) if combo else "0"
             report.computed_only.append((f"[K,{target}]", rendered))
     return report

@@ -7,6 +7,13 @@ coefficients, where ``exps`` is the tuple of even exponents and ``mask`` is a
 bitmask over the odd variables.  All signs follow the Koszul rule with odd
 variables written in increasing index order.
 
+One product loop, ``_mul_into``, accumulates Koszul-signed products into a
+term dict, and ``_partial_terms`` returns the term dict of a partial
+derivative.  Polynomial multiplication and ``partial`` wrap them, and a
+``SuperDerivation`` acts on term dicts through them: ``apply`` sums
+f_v * dp/dv into one dict and ``bracket`` one dict per coefficient, each
+building its ``SuperPolynomial`` once at the end.
+
 The two standard charts of P^(n|m) come from ``pnm_transition``.  Their
 chart map sends each monomial to one monomial with sign +1, so it relabels
 keys and never multiplies polynomials.
@@ -44,6 +51,48 @@ def koszul_sign(a: int, b: int) -> int:
         bb >>= 1
         j += 1
     return -1 if swaps & 1 else 1
+
+
+def _mul_into(out: dict, ta: dict, tb: dict, sign: int = 1) -> None:
+    """Add sign * (ta * tb), Koszul-signed, into the term dict ``out``.
+
+    The one product loop of the engine: ``SuperPolynomial.__mul__`` and the
+    derivation action both accumulate through it.  ``out`` may be left
+    holding zero coefficients; ``SuperPolynomial`` drops them.
+    """
+    for (ea, ma), ca in ta.items():
+        for (eb, mb), cb in tb.items():
+            s = koszul_sign(ma, mb)
+            if s == 0:
+                continue
+            key = (tuple(x + y for x, y in zip(ea, eb)), ma | mb)
+            c = ca * cb
+            if s != sign:
+                c = -c
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+
+
+def _partial_terms(terms: dict, kind: str, pos: int) -> dict:
+    """Term dict of the partial derivative by the variable at (kind, pos).
+
+    An odd derivative acts from the left, so it passes the odd variables
+    below it with a sign each.  Either derivative maps distinct surviving
+    keys to distinct keys, so no two terms meet.
+    """
+    out = {}
+    if kind == "even":
+        for (exps, mask), c in terms.items():
+            e = exps[pos]
+            if e:
+                out[(exps[:pos] + (e - 1,) + exps[pos + 1:], mask)] = c * e
+    else:
+        bit = 1 << pos
+        for (exps, mask), c in terms.items():
+            if mask & bit:
+                below = bin(mask & (bit - 1)).count("1")
+                out[(exps, mask ^ bit)] = -c if below & 1 else c
+    return out
 
 
 class Context:
@@ -205,17 +254,7 @@ class SuperPolynomial:
             return SuperPolynomial(self.ctx, {k: v * c for k, v in self.terms.items()})
         self._check_ctx(other)
         out = {}
-        for (ea, ma), ca in self.terms.items():
-            for (eb, mb), cb in other.terms.items():
-                sign = koszul_sign(ma, mb)
-                if sign == 0:
-                    continue
-                key = (tuple(x + y for x, y in zip(ea, eb)), ma | mb)
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = out.get(key)
-                out[key] = c if s is None else s + c
+        _mul_into(out, self.terms, other.terms)
         return SuperPolynomial(self.ctx, out)
 
     def __rmul__(self, other):
@@ -267,29 +306,7 @@ class SuperPolynomial:
     def partial(self, name: str) -> "SuperPolynomial":
         """Partial derivative; odd derivatives act from the left."""
         kind, pos = self.ctx.lookup(name)
-        out = {}
-        if kind == "even":
-            for (exps, mask), c in self.terms.items():
-                e = exps[pos]
-                if e == 0:
-                    continue
-                new = list(exps)
-                new[pos] = e - 1
-                key = (tuple(new), mask)
-                val = c * Fraction(e)
-                s = out.get(key)
-                out[key] = val if s is None else s + val
-        else:
-            bit = 1 << pos
-            for (exps, mask), c in self.terms.items():
-                if not mask & bit:
-                    continue
-                below = bin(mask & (bit - 1)).count("1")
-                val = -c if below & 1 else c
-                key = (exps, mask & ~bit)
-                s = out.get(key)
-                out[key] = val if s is None else s + val
-        return SuperPolynomial(self.ctx, out)
+        return SuperPolynomial(self.ctx, _partial_terms(self.terms, kind, pos))
 
     def eval_body(self, point: dict) -> Scalar:
         """Evaluate the body at a point given as {even name: rational or Scalar}."""
@@ -492,9 +509,20 @@ class SuperDerivation:
         return self.coeffs.get(name, self.ctx.zero())
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        out = self.ctx.zero()
+        """sum_v f_v * dp/dv, accumulated into one term dict."""
+        if p.ctx != self.ctx:
+            raise ContextError(
+                f"derivation on {self.ctx!r} applied to a polynomial on {p.ctx!r}"
+            )
+        return SuperPolynomial(self.ctx, self._apply_into({}, p.terms, 1))
+
+    def _apply_into(self, out: dict, terms: dict, sign: int) -> dict:
+        """Add sign * (this derivation applied to ``terms``) into ``out``."""
+        lookup = self.ctx.lookup
         for name, f in self.coeffs.items():
-            out = out + f * p.partial(name)
+            d = _partial_terms(terms, *lookup(name))
+            if d:
+                _mul_into(out, f.terms, d, sign)
         return out
 
     def __add__(self, other: "SuperDerivation"):
@@ -547,12 +575,19 @@ class SuperDerivation:
         """Supercommutator [X, Y] = XY - (-1)^(|X||Y|) YX as a derivation."""
         if self.ctx != other.ctx:
             raise ContextError("derivation context mismatch")
-        sign = -1 if self.parity and other.parity else 1
+        # the coefficient of d/dv is X(g_v) - (-1)^(|X||Y|) Y(f_v)
+        sign = 1 if self.parity and other.parity else -1
         coeffs = {}
-        for name in set(self.coeffs) | set(other.coeffs):
-            a = self.apply(other.coefficient(name))
-            b = other.apply(self.coefficient(name))
-            coeffs[name] = a - b if sign > 0 else a + b
+        for name in self.ctx.even + self.ctx.odd:
+            f, g = self.coeffs.get(name), other.coeffs.get(name)
+            if f is None and g is None:
+                continue
+            terms = {}
+            if g is not None:
+                self._apply_into(terms, g.terms, 1)
+            if f is not None:
+                other._apply_into(terms, f.terms, sign)
+            coeffs[name] = SuperPolynomial(self.ctx, terms)
         return SuperDerivation(self.ctx, (self.parity + other.parity) & 1, coeffs)
 
     def pushforward(self, transition: ChartTransition) -> "SuperDerivation":

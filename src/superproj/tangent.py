@@ -20,22 +20,20 @@ tracked kernel of one elimination of those polar parts, already reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import DomainError, InstabilityError, InvariantError
 from .linalg import SparseElim
+from .scalars import Scalar
 from .superpoly import (
     SuperDerivation,
+    SuperPolynomial,
     koszul_sign,
     mask_parity,
     p1m_transition,
     pnm_transition,
 )
-
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 @dataclass
@@ -161,27 +159,26 @@ def _ansatz(m: int, bound_z: int, bound_t: int) -> list:
         z^d t^S d/dt_i  =  w^(1-d-|S|) p^S d/dp_i,
 
     and the polar part keeps the terms with a negative w exponent, keyed as
-    ``vectorize`` keys them.  Returns (key, polar) pairs.
+    ``vectorize`` keys them.  Its entries are ``int`` 1 or -1, so the
+    elimination of the polar parts is fraction free.  Returns (key, polar)
+    pairs.
     """
     out = []
     for mask in range(1 << m):
         size = bin(mask).count("1")
         for deg in range(bound_z + 1):
             e = 1 - deg - size
-            polar = {("w", (e + 1,), mask): _MINUS_ONE} if e + 1 < 0 else {}
+            polar = {("w", (e + 1,), mask): -1} if e + 1 < 0 else {}
             if e < 0:
                 for i in range(m):
                     bit = 1 << i
                     if not mask & bit:
-                        sign = koszul_sign(mask, bit)
-                        polar[(f"p{i + 1}", (e,), mask | bit)] = (
-                            _MINUS_ONE if sign > 0 else _ONE
-                        )
+                        polar[(f"p{i + 1}", (e,), mask | bit)] = -koszul_sign(mask, bit)
             out.append((("z", (deg,), mask), polar))
         for i in range(1, m + 1):
             for deg in range(bound_t + 1):
                 e = 1 - deg - size
-                polar = {(f"p{i}", (e,), mask): _ONE} if e < 0 else {}
+                polar = {(f"p{i}", (e,), mask): 1} if e < 0 else {}
                 out.append(((f"t{i}", (deg,), mask), polar))
     return out
 
@@ -208,14 +205,13 @@ def _rows_to_fields(rows, ctx) -> list:
     """``SuperDerivation``s of rows ``{(v, exps, mask): coeff}``."""
     out = []
     for row in rows:
-        coeffs = {}
-        parity = None
+        terms = {}
         for (name, exps, mask), c in sorted(row.items()):
-            kind, _ = ctx.lookup(name)
-            p = mask_parity(mask) ^ (0 if kind == "even" else 1)
-            parity = p if parity is None else parity
-            coeffs.setdefault(name, ctx.zero())
-            coeffs[name] = coeffs[name] + ctx.monomial(c, exps, mask)
+            terms.setdefault(name, {})[(exps, mask)] = Scalar.coerce(c)
+        # every key of a row has the field's parity; read it off the first
+        name, _, mask = min(row)
+        parity = mask_parity(mask) ^ (ctx.lookup(name)[0] == "odd")
+        coeffs = {v: SuperPolynomial(ctx, t) for v, t in terms.items()}
         out.append(SuperDerivation(ctx, parity, coeffs))
     return out
 

@@ -6,11 +6,14 @@ relabelling: it takes powers and products of the rule polynomials.  It is
 kept, with the rule dicts of the standard charts (``chart_rules``), as an
 independent reference for the chart map in ``tests/test_superpoly.py``, for
 the Cech reference window in ``tests/test_cech.py`` and for the pushforward
-reference in ``tests/test_tangent.py``.
+reference in ``tests/test_tangent.py``.  ``pushforward`` applies the field
+by ``derivation_reference.composed_apply``, so no engine derivation code
+runs in it.
 """
 
 from functools import lru_cache
 
+from derivation_reference import composed_apply
 from superproj.errors import ContextError
 from superproj.superpoly import SuperDerivation
 
@@ -65,6 +68,6 @@ def pushforward(field, ctx_b):
     is the field applied to v written in chart A, substituted into chart B."""
     a_in_b, b_in_a = chart_rules(field.ctx, ctx_b)
     return SuperDerivation(ctx_b, field.parity, {
-        name: substitute(field.apply(b_in_a[name]), a_in_b, ctx_b)
+        name: substitute(composed_apply(field, b_in_a[name]), a_in_b, ctx_b)
         for name in ctx_b.even + ctx_b.odd
     })

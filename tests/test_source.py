@@ -28,10 +28,13 @@ def test_test_oracles_stay_off_engine_paths():
     # tests/substitution_reference.py.  An engine path that used one would
     # be checked against itself.  load_record, suite_duality and
     # express_in_span are test-only helpers kept in tests/test_golden.py,
-    # tests/test_properties.py and tests/test_superlie.py
+    # tests/test_properties.py and tests/test_superlie.py; composed_apply and
+    # composed_bracket, the derivation calculus by whole-polynomial steps,
+    # live only in tests/derivation_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
+        "composed_apply": None, "composed_bracket": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
@@ -45,6 +48,25 @@ def test_test_oracles_stay_off_engine_paths():
             )
             if name in homes and path.name != homes[name]:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert found == []
+
+
+def test_engine_has_no_unused_relative_imports():
+    # a name imported from another engine module and never read is dead
+    # coupling; __init__.py imports its names to re-export them
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if (alias.asname or alias.name) not in read
+        ]
     assert found == []
 
 

@@ -158,6 +158,24 @@ def test_osp22_all_equations_pass():
     assert computed["[K,S2]"] == "0"
 
 
+def test_osp22_builds_the_standard_fields_once(monkeypatch):
+    import superproj.superlie as superlie
+
+    calls = []
+    build = superlie.standard_fields
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(superlie, "standard_fields", counted)
+    assert verify_osp22().all_passed
+    assert len(calls) == 1
+    # conformal_basis stays public and builds the same basis
+    basis = conformal_basis()
+    assert basis.names == ["H", "K", "D", "Y", "Q1", "Q2", "S1", "S2"]
+
+
 def test_y_brackets_rotate_with_i(fields):
     # [Y, Q1] = (i/2) Q2 and cyclic variants, fixed by direct computation
     assert fields["Y"].bracket(fields["Q1"]) == fields["Q2"] * (I * HALF)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from derivation_reference import composed_apply, composed_bracket
 from substitution_reference import chart_rules, pushforward, substitute
 from superproj.cech import standard_transition
 from superproj.errors import ContextError, DomainError, ParityError
 from superproj.scalars import I, ONE, Scalar
+from superproj.superlie import ansatz_context
 from superproj.superpoly import (
     ChartTransition,
     Context,
@@ -207,6 +209,64 @@ def test_pushforward_matches_substitution():
             exps = [rng.randint(-2, 2) for _ in ctx.even]
             field = SuperDerivation(ctx, parity, {name: ctx.monomial(1, exps, mask)})
             assert field.pushforward(tr) == pushforward(field, tr.ctx_b), (n, m, field)
+
+
+def _random_scalar(rng):
+    if rng.random() < 0.5:
+        return Scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 3)))
+    return Scalar(*(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)))
+
+
+def _random_poly(rng, ctx, parity=None, terms=3):
+    """A few Laurent terms, of one parity unless ``parity`` is None."""
+    masks = [
+        mask for mask in range(1 << len(ctx.odd))
+        if parity is None or mask_parity(mask) == parity
+    ]
+    out = ctx.zero()
+    for _ in range(rng.randint(1, terms) if masks else 0):
+        exps = [rng.randint(-2, 2) for _ in ctx.even]
+        out = out + ctx.monomial(_random_scalar(rng), exps, rng.choice(masks))
+    return out
+
+
+def _random_field(rng, ctx, parity):
+    names = ctx.even + ctx.odd
+    return SuperDerivation(ctx, parity, {
+        name: _random_poly(rng, ctx, parity ^ (name in ctx.odd), terms=2)
+        for name in rng.sample(names, rng.randint(1, min(3, len(names))))
+    })
+
+
+def test_derivation_calculus_matches_composed_reference():
+    # apply, bracket and pushforward against the composed reference, on
+    # charts with 1-3 even and 0-4 odd variables, Laurent exponents, Q(zeta8)
+    # coefficients and all four parity pairs, plus the formal-parameter
+    # context of the N=2 ansatz
+    rng = random.Random(20)
+    cases = [(pnm_transition(n, m), pnm_transition(n, m).ctx_a)
+             for n in (1, 2, 3) for m in range(5)]
+    cases.append((None, ansatz_context()))
+    for tr, ctx in cases:
+        for px in (0, 1):
+            for py in (0, 1):
+                x, y = _random_field(rng, ctx, px), _random_field(rng, ctx, py)
+                p = _random_poly(rng, ctx)
+                assert x.apply(p) == composed_apply(x, p), (ctx, x, p)
+                assert x.bracket(y) == composed_bracket(x, y), (ctx, x, y)
+                if tr is not None:
+                    assert x.pushforward(tr) == pushforward(x, tr.ctx_b), (ctx, x)
+
+
+def test_apply_checks_the_context():
+    ctx_a, ctx_b = p1m_transition(2).ctx_a, p1m_transition(2).ctx_b
+    for field in (
+        SuperDerivation(ctx_a, 0, {}),
+        SuperDerivation(ctx_a, 0, {"z": ctx_a.var("z")}),
+    ):
+        with pytest.raises(ContextError) as err:
+            field.apply(ctx_b.var("w"))
+        assert repr(ctx_a) in str(err.value) and repr(ctx_b) in str(err.value)
 
 
 def test_derivation_parity_validation(ctx):
