@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure (including a violated runtime
-invariant), 2 usage or parse error, 3 window/bound instability.  The default
+invariant), 2 usage or parse error, 3 window instability.  The default
 output format is json and can be changed with --format or the
 SUPERPROJ_FORMAT environment variable.
 """

@@ -18,7 +18,7 @@ class DomainError(SuperprojError):
 
 
 class InstabilityError(SuperprojError):
-    """A truncation window or degree bound did not stabilize."""
+    """A Cech truncation window did not stabilize."""
 
     def __init__(self, message, suggested=None):
         super().__init__(message)

@@ -117,18 +117,20 @@ def normal_form_product(label_a, label_b):
 
 
 def verify_picard_dim_cech(m: int) -> bool:
-    """Continuous dimension recomputed through the Cech engine.
+    """Continuous dimension and odd-sector count recomputed through the Cech
+    engine.
 
     H^1 of the even nilpotent sector of the structure sheaf (additive, via
-    the exp/log linearization) against the closed form 2^(m-2)(m-2)+1.  W = 1
-    couples no two masks and h^1(O_P1) = 0, so that sector's H^1 is the even
-    part of H^1(O).
+    the exp/log linearization) against the closed form 2^(m-2)(m-2)+1, and
+    the odd sector's H^1 against ``odd_sector_h1_formula``.  W = 1 couples no
+    two masks and h^1(O_P1) = 0, so the two sectors' H^1 are the even and
+    odd parts of one run's H^1(O).
     """
     if not 2 <= m <= 6:
         raise DomainError("verify_picard_dim_cech covers 2 <= m <= 6")
     sheaf = TransitionSheaf(m, standard_transition(m).ctx_b.one())
-    result = cech_cohomology(sheaf, want_generators=False)
-    return result.h1.even == continuous_dim_formula(1, m)
+    h1 = cech_cohomology(sheaf, want_generators=False).h1
+    return (h1.even, h1.odd) == (continuous_dim_formula(1, m), odd_sector_h1_formula(m))
 
 
 def odd_sector_h1_formula(m: int) -> int:

@@ -489,7 +489,9 @@ class SuperDerivation:
         for name, poly in coeffs.items():
             kind, _ = ctx.lookup(name)
             if poly.ctx != ctx:
-                raise ContextError("coefficient context mismatch")
+                raise ContextError(
+                    f"coefficient of d/d{name} on {poly.ctx!r} in a derivation on {ctx!r}"
+                )
             if poly.is_zero():
                 continue
             want = parity if kind == "even" else parity ^ 1
@@ -516,6 +518,12 @@ class SuperDerivation:
             )
         return SuperPolynomial(self.ctx, self._apply_into({}, p.terms, 1))
 
+    def _check_ctx(self, other: "SuperDerivation") -> None:
+        if self.ctx != other.ctx:
+            raise ContextError(
+                f"derivation on {self.ctx!r} combined with one on {other.ctx!r}"
+            )
+
     def _apply_into(self, out: dict, terms: dict, sign: int) -> dict:
         """Add sign * (this derivation applied to ``terms``) into ``out``."""
         lookup = self.ctx.lookup
@@ -526,8 +534,7 @@ class SuperDerivation:
         return out
 
     def __add__(self, other: "SuperDerivation"):
-        if self.ctx != other.ctx:
-            raise ContextError("derivation context mismatch")
+        self._check_ctx(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -573,8 +580,7 @@ class SuperDerivation:
 
     def bracket(self, other: "SuperDerivation") -> "SuperDerivation":
         """Supercommutator [X, Y] = XY - (-1)^(|X||Y|) YX as a derivation."""
-        if self.ctx != other.ctx:
-            raise ContextError("derivation context mismatch")
+        self._check_ctx(other)
         # the coefficient of d/dv is X(g_v) - (-1)^(|X||Y|) Y(f_v)
         sign = 1 if self.parity and other.parity else -1
         coeffs = {}

@@ -5,16 +5,23 @@ Dimensions come from the super Euler sequence
     0 -> O -> O(1) (x) C^(n+1|m) -> T -> 0,
 
 whose long exact sequence needs one nontrivial input: the kernel of the edge
-map H^n(O) -> H^n(O(1))^(n+1|m).  Serre duality realizes that edge map as the
-super gradient on super-symmetric powers of the dual coordinates, whose rank
-comes from sparse exact elimination of one column per source monomial.
+map H^n(O) -> H^n(O(1))^(n+1|m), which Serre duality realizes as the super
+gradient on Sym^d, d = m - n - 1, of the dual coordinates.  The super Euler
+field sum X_i d/dX_i + sum T_j d/dT_j acts as d on Sym^d (T_j d/dT_j T^S =
+T^S for j in S), so a source with vanishing partials has d f = 0: the kernel
+is the constants on the Calabi-Yau line m = n + 1 and 0 elsewhere.
+``super_gradient_rank`` eliminates it instead, as the independent route the
+golden table and the tests compare against; no engine path calls it.
 
-Independently, global fields on P^(1|m) are found by brute force: a
-polynomial ansatz on the U chart, pushed to the V chart, with all polar
-coefficients required to vanish.  The chart map sends z^d t^S to
-w^(-d-|S|) p^S with sign +1, so each ansatz field's polar part has a closed
-form and needs no pushforward.  The printed field basis is the
-tracked kernel of one elimination of those polar parts, already reduced.
+Global fields on P^(1|m) come from an ansatz on the U chart whose V-chart
+polar coefficients must vanish.  Give z and t_i weight 1; then w has weight
+-1, p_i 0, d/dz and d/dt_i -1 and d/dw +1.  The chart map z^d t^S ->
+w^(-d-|S|) p^S preserves weight, so a global field's weight components are
+global, and a field regular on V has weight <= 1: its U coefficients
+z^d t^S have d + |S| <= 2.  The ansatz is exactly those, with closed-form
+polar parts, and the printed basis is the tracked kernel of one elimination
+of them.  Its count per parity must equal h0(T) from the Euler sequence; any
+other count is an engine fault.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
-from .errors import DomainError, InstabilityError, InvariantError
+from .errors import DomainError, InvariantError
 from .linalg import SparseElim
 from .scalars import Scalar
 from .superpoly import (
@@ -105,22 +112,17 @@ def euler_tangent_dims(n: int, m: int) -> TangentReport:
     d1 = cohomology_dims(n, m, 1)
     h0_mid = (n + 1) * d1[0] + m * d1[0].swap()
     hn_mid = (n + 1) * d1[n] + m * d1[n].swap()
-    if n <= 2:
-        kernel = super_gradient_rank(n, m)["kernel_dim"]
-        if m % 2:
-            # H^n(O) pairs against an odd-twisted dual space
-            kernel = kernel.swap()
+    # the Euler identity's kernel; H^n(O) pairs against an odd-twisted dual
+    # space, so for odd m the constants count as odd
+    kernel = DimPair(1 - m % 2, m % 2) if m == n + 1 else DimPair(0, 0)
     if n == 1:
         h0 = h0_mid - d0[0] + kernel
         h1 = hn_mid - (d0[1] - kernel)
-    elif n == 2:
-        h0 = h0_mid - d0[0]
-        h1 = kernel
     else:
-        # H^1(T) lies between H^1(O(1))^(n+1|m) = 0 and H^2(O) = 0, so
-        # neither dimension reads the kernel
+        # for n >= 3, H^1(T) lies between H^1(O(1))^(n+1|m) = 0 and
+        # H^2(O) = 0, so it does not read the kernel, which sits in H^n(O)
         h0 = h0_mid - d0[0]
-        h1 = DimPair(0, 0)
+        h1 = kernel if n == 2 else DimPair(0, 0)
     sl = sl_dimension(n, m)
     return TangentReport(
         n=n,
@@ -146,44 +148,40 @@ class GlobalFieldBasis:
         return self.even_fields + self.odd_fields
 
 
-def _ansatz(m: int, bound_z: int, bound_t: int) -> list:
+def _ansatz(m: int) -> list:
     """Ansatz fields on the U chart of P^(1|m), each with its V-chart polar part.
 
-    The fields are z^d t^S d/dz (d <= bound_z) and z^d t^S d/dt_i
-    (d <= bound_t), each named by its ``SuperDerivation.vectorize`` key
-    ``(v, (d,), S)``.  Since z^d t^S = w^(-d-|S|) p^S with sign +1, the
-    pushforwards are
+    The fields are z^d t^S d/dz and z^d t^S d/dt_i with d + |S| <= 2 (the
+    weight bound), each named by its ``vectorize`` key ``(v, (d,), S)``.
+    Since z^d t^S = w^(-d-|S|) p^S with sign +1, the pushforwards are
 
         z^d t^S d/dz    = -w^(2-d-|S|) p^S d/dw
                           - sum_(i not in S) sign(S, i) w^(1-d-|S|) p^(S+i) d/dp_i,
         z^d t^S d/dt_i  =  w^(1-d-|S|) p^S d/dp_i,
 
-    and the polar part keeps the terms with a negative w exponent, keyed as
-    ``vectorize`` keys them.  Its entries are ``int`` 1 or -1, so the
-    elimination of the polar parts is fraction free.  Returns (key, polar)
-    pairs.
+    so under the bound only the w^-1 terms of d + |S| = 2 are polar.  The
+    polar part is keyed as ``vectorize`` keys it, with ``int`` entries 1 or
+    -1 (a fraction-free elimination).  Returns (key, polar) pairs.
     """
     out = []
-    for mask in range(1 << m):
-        size = bin(mask).count("1")
-        for deg in range(bound_z + 1):
-            e = 1 - deg - size
-            polar = {("w", (e + 1,), mask): -1} if e + 1 < 0 else {}
-            if e < 0:
-                for i in range(m):
-                    bit = 1 << i
-                    if not mask & bit:
-                        polar[(f"p{i + 1}", (e,), mask | bit)] = -koszul_sign(mask, bit)
-            out.append((("z", (deg,), mask), polar))
-        for i in range(1, m + 1):
-            for deg in range(bound_t + 1):
-                e = 1 - deg - size
-                polar = {(f"p{i}", (e,), mask): 1} if e < 0 else {}
-                out.append(((f"t{i}", (deg,), mask), polar))
+    for size in range(3):
+        for bits in combinations(range(m), size):
+            mask = sum(1 << b for b in bits)
+            for deg in range(3 - size):
+                pole = deg + size == 2
+                polar = {
+                    (f"p{i + 1}", (-1,), mask | 1 << i): -koszul_sign(mask, 1 << i)
+                    for i in range(m)
+                    if pole and not mask >> i & 1
+                }
+                out.append((("z", (deg,), mask), polar))
+                for i in range(1, m + 1):
+                    polar = {(f"p{i}", (-1,), mask): 1} if pole else {}
+                    out.append(((f"t{i}", (deg,), mask), polar))
     return out
 
 
-def _solve_global_fields(m: int, bound_z: int, bound_t: int) -> list:
+def _solve_global_fields(m: int) -> list:
     """The pole-free fields as rows ``{key: coeff}`` over the ansatz keys, in
     reduced echelon form: ascending by smallest key, each lead 1 and absent
     from every other row.
@@ -196,7 +194,7 @@ def _solve_global_fields(m: int, bound_z: int, bound_t: int) -> list:
     one ``linalg.echelon_basis`` would return.
     """
     elim = SparseElim(track=True)
-    for key, polar in sorted(_ansatz(m, bound_z, bound_t), reverse=True):
+    for key, polar in sorted(_ansatz(m), reverse=True):
         elim.add(polar, tag_key=key)
     return elim.kernel[::-1]
 
@@ -219,34 +217,26 @@ def _rows_to_fields(rows, ctx) -> list:
 def global_tangent_fields(m: int) -> GlobalFieldBasis:
     """All global vector fields on P^(1|m) by the pole-freeness ansatz.
 
-    The ansatz takes d/dz coefficients up to z-degree 2 + m and d/dt_i ones
-    up to 1 + m.  The fields found at that bound are independent global
-    fields, so per parity their count is at most h0 of the tangent sheaf,
-    which the super Euler sequence gives independently (closed forms plus
-    the super gradient).  An equal count certifies the basis; a larger one
-    is an engine fault, a smaller one a bound too low.
+    By the weight bound of the module docstring the ansatz holds every
+    global field, so the fields found are a basis of H^0(T).  The super
+    Euler sequence gives h0(T) independently, from closed forms and the
+    Euler identity; a count that differs in either parity is an engine
+    fault and raises ``InvariantError``.
     """
     if m < 0:
         raise DomainError("need m >= 0")
     if m > 4:
         raise DomainError("global field solver covers m <= 4")
-    bound = 2 + m
     ctx = p1m_transition(m).ctx_a
-    basis = _rows_to_fields(_solve_global_fields(m, bound, bound - 1), ctx)
+    basis = _rows_to_fields(_solve_global_fields(m), ctx)
     even = [f for f in basis if f.parity == 0]
     odd = [f for f in basis if f.parity == 1]
     result = GlobalFieldBasis(even_fields=even, odd_fields=odd)
     want = euler_tangent_dims(1, m).h0
-    got = result.dims
-    if got.even > want.even or got.odd > want.odd:
+    if result.dims != want:
         raise InvariantError(
-            f"{got} global fields on P^(1|{m}), but the super Euler "
+            f"{result.dims} global fields on P^(1|{m}), but the super Euler "
             f"sequence gives h0(T) = {want}"
-        )
-    if got != want:
-        raise InstabilityError(
-            f"{got} global fields at degree bound {bound}, below h0(T) = {want}",
-            suggested=bound + 1,
         )
     return result
 

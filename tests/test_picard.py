@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from superproj import picard
@@ -104,6 +106,16 @@ def test_pi_picard_split_criterion():
 def test_odd_sector_cross_check():
     for m in range(4):
         assert odd_sector_h1_cech(m) == odd_sector_h1_formula(m)
+
+
+def test_verify_reads_the_odd_sector(monkeypatch, capsys):
+    # the Cech run's odd h1 is checked against the odd-sector formula; at
+    # m = 2 pi_picard does not cross-check it, so only --verify can fail
+    real = picard.odd_sector_h1_formula
+    monkeypatch.setattr(picard, "odd_sector_h1_formula", lambda m: real(m) + 1)
+    assert not verify_picard_dim_cech(2)
+    assert main(["picard", "--n", "1", "--m", "2", "--verify", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verify"] == "fail"
 
 
 def test_picard_report_json():

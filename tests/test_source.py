@@ -118,3 +118,23 @@ def test_selftest_output_is_the_same_under_python_O():
     ]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout and runs[1].stdout == runs[0].stdout
+
+
+def test_euler_route_names_no_gradient():
+    # euler_tangent_dims takes the edge map's kernel from the Euler identity;
+    # super_gradient_rank is the independent route the golden table and the
+    # tests compare it with, so the engine route must not read it
+    path = Path(superproj.__file__).parent / "tangent.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (route,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "euler_tangent_dims"
+    ]
+    found = [
+        node.lineno
+        for node in ast.walk(route)
+        if (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+        == "super_gradient_rank"
+    ]
+    assert found == []

@@ -259,14 +259,24 @@ def test_derivation_calculus_matches_composed_reference():
 
 
 def test_apply_checks_the_context():
+    # apply, __init__, __add__ and bracket each name both contexts
     ctx_a, ctx_b = p1m_transition(2).ctx_a, p1m_transition(2).ctx_b
+    on_b = SuperDerivation(ctx_b, 0, {"w": ctx_b.var("w")})
     for field in (
         SuperDerivation(ctx_a, 0, {}),
         SuperDerivation(ctx_a, 0, {"z": ctx_a.var("z")}),
     ):
-        with pytest.raises(ContextError) as err:
-            field.apply(ctx_b.var("w"))
-        assert repr(ctx_a) in str(err.value) and repr(ctx_b) in str(err.value)
+        for act in (
+            lambda: field.apply(ctx_b.var("w")),
+            lambda: field + on_b,
+            lambda: field.bracket(on_b),
+        ):
+            with pytest.raises(ContextError) as err:
+                act()
+            assert repr(ctx_a) in str(err.value) and repr(ctx_b) in str(err.value)
+    with pytest.raises(ContextError) as err:
+        SuperDerivation(ctx_a, 0, {"z": ctx_b.var("w")})
+    assert repr(ctx_a) in str(err.value) and repr(ctx_b) in str(err.value)
 
 
 def test_derivation_parity_validation(ctx):

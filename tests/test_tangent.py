@@ -6,13 +6,14 @@ import pytest
 from substitution_reference import pushforward
 from superproj import tangent
 from superproj.cli import main
-from superproj.cohomology import DimPair
-from superproj.errors import DomainError, InstabilityError, InvariantError
+from superproj.cohomology import DimPair, cohomology_dims
+from superproj.errors import DomainError, InvariantError
 from superproj.golden import run_golden
 from superproj.linalg import SparseElim, bareiss_rank, echelon_basis, spans_equal
 from superproj.superlie import v_xi_basis
 from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
 from superproj.tangent import (
+    TangentReport,
     _ansatz,
     _compositions,
     _rows_to_fields,
@@ -101,6 +102,40 @@ def test_gradient_rejects_bad_dimensions(n, m):
         super_gradient_rank(n, m)
 
 
+def _gradient_euler_dims(n, m):
+    """``euler_tangent_dims`` as assembled before the Euler identity: the
+    kernel of the edge map read off ``super_gradient_rank`` for n <= 2."""
+    d0 = cohomology_dims(n, m, 0)
+    d1 = cohomology_dims(n, m, 1)
+    h0_mid = (n + 1) * d1[0] + m * d1[0].swap()
+    hn_mid = (n + 1) * d1[n] + m * d1[n].swap()
+    if n <= 2:
+        kernel = super_gradient_rank(n, m)["kernel_dim"]
+        if m % 2:
+            kernel = kernel.swap()
+    if n == 1:
+        h0 = h0_mid - d0[0] + kernel
+        h1 = hn_mid - (d0[1] - kernel)
+    elif n == 2:
+        h0 = h0_mid - d0[0]
+        h1 = kernel
+    else:
+        h0 = h0_mid - d0[0]
+        h1 = DimPair(0, 0)
+    sl = sl_dimension(n, m)
+    return TangentReport(
+        n=n, m=m, h0=h0, h1=h1, rigid=h1 == DimPair(0, 0), sl_dim=sl,
+        exceptional=h0 != sl,
+    )
+
+
+def test_euler_identity_matches_the_gradient_route():
+    # the kernel from the Euler identity against the eliminated one
+    for n in range(1, 5):
+        for m in range(11):
+            assert euler_tangent_dims(n, m) == _gradient_euler_dims(n, m), (n, m)
+
+
 def test_h0_law_away_from_exception():
     for n in range(1, 4):
         for m in range(5):
@@ -161,35 +196,30 @@ def test_global_fields_euler_invariant(monkeypatch):
         global_tangent_fields(1)
 
 
-def test_global_fields_too_few_is_instability(monkeypatch):
-    # fewer fields than h0(T): the degree bound 2 + m is too low
+def test_global_fields_too_few_is_an_invariant_fault(monkeypatch):
+    # fewer fields than h0(T): the weight bound is proven, so the ansatz
+    # holds every global field and a short count is an engine fault too
     _skew_h0(monkeypatch, 1)
-    with pytest.raises(InstabilityError, match="h0\\(T\\)") as info:
+    with pytest.raises(InvariantError, match="h0\\(T\\)"):
         global_tangent_fields(1)
-    assert info.value.suggested == 4
 
 
-def test_basis_instability_exits_3_without_a_window_hint(monkeypatch, capsys):
-    # tangent has no --window to retry with
+def test_basis_count_mismatch_exits_1(monkeypatch, capsys):
     _skew_h0(monkeypatch, 1)
-    assert main(["tangent", "--n", "1", "--m", "2", "--basis"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("instability:") and "--window" not in err
+    assert main(["tangent", "--n", "1", "--m", "2", "--basis"]) == 1
+    assert capsys.readouterr().err.startswith("invariant violated:")
 
 
-def test_euler_route_reads_the_gradient_only_for_n_at_most_2(monkeypatch):
-    # for n >= 3 neither h0 nor h1 of T reads the super gradient's kernel
-    real = tangent.super_gradient_rank
-
+def test_euler_route_never_reads_the_gradient(monkeypatch):
+    # the kernel comes from the Euler identity for every n
     def gradient(n, m):
-        if n >= 3:
-            raise AssertionError(f"super gradient read at n = {n}")
-        return real(n, m)
+        raise AssertionError(f"super gradient read at n = {n}, m = {m}")
 
     monkeypatch.setattr(tangent, "super_gradient_rank", gradient)
-    assert euler_tangent_dims(3, 4).h0 == DimPair(31, 32)
-    assert euler_tangent_dims(4, 5).rigid
+    grid = {(n, m): euler_tangent_dims(n, m) for n in range(1, 4) for m in range(7)}
     assert run_golden(suite={"tangent-dims"})["all_passed"]
+    monkeypatch.undo()
+    assert grid == {key: _gradient_euler_dims(*key) for key in grid}
 
 
 def test_global_fields_solve_once(monkeypatch):
@@ -202,7 +232,7 @@ def test_global_fields_solve_once(monkeypatch):
 
     monkeypatch.setattr(tangent, "_solve_global_fields", solve)
     assert global_tangent_fields(2).dims == DimPair(8, 8)
-    assert calls == [(2, 4, 3)]
+    assert calls == [(2,)]
 
 
 def test_global_fields_bounds():
@@ -254,15 +284,19 @@ def _reference_polars(m, bound_z, bound_t):
     """Polar parts of the ansatz fields through the general pushforward of
     ``tests/substitution_reference.py``."""
     ctx_b = p1m_transition(m).ctx_b
-    return [
-        {key: c for key, c in pushforward(field, ctx_b).vectorize().items() if key[1][0] < 0}
-        for field in _reference_ansatz(m, bound_z, bound_t)
-    ]
+    return [_reference_polar(field, ctx_b) for field in _reference_ansatz(m, bound_z, bound_t)]
+
+
+def _reference_polar(field, ctx_b):
+    pushed = pushforward(field, ctx_b).vectorize()
+    return {key: c for key, c in pushed.items() if key[1][0] < 0}
 
 
 def _reference_fields(m):
     """``global_tangent_fields(m)`` through the general pushforward, sums of
-    ansatz fields and ``linalg.echelon_basis``."""
+    ansatz fields and ``linalg.echelon_basis``, at the heuristic degree
+    bounds 2 + m for d/dz and 1 + m for d/dt_i that predate the weight
+    bound."""
     bound = 2 + m
     ctx = p1m_transition(m).ctx_a
     ansatz = _reference_ansatz(m, bound, bound - 1)
@@ -281,30 +315,42 @@ def _reference_fields(m):
 
 
 def test_polar_parts_match_pushforward():
-    # each key's polar part against the general pushforward of that key's field
+    # the ansatz is every z^d t^S d/dv with d + |S| <= 2, and each key's
+    # polar part is the general pushforward's polar part of that key's field
     for m in range(5):
-        for bound in (2 + m, 3 + m):
-            pairs = _ansatz(m, bound, bound - 1)
-            fields = _reference_ansatz(m, bound, bound - 1)
-            assert [key for key, _ in pairs] == [
-                next(iter(f.vectorize())) for f in fields
-            ]
-            ref = _reference_polars(m, bound, bound - 1)
-            for (key, polar), want in zip(pairs, ref):
-                assert polar == want, (m, bound, key)
+        ctx_b = p1m_transition(m).ctx_b
+        want = {}
+        for field in _reference_ansatz(m, 2, 2):
+            key = next(iter(field.vectorize()))
+            if key[1][0] + bin(key[2]).count("1") <= 2:
+                want[key] = _reference_polar(field, ctx_b)
+        pairs = _ansatz(m)
+        assert len(pairs) == len(want), m  # no key listed twice
+        assert dict(pairs) == want, m
 
 
 def test_solved_rows_are_the_reduced_echelon_basis():
     # the tracked kernel, reversed, is the basis echelon_basis would print
-    for m in range(5):
-        for bound in range(2 + m, 5 + m):
-            rows = _solve_global_fields(m, bound, bound - 1)
-            assert rows == echelon_basis(rows), (m, bound)
+    for m in range(7):
+        rows = _solve_global_fields(m)
+        assert rows == echelon_basis(rows), m
+
+
+def test_solved_field_counts_are_the_euler_h0():
+    # the weight-bounded ansatz finds h0(T) fields in each parity beyond the
+    # m <= 4 the solver serves
+    for m in range(11):
+        parities = [
+            mask_parity(mask) ^ (name != "z")
+            for name, _, mask in (min(row) for row in _solve_global_fields(m))
+        ]
+        got = DimPair(parities.count(0), parities.count(1))
+        assert got == euler_tangent_dims(1, m).h0, m
 
 
 def test_global_fields_one_elimination(monkeypatch):
-    # one add per ansatz column, beside the adds of the Euler route's own
-    # super gradient; no echelon pass adds the rows again
+    # one add per ansatz column; the Euler route eliminates nothing, and no
+    # echelon pass adds the rows again
     adds = []
     real_add = SparseElim.add
 
@@ -316,10 +362,9 @@ def test_global_fields_one_elimination(monkeypatch):
     for m in range(5):
         adds.clear()
         euler_tangent_dims(1, m)
-        euler_adds = len(adds)
-        adds.clear()
+        assert adds == [], m
         global_tangent_fields(m)
-        assert len(adds) == len(_ansatz(m, 2 + m, 1 + m)) + euler_adds, m
+        assert len(adds) == len(_ansatz(m)), m
 
 
 def test_global_fields_match_pushforward_solver():
