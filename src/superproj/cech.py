@@ -101,12 +101,8 @@ class TransitionSheaf:
         self.W = W
         [(exps, _)] = body
         self.body_exponent = exps[0]
-
-    @property
-    def depth(self) -> int:
-        """Largest |Laurent exponent| appearing in W."""
-        lo, hi = self.W.even_exponent_range("w")
-        return max(abs(lo), abs(hi))
+        # the largest |Laurent exponent| appearing in W
+        self.depth = max(abs(exps[0]) for exps, _ in W.terms)
 
     def __repr__(self):
         return f"TransitionSheaf(m={self.m}, W={self.W})"
@@ -167,12 +163,8 @@ class CohomologyResult:
         low = (1 << m) - 1
         # a term with nonnegative exponent is a q unit column: its class is 0
         vec = {-(((e + off) << m) | s) - 1: c for (e, s), c in vec.items() if e < 0}
-        # a rational cocycle reduces as ints scaled by the lcm of its
-        # denominators, and only the class is lifted back to Scalar
-        scale = 1
-        if all(c.is_rational() for c in vec.values()):
-            scale = lcm(*(c.d for c in vec.values()))
-            vec = {k: c.n[0] * (scale // c.d) for k, c in vec.items()}
+        # a rational cocycle reduces on int, and only its class is lifted back
+        scale, vec = _int_scaled(vec)
         out = {}
         for k, c in self._coboundaries.reduce(vec).items():
             k = -k - 1
@@ -184,6 +176,15 @@ class CohomologyResult:
         given = [self.h1_class(c) for c in cocycles]
         computed = [self.h1_class(g) for g in self.generators_h1]
         return spans_equal(given, computed)
+
+
+def _int_scaled(terms: dict):
+    """A rational term dict as (L, L * terms on int), L the lcm of its
+    denominators; any other as (1, terms)."""
+    if not all(c.is_rational() for c in terms.values()):
+        return 1, terms
+    scale = lcm(*(c.d for c in terms.values()))
+    return scale, {k: c.n[0] * (scale // c.d) for k, c in terms.items()}
 
 
 def _mask_components(m: int, term_mask_set):
@@ -217,11 +218,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
     B = D - sheaf.depth
     band = range(-B, B + 1)  # in-window C1 exponents
     # a rational W runs scaled by the lcm of its denominators, on int
-    scale = 1
-    w_terms = [(exps[0], mask, c) for (exps, mask), c in sheaf.W.terms.items()]
-    if all(c.is_rational() for _, _, c in w_terms):
-        scale = lcm(*(c.d for _, _, c in w_terms))
-        w_terms = [(e, mask, c.n[0] * (scale // c.d)) for e, mask, c in w_terms]
+    scale, terms = _int_scaled(sheaf.W.terms)
+    w_terms = [(exps[0], mask, c) for (exps, mask), c in terms.items()]
     components = _mask_components(m, {mask for _, mask, _ in w_terms})
     k = sheaf.body_exponent
 

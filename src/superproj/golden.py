@@ -9,11 +9,34 @@ span, never by string equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from math import comb
 
+from .cech import TransitionSheaf, cech_cohomology, oracle_check_line
+from .characteristic import characteristic_report, topological_twist
+from .cohomology import DimPair, chi_closed, cohomology_dims, zeta_closed
 from .errors import SuperprojError
+from .linalg import spans_equal
+from .parser import parse_in_context, parse_superpoly
+from .picard import continuous_dim_formula, pi_picard, verify_picard_dim_cech
+from .superlie import (
+    ansatz_context,
+    check_srs_pair,
+    integrability_conditions,
+    standard_fields,
+    structure_constants,
+    v_xi_basis,
+    verify_osp22,
+)
+from .superpoly import SuperDerivation
+from .tangent import (
+    bosonization_check,
+    euler_tangent_dims,
+    global_tangent_fields,
+    sl_dimension,
+    super_gradient_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -42,9 +65,6 @@ def load_records() -> list:
 # -- checkers, one per record id --------------------------------------------
 
 def _check_oracle_grid(rec):
-    from .cech import oracle_check_line
-    from .cohomology import chi_closed, cohomology_dims, zeta_closed
-
     bad = []
     for m in range(rec.inputs["m_max"] + 1):
         for ell in range(rec.inputs["ell_min"], rec.inputs["ell_max"] + 1):
@@ -63,8 +83,6 @@ def _check_oracle_grid(rec):
 
 
 def _check_hn_minus_one(rec):
-    from .cohomology import cohomology_dims
-
     bad = []
     for n in range(1, rec.inputs["n_max"] + 1):
         for m in range(n, rec.inputs["m_max"] + 1):
@@ -76,17 +94,12 @@ def _check_hn_minus_one(rec):
 
 
 def _check_picard_dims(rec):
-    from .picard import continuous_dim_formula, verify_picard_dim_cech
-
     dims = [continuous_dim_formula(1, m) for m in rec.inputs["m_values"]]
     cech_ok = all(verify_picard_dim_cech(m) for m in rec.inputs["m_values"])
     return {"dims": dims, "cech_route": cech_ok}
 
 
 def _check_cech_p13(rec):
-    from .cech import TransitionSheaf, cech_cohomology
-    from .parser import parse_superpoly
-
     W, _ = parse_superpoly(rec.inputs["transition"], m=rec.inputs["m"])
     result = cech_cohomology(TransitionSheaf(rec.inputs["m"], W))
     cocycles = [
@@ -109,8 +122,6 @@ def _check_cech_p13(rec):
 
 
 def _check_pi_picard(rec):
-    from .picard import pi_picard
-
     split = []
     for n in range(1, rec.inputs["n_max"] + 1):
         for m in range(rec.inputs.get("m_min", 0), rec.inputs["m_max"] + 1):
@@ -124,9 +135,6 @@ def _check_pi_picard(rec):
 
 
 def _check_tangent_dims(rec):
-    from .cohomology import DimPair
-    from .tangent import euler_tangent_dims, sl_dimension
-
     bad = []
     for n in range(1, 4):
         for m in range(5):
@@ -150,10 +158,6 @@ def _check_tangent_dims(rec):
 
 
 def _check_global_fields(rec):
-    from .linalg import spans_equal
-    from .superlie import structure_constants, v_xi_basis
-    from .tangent import bosonization_check, global_tangent_fields
-
     basis = global_tangent_fields(2)
     count = basis.dims.total
     named = v_xi_basis()
@@ -175,9 +179,6 @@ def _check_global_fields(rec):
 
 
 def _check_super_gradient(rec):
-    from .cohomology import DimPair
-    from .tangent import super_gradient_rank
-
     bad = []
     for n in range(1, rec.inputs["n_max"] + 1):
         for m in range(rec.inputs["m_max"] + 1):
@@ -189,8 +190,6 @@ def _check_super_gradient(rec):
 
 
 def _check_osp22(rec):
-    from .superlie import verify_osp22
-
     report = verify_osp22()
     return {
         "all_passed": report.all_passed,
@@ -200,15 +199,6 @@ def _check_osp22(rec):
 
 
 def _check_integrability(rec):
-    from .linalg import spans_equal
-    from .parser import parse_in_context
-    from .superlie import (
-        ansatz_context,
-        check_srs_pair,
-        integrability_conditions,
-        standard_fields,
-    )
-
     conditions = integrability_conditions()
     rendered = {str(c) for c in conditions}
     missing = []
@@ -222,8 +212,6 @@ def _check_integrability(rec):
     d2 = f["Xi1"] + f["Xi7"]
     srs = check_srs_pair(d1, d2)
     ctx = d1.ctx
-    from .superpoly import SuperDerivation
-
     expected_anti = SuperDerivation(ctx, 0, {"z": ctx.one() * 2})
     return {
         "contains_conditions": not missing,
@@ -236,8 +224,6 @@ def _check_integrability(rec):
 
 
 def _check_characteristic(rec):
-    from .characteristic import characteristic_report, topological_twist
-
     bad = []
     for n in range(1, rec.inputs["n_max"] + 1):
         for m in range(rec.inputs["m_max"] + 1):
@@ -254,6 +240,7 @@ def _check_characteristic(rec):
 
 
 def _check_exp_log(rec):
+    # properties loads only when its records run, not on import superproj
     from .properties import exp_log_round_trips
 
     rep = exp_log_round_trips(
@@ -319,10 +306,7 @@ def run_golden(suite=None, cases_override: int = None,
         if seed_override is not None and "seed" in rec.inputs:
             overrides["seed"] = seed_override
         if overrides:
-            rec = GoldenRecord(
-                rec.id, rec.anchor, {**rec.inputs, **overrides},
-                rec.expected, rec.provenance,
-            )
+            rec = replace(rec, inputs={**rec.inputs, **overrides})
         actual = CHECKERS[rec.id](rec)
         ok = _compare(rec.expected, actual)
         report["results"].append(

@@ -1,8 +1,9 @@
 """Randomized algebraic law suites, seed-reproducible.
 
-Each suite draws its cases from a ``random.Random`` seeded by the caller and
-returns a report dict; suites are independent and runnable standalone.  The
-default volume is 1000 cases per suite.
+Each suite is a one-case law: one loop draws its cases from a
+``random.Random`` seeded by the caller, counts the failed ones and returns a
+report dict.  Suites are independent and runnable standalone.  The default
+volume is 1000 cases per suite.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _random_scalar(rng: random.Random) -> Scalar:
 
 
 def random_poly(rng: random.Random, ctx: Context, parity=None,
-                min_exp: int = 0, max_exp: int = 2, max_terms: int = 3):
+                max_exp: int = 2, max_terms: int = 3):
     """A random superpolynomial, homogeneous when parity is given."""
     m = len(ctx.odd)
     terms = {}
@@ -38,7 +39,7 @@ def random_poly(rng: random.Random, ctx: Context, parity=None,
         mask = rng.randrange(1 << m)
         if parity is not None and mask_parity(mask) != parity:
             continue
-        exps = tuple(rng.randint(min_exp, max_exp) for _ in ctx.even)
+        exps = tuple(rng.randint(0, max_exp) for _ in ctx.even)
         c = _random_scalar(rng)
         if c.is_zero():
             continue
@@ -48,14 +49,14 @@ def random_poly(rng: random.Random, ctx: Context, parity=None,
 
 
 def random_derivation(rng: random.Random, ctx: Context, parity: int,
-                      min_exp: int = 0, max_exp: int = 2) -> SuperDerivation:
+                      max_exp: int = 2) -> SuperDerivation:
     coeffs = {}
     for name in ctx.even:
         if rng.random() < 0.7:
-            coeffs[name] = random_poly(rng, ctx, parity, min_exp, max_exp, 2)
+            coeffs[name] = random_poly(rng, ctx, parity, max_exp, 2)
     for name in ctx.odd:
         if rng.random() < 0.7:
-            coeffs[name] = random_poly(rng, ctx, parity ^ 1, min_exp, max_exp, 2)
+            coeffs[name] = random_poly(rng, ctx, parity ^ 1, max_exp, 2)
     return SuperDerivation(ctx, parity, coeffs)
 
 
@@ -63,68 +64,72 @@ def _sign(p: int, q: int) -> int:
     return -1 if p & q & 1 else 1
 
 
-def _contexts():
-    return [
-        Context(("z",), ("t1", "t2")),
-        Context(("z",), ("t1", "t2", "t3")),
-        Context(("x", "y"), ("t1", "t2")),
-    ]
+_CONTEXTS = (
+    Context(("z",), ("t1", "t2")),
+    Context(("z",), ("t1", "t2", "t3")),
+    Context(("x", "y"), ("t1", "t2")),
+)
 
 
-def suite_sign_laws(seed: int, cases: int = DEFAULT_CASES) -> dict:
+def _count_failures(name: str, law, seed: int, cases: int) -> dict:
+    """The report of ``cases`` cases of a one-case law.
+
+    The law draws one case from ``random.Random(seed)``, shared by all the
+    cases, and returns whether it holds.
+    """
+    rng = random.Random(seed)
+    failures = sum(not law(rng) for _ in range(cases))
+    return {"suite": name, "cases": cases, "failures": failures}
+
+
+def _law_suite(law):
+    """The suite ``(seed, cases) -> report`` of a one-case law."""
+    name = law.__name__.removeprefix("suite_")
+
+    def suite(seed: int, cases: int = DEFAULT_CASES) -> dict:
+        return _count_failures(name, law, seed, cases)
+    suite.__name__ = suite.__qualname__ = law.__name__
+    suite.__doc__ = law.__doc__
+    return suite
+
+
+@_law_suite
+def suite_sign_laws(rng: random.Random) -> bool:
     """Supercommutativity and associativity of the graded product."""
-    rng = random.Random(seed)
-    ctxs = _contexts()
-    failures = 0
-    for _ in range(cases):
-        ctx = rng.choice(ctxs)
-        pa, pb = rng.randrange(2), rng.randrange(2)
-        a = random_poly(rng, ctx, pa)
-        b = random_poly(rng, ctx, pb)
-        c = random_poly(rng, ctx, rng.randrange(2), max_terms=2)
-        if a * b != (b * a) * Scalar(_sign(pa, pb)):
-            failures += 1
-        elif (a * b) * c != a * (b * c):
-            failures += 1
-    return {"suite": "sign_laws", "cases": cases, "failures": failures}
+    ctx = rng.choice(_CONTEXTS)
+    pa, pb = rng.randrange(2), rng.randrange(2)
+    a = random_poly(rng, ctx, pa)
+    b = random_poly(rng, ctx, pb)
+    c = random_poly(rng, ctx, rng.randrange(2), max_terms=2)
+    return a * b == (b * a) * Scalar(_sign(pa, pb)) and (a * b) * c == a * (b * c)
 
 
-def suite_jacobi(seed: int, cases: int = DEFAULT_CASES) -> dict:
+@_law_suite
+def suite_jacobi(rng: random.Random) -> bool:
     """Graded Jacobi identity for derivation brackets."""
-    rng = random.Random(seed)
-    ctxs = _contexts()
-    failures = 0
-    for _ in range(cases):
-        ctx = rng.choice(ctxs)
-        px, py, pz = (rng.randrange(2) for _ in range(3))
-        x = random_derivation(rng, ctx, px, max_exp=1)
-        y = random_derivation(rng, ctx, py, max_exp=1)
-        z = random_derivation(rng, ctx, pz, max_exp=1)
-        lhs = x.bracket(y.bracket(z))
-        rhs = x.bracket(y).bracket(z) + y.bracket(x.bracket(z)) * Scalar(
-            _sign(px, py)
-        )
-        if lhs != rhs:
-            failures += 1
-    return {"suite": "jacobi", "cases": cases, "failures": failures}
+    ctx = rng.choice(_CONTEXTS)
+    px, py, pz = (rng.randrange(2) for _ in range(3))
+    x = random_derivation(rng, ctx, px, max_exp=1)
+    y = random_derivation(rng, ctx, py, max_exp=1)
+    z = random_derivation(rng, ctx, pz, max_exp=1)
+    lhs = x.bracket(y.bracket(z))
+    rhs = x.bracket(y).bracket(z) + y.bracket(x.bracket(z)) * Scalar(
+        _sign(px, py)
+    )
+    return lhs == rhs
 
 
-def suite_leibniz(seed: int, cases: int = DEFAULT_CASES) -> dict:
+@_law_suite
+def suite_leibniz(rng: random.Random) -> bool:
     """Graded Leibniz rule for derivations on products."""
-    rng = random.Random(seed)
-    ctxs = _contexts()
-    failures = 0
-    for _ in range(cases):
-        ctx = rng.choice(ctxs)
-        pd, pa = rng.randrange(2), rng.randrange(2)
-        d = random_derivation(rng, ctx, pd)
-        a = random_poly(rng, ctx, pa)
-        b = random_poly(rng, ctx)
-        lhs = d.apply(a * b)
-        rhs = d.apply(a) * b + a * d.apply(b) * Scalar(_sign(pd, pa))
-        if lhs != rhs:
-            failures += 1
-    return {"suite": "leibniz", "cases": cases, "failures": failures}
+    ctx = rng.choice(_CONTEXTS)
+    pd, pa = rng.randrange(2), rng.randrange(2)
+    d = random_derivation(rng, ctx, pd)
+    a = random_poly(rng, ctx, pa)
+    b = random_poly(rng, ctx)
+    lhs = d.apply(a * b)
+    rhs = d.apply(a) * b + a * d.apply(b) * Scalar(_sign(pd, pa))
+    return lhs == rhs
 
 
 def _random_unit(rng: random.Random, ctx, depth: int,
@@ -150,41 +155,33 @@ def _random_unit(rng: random.Random, ctx, depth: int,
     return w * (ctx.one() + nil)
 
 
-def suite_stabilization(seed: int, cases: int = DEFAULT_CASES) -> dict:
+@_law_suite
+def suite_stabilization(rng: random.Random) -> bool:
     """Cech dims agree between the stabilized window and a larger one."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        m = rng.choice([2, 2, 3])
-        ctx = standard_transition(m).ctx_b
-        sheaf = TransitionSheaf(m, _random_unit(rng, ctx, 2))
-        res = cech_cohomology(sheaf, want_generators=False)
-        bigger = cech_cohomology(
-            sheaf, CechWindow(res.window_used.D + 2), want_generators=False
-        )
-        if not res.stabilized or (res.h0, res.h1) != (bigger.h0, bigger.h1):
-            failures += 1
-    return {"suite": "stabilization", "cases": cases, "failures": failures}
+    m = rng.choice([2, 2, 3])
+    ctx = standard_transition(m).ctx_b
+    sheaf = TransitionSheaf(m, _random_unit(rng, ctx, 2))
+    res = cech_cohomology(sheaf, want_generators=False)
+    bigger = cech_cohomology(
+        sheaf, CechWindow(res.window_used.D + 2), want_generators=False
+    )
+    return res.stabilized and (res.h0, res.h1) == (bigger.h0, bigger.h1)
 
 
-def suite_iso_invariance(seed: int, cases: int = DEFAULT_CASES) -> dict:
+@_law_suite
+def suite_iso_invariance(rng: random.Random) -> bool:
     """Cech dims are invariant under coboundary twists of the transition."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        m = rng.choice([2, 2, 3])
-        tr = standard_transition(m)
-        sheaf = TransitionSheaf(m, _random_unit(rng, tr.ctx_b, 1))
-        p_unit = _random_unit(rng, tr.ctx_a, 2, body_range=(0, 0), nil_range=(0, 2))
-        q_unit = _random_unit(rng, tr.ctx_b, 2, body_range=(0, 0), nil_range=(0, 2))
-        twisted = TransitionSheaf(
-            m, q_unit * sheaf.W * tr.to_b(p_unit).inverse()
-        )
-        a = cech_cohomology(sheaf, want_generators=False)
-        b = cech_cohomology(twisted, want_generators=False)
-        if (a.h0, a.h1) != (b.h0, b.h1):
-            failures += 1
-    return {"suite": "iso_invariance", "cases": cases, "failures": failures}
+    m = rng.choice([2, 2, 3])
+    tr = standard_transition(m)
+    sheaf = TransitionSheaf(m, _random_unit(rng, tr.ctx_b, 1))
+    p_unit = _random_unit(rng, tr.ctx_a, 2, body_range=(0, 0), nil_range=(0, 2))
+    q_unit = _random_unit(rng, tr.ctx_b, 2, body_range=(0, 0), nil_range=(0, 2))
+    twisted = TransitionSheaf(
+        m, q_unit * sheaf.W * tr.to_b(p_unit).inverse()
+    )
+    a = cech_cohomology(sheaf, want_generators=False)
+    b = cech_cohomology(twisted, want_generators=False)
+    return (a.h0, a.h1) == (b.h0, b.h1)
 
 
 def random_even_nilpotent(rng: random.Random, ctx: Context, depth: int):
@@ -205,22 +202,19 @@ def exp_log_round_trips(seed: int, count: int = 500, m_max: int = 6,
     """exp then log and log then exp, both exact, on random nilpotents."""
     from .superpoly import super_exp, super_log
 
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(count):
+    def law(rng: random.Random) -> bool:
         m = rng.randint(2, m_max)
         ctx = Context(("w",), tuple(f"p{i}" for i in range(1, m + 1)))
         n = random_even_nilpotent(rng, ctx, rng.randint(0, depth_max))
         c, back = super_log(super_exp(n))
         if c != Scalar(1) or back != n:
-            failures += 1
-            continue
+            return False
         scale = Scalar.coerce(rng.choice([1, -1, 2, Fraction(3, 2)]))
         unit = (ctx.one() + n) * scale
         c2, logged = super_log(unit)
-        if super_exp(logged) * c2 != unit:
-            failures += 1
-    return {"suite": "exp_log", "cases": count, "failures": failures}
+        return super_exp(logged) * c2 == unit
+
+    return _count_failures("exp_log", law, seed, count)
 
 
 ALL_SUITES = (

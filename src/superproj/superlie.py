@@ -279,13 +279,11 @@ def general_odd_section() -> SuperDerivation:
     """D_odd = sum over i of a_i * Xi_i with formal even parameters a1..a8."""
     ctx = ansatz_context()
     f = standard_fields(ctx)
-    total = None
+    total = SuperDerivation(ctx, 1, {})
     for i, name in enumerate(ALPHA_NAMES, start=1):
-        piece = f[f"Xi{i}"] * ONE
-        piece = SuperDerivation(
-            ctx, 1, {v: ctx.var(name) * c for v, c in piece.coeffs.items()}
+        total = total + SuperDerivation(
+            ctx, 1, {v: ctx.var(name) * c for v, c in f[f"Xi{i}"].coeffs.items()}
         )
-        total = piece if total is None else total + piece
     return total
 
 
@@ -299,21 +297,12 @@ def integrability_conditions() -> list:
     d_odd = general_odd_section()
     ctx = d_odd.ctx
     square = d_odd.bracket(d_odd) * HALF
-    param_positions = [
-        i for i, name in enumerate(ctx.even) if name not in ("z", "w")
-    ]
-    geom_positions = [
-        i for i, name in enumerate(ctx.even) if name in ("z", "w")
-    ]
     conditions = {}
     for var, poly in square.coeffs.items():
         for (exps, mask), c in poly.terms.items():
-            geom_key = (var, tuple(exps[i] for i in geom_positions), mask)
-            param_exps = tuple(
-                exps[i] if i in param_positions else 0 for i in range(len(exps))
-            )
-            bucket = conditions.setdefault(geom_key, {})
-            key = (param_exps, 0)
+            # the context is (z, a1..a8): z and the odd mask are geometric
+            bucket = conditions.setdefault((var, exps[:1], mask), {})
+            key = ((0,) + exps[1:], 0)
             bucket[key] = bucket.get(key, Scalar(0)) + c
     out = []
     seen = set()

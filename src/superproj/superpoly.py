@@ -209,16 +209,6 @@ class SuperPolynomial:
     def coefficient(self, exps, mask: int = 0) -> Scalar:
         return self.terms.get((tuple(exps), mask), Scalar(0))
 
-    def even_exponent_range(self, name: str):
-        """(min, max) exponent of an even variable over all terms, or None."""
-        kind, pos = self.ctx.lookup(name)
-        if kind != "even":
-            raise ContextError(f"{name!r} is not an even variable")
-        if not self.terms:
-            return None
-        vals = [exps[pos] for exps, _ in self.terms]
-        return min(vals), max(vals)
-
     # -- ring operations -------------------------------------------------
 
     def _check_ctx(self, other: "SuperPolynomial"):
@@ -541,7 +531,8 @@ class SuperDerivation:
             return self
         if self.parity != other.parity:
             raise ParityError("cannot add derivations of different parity")
-        names = set(self.coeffs) | set(other.coeffs)
+        names = [n for n in self.ctx.even + self.ctx.odd
+                 if n in self.coeffs or n in other.coeffs]
         return SuperDerivation(
             self.ctx, self.parity,
             {n: self.coefficient(n) + other.coefficient(n) for n in names},

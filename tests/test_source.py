@@ -120,6 +120,24 @@ def test_selftest_output_is_the_same_under_python_O():
     assert runs[0].stdout and runs[1].stdout == runs[0].stdout
 
 
+def test_cold_import_loads_neither_properties_nor_cli():
+    # import superproj is the cold start every command pays; the law suites
+    # and the command line load only when a command needs them
+    src = str(Path(superproj.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, superproj\n"
+        "print(sorted(n for n in ('superproj.properties', 'superproj.cli')"
+        " if n in sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_euler_route_names_no_gradient():
     # euler_tangent_dims takes the edge map's kernel from the Euler identity;
     # super_gradient_rank is the independent route the golden table and the

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import superproj
 
 from superproj.linalg import span_eliminator
 from superproj.scalars import HALF, I, ONE, Scalar
@@ -216,6 +223,27 @@ def test_integrability_strictly_stronger_than_triple(fields):
     rendered = {str(c) for c in conditions}
     assert any("a4*a5" in r and "a3*a6" in r for r in rendered)
     assert len(conditions) == 7
+
+
+def test_integrability_output_does_not_follow_the_hash_seed():
+    # a derivation sum lists its coefficients in context order, so the
+    # section's vector and the condition list do not depend on set order
+    src = str(Path(superproj.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "from superproj.superlie import general_odd_section, integrability_conditions\n"
+        "print(list(general_odd_section().vectorize()))\n"
+        "print([str(c) for c in integrability_conditions()])\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "4")
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout and runs[1].stdout == runs[0].stdout
 
 
 def test_general_odd_section_squares_encode_conditions():
