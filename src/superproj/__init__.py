@@ -18,7 +18,6 @@ from .cohomology import DimPair, bott_dim, cohomology_dims, decompose
 from .errors import (
     ContextError,
     DomainError,
-    InstabilityError,
     InvariantError,
     ParityError,
     ParseError,

@@ -2,8 +2,8 @@
 
 A rank-1|0 sheaf is described by an even invertible transition function W in
 the V-chart variables (w, p1..pm); a section pair (P, Q) glues iff
-Q = W * (P o chart).  Cochain spaces are truncated to a finite window, and
-one window's own result proves that it is exact.
+Q = W * (P o chart).  Cochain spaces are truncated to a finite window, which
+is proven exact below.
 
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
 each coboundary column is W shifted by a monomial: no polynomial chart map
@@ -24,22 +24,34 @@ body exponent of W, cancelling the term w^e p^t of W on the column z^a t^s
 takes the body of z^(a + k - e - |t|) t^(s|t), so r starts at 0 and
 r_(s|t) >= r_s + k - e - |t| for each nilpotent term.  The reach columns come
 after all base columns a <= D, so a window that is exact without them keeps
-its kernel combinations and pivots.  The reach needs no proof of its own:
-the certificate below guards it.
+its kernel combinations and pivots.
 
-Certificate.  Filter the masks by size: the coboundary sends mask s to masks
-containing s, and its graded piece at s is the Cech map of O(k - |s|) on P^1.
-1. A window's h0 never exceeds the true h0: its kernel vectors are
-   independent global sections.
-2. Its h1 never falls below the true h1 once the window covers every
-   graded-H1 monomial w^e p^s, k - |s| < e < 0.  These span H1 under the
-   filtration, and a covered monomial lies in the band, or reduces into it
-   against its component's eliminator, so band -> H1 is onto.
-3. The true h0 - h1 is sum_s (k - |s| + 1) over the 2^m masks, for each
-   parity: the index of a triangular map is the sum of its graded indices.
-So a covered window whose parity-resolved h0 - h1 equals that sum is exact in
-h0, h1, both generator lists and the class map, and a covered window whose
-h0 - h1 exceeds it is an engine fault.
+Proof that one window is exact (the two-set Cech complex, Hartshorne III.4).
+Filter the masks by size: the coboundary sends mask s to masks containing s,
+and its graded piece at s is the Cech map of O(k - |s|) on P^1.  Write B =
+D - depth for the band half-width; an allowed window has D >= depth + m, so
+D >= k.  Take a combination of U-columns and let a be the top z-degree of
+its component at mask s.  The body turns z^a t^s into c w^(k - a - |s|) p^s,
+below every other term of that component at mask s.  Only a term from the
+component at s - u (u inside s), through w^e p^u of W, can cancel it, and
+that needs a <= deg_(s - u) + k - e - |u|.
+(a) h0 is exact.  A global section has no polar part, so a <= max(k - |s|,
+    deg_(s - u) + k - e - |u|), and by induction over the masks
+    a <= D + r_s, since k <= D.  Every section lies in the window's
+    columns, and so do the h0 generators.
+(b) h1 never exceeds the true h1.  For a combination whose polar part lies
+    in the band an uncancelled term has exponent >= -B, so
+    a <= max(B + k - |s|, ...) <= D + r_s, since B + k <= D.  So the
+    image's part in the band is spanned by the window's columns, and
+    band -> H1 is injective.
+(c) h1 is exact from D_cov = depth + m + max(0, -k - 1) on.  The graded-H1
+    monomials w^e p^s, k - |s| < e < 0, span H1 under the filtration, and
+    from D_cov on each lies in the band, so band -> H1 is onto.
+The default window 2 depth + m + 2 is at least D_cov, since -k <= depth, and
+``cech_cohomology`` runs the one window max(D, D_cov).  So the true h0 - h1,
+sum_s (k - |s| + 1) over the 2^m masks for each parity (the index of a
+triangular map is the sum of its graded indices), is a runtime invariant: a
+window that reads another value is an engine fault.
 
 When every coefficient of W is rational, the window runs on L*W, with L the
 lcm of W's coefficient denominators: every column entry is an ``int``, and
@@ -62,13 +74,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .cohomology import DimPair, cohomology_dims
-from .errors import (
-    ContextError,
-    DomainError,
-    InstabilityError,
-    InvariantError,
-    ParityError,
-)
+from .errors import ContextError, DomainError, InvariantError, ParityError
 from .linalg import SparseElim, spans_equal
 from .scalars import ONE, Scalar
 from .superpoly import (
@@ -116,7 +122,7 @@ def twist_sheaf(m: int, ell: int) -> TransitionSheaf:
 
 @dataclass(frozen=True)
 class CechWindow:
-    """Degree bound: C0 sections up to degree D, C1 Laurent band [-D, D]."""
+    """Degree bound: C0 sections up to degree D, C1 band [depth - D, D - depth]."""
 
     D: int
 
@@ -143,7 +149,6 @@ class CohomologyResult:
     # (e, s) is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
     _coboundaries: SparseElim = None
     _keys: tuple = None
-    _covered: bool = False  # every graded-H1 monomial reduces into the band
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
@@ -210,8 +215,7 @@ def _mask_components(m: int, term_mask_set):
 
 
 def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: bool):
-    """One full computation at a fixed window; no stabilization logic."""
-    window.check(sheaf)
+    """One full computation at a fixed, allowed window."""
     D = window.D
     m = sheaf.m
     ctx_b = sheaf.transition.ctx_b
@@ -229,7 +233,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         for e, t, _ in w_terms:
             if t and not s & t:
                 reach[s | t] = max(reach[s | t],
-                                   reach[s] + k - e - bin(t).count("1"))
+                                   reach[s] + k - e - t.bit_count())
 
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
     # the elimination an in-band key k is stored as -k - 1, so that out-of-band
@@ -240,7 +244,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
     coboundaries = SparseElim()
-    covered = True
 
     for comp in components:
         parity = mask_parity(comp[0])
@@ -249,7 +252,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         # then by a; one shifted term list per S, kept with each column
         shifts = []
         for s in comp:
-            size = bin(s).count("1")
+            size = s.bit_count()
             shifted = []
             for e, mask, c in w_terms:
                 sign = koszul_sign(mask, s)
@@ -302,10 +305,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
             coboundaries.pivots[key] = (pivots[key][0], None)
         coboundaries.rank += len(lead)
         h1[parity] += len(comp) * B - len(lead)
-        # each graded-H1 monomial below the band must reduce into the band
-        covered = covered and all(
-            all(key < 0 for key in elim.reduce({((e + off) << m) | s: 1}))
-            for s in comp for e in range(k - bin(s).count("1") + 1, -B))
         if want_generators:
             for s in comp:
                 for j in range(-B, 0):
@@ -323,7 +322,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         _band=band,
         _coboundaries=coboundaries,
         _keys=(off, m),
-        _covered=covered,
     )
 
 
@@ -333,35 +331,29 @@ def default_window(sheaf: TransitionSheaf) -> CechWindow:
 
 def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
                     want_generators: bool = True) -> CohomologyResult:
-    """Cech cohomology of a transition sheaf from the first certified window.
+    """Cech cohomology of a transition sheaf from one exact window.
 
-    Windows D, D+1 and D+2 are tried in turn, and the first that certifies
-    itself (module docstring) is returned.  A covered window above the Euler
-    characteristic raises InvariantError; when no window certifies,
-    InstabilityError carries a suggested retry size.
+    The window run is max(D, D_cov), which is exact (module docstring); an
+    h0 - h1 other than the Euler characteristic raises InvariantError.
     """
     if window is None:
         window = default_window(sheaf)
-    for D in range(window.D, window.D + 3):
-        res = _run_window(sheaf, CechWindow(D), want_generators)
-        if not res._covered:
-            continue
-        chi = [0, 0]
-        for s in range(1 << sheaf.m):
-            chi[mask_parity(s)] += sheaf.body_exponent - bin(s).count("1") + 1
-        got = [res.h0.even - res.h1.even, res.h0.odd - res.h1.odd]
-        if got == chi:
-            res.stabilized = True
-            return res
-        if got[0] > chi[0] or got[1] > chi[1]:
-            raise InvariantError(
-                f"Cech h0 - h1 = {got[0]}|{got[1]} at D={D}, above the Euler "
-                f"characteristic {chi[0]}|{chi[1]} of O({sheaf.body_exponent}) "
-                f"on P^(1|{sheaf.m})"
-            )
-    raise InstabilityError(
-        f"Cech dimensions did not stabilize by D={D}", suggested=2 * D
-    )
+    window.check(sheaf)
+    k = sheaf.body_exponent
+    covering = sheaf.depth + sheaf.m + max(0, -k - 1)
+    res = _run_window(sheaf, CechWindow(max(window.D, covering)), want_generators)
+    chi = [0, 0]
+    for s in range(1 << sheaf.m):
+        chi[mask_parity(s)] += k - s.bit_count() + 1
+    got = [res.h0.even - res.h1.even, res.h0.odd - res.h1.odd]
+    if got != chi:
+        raise InvariantError(
+            f"Cech h0 - h1 = {got[0]}|{got[1]} at D={res.window_used.D}, not "
+            f"the Euler characteristic {chi[0]}|{chi[1]} of O({k}) on "
+            f"P^(1|{sheaf.m})"
+        )
+    res.stabilized = True
+    return res
 
 
 def oracle_check_line(m: int, ell: int) -> bool:

@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure (including a violated runtime
-invariant), 2 usage or parse error, 3 window instability.  The default
-output format is json and can be changed with --format or the
-SUPERPROJ_FORMAT environment variable.
+invariant), 2 usage or parse error.  The default output format is json and
+can be changed with --format or the SUPERPROJ_FORMAT environment variable.
 """
 
 from __future__ import annotations
@@ -13,12 +12,11 @@ import json
 import os
 import sys
 
-from .errors import InstabilityError, InvariantError, ParseError, SuperprojError
+from .errors import InvariantError, ParseError, SuperprojError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_INSTABILITY = 3
 
 FORMATS = ("json", "csv", "text")
 
@@ -197,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("cech", help="raw Cech run for a transition function")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--transition", required=True)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=int, default=None,
+                   help="window D >= depth(W) + m, raised to the covering size")
     p.set_defaults(func=cmd_cech)
 
     p = add_parser("picard", help="Picard and Pi-Picard data")
@@ -246,12 +245,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InstabilityError as exc:
-        hint = ""
-        if args.command == "cech":  # the only command with --window
-            hint = f" (retry with --window {exc.suggested})"
-        print(f"instability: {exc}{hint}", file=sys.stderr)
-        return EXIT_INSTABILITY
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFY

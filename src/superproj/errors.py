@@ -17,14 +17,6 @@ class DomainError(SuperprojError):
     """Input outside the mathematical domain of the operation."""
 
 
-class InstabilityError(SuperprojError):
-    """A Cech truncation window did not stabilize."""
-
-    def __init__(self, message, suggested=None):
-        super().__init__(message)
-        self.suggested = suggested
-
-
 class InvariantError(SuperprojError):
     """A computed result broke an identity it must satisfy (an engine fault)."""
 

@@ -245,7 +245,7 @@ def _check_exp_log(rec):
 
     rep = exp_log_round_trips(
         rec.inputs["seed"],
-        rec.inputs["count"],
+        rec.inputs["cases"],
         rec.inputs["m_max"],
         rec.inputs["depth_max"],
     )

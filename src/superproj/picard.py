@@ -54,7 +54,7 @@ def _pole_band(mask: int) -> range:
     V-chart coboundaries kill exponents >= 0, U-chart ones exponents
     <= -|S| (z^a theta^S maps to w^(-a-|S|) psi^S).
     """
-    size = bin(mask).count("1")
+    size = mask.bit_count()
     return range(1, size)
 
 

@@ -197,7 +197,7 @@ def random_even_nilpotent(rng: random.Random, ctx: Context, depth: int):
     return out
 
 
-def exp_log_round_trips(seed: int, count: int = 500, m_max: int = 6,
+def exp_log_round_trips(seed: int, cases: int = 500, m_max: int = 6,
                         depth_max: int = 3) -> dict:
     """exp then log and log then exp, both exact, on random nilpotents."""
     from .superpoly import super_exp, super_log
@@ -214,7 +214,7 @@ def exp_log_round_trips(seed: int, count: int = 500, m_max: int = 6,
         c2, logged = super_log(unit)
         return super_exp(logged) * c2 == unit
 
-    return _count_failures("exp_log", law, seed, count)
+    return _count_failures("exp_log", law, seed, cases)
 
 
 ALL_SUITES = (

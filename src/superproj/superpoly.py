@@ -32,7 +32,7 @@ MonKey = tuple  # (exps: tuple[int, ...], mask: int)
 
 
 def mask_parity(mask: int) -> int:
-    return bin(mask).count("1") & 1
+    return mask.bit_count() & 1
 
 
 def koszul_sign(a: int, b: int) -> int:
@@ -47,7 +47,7 @@ def koszul_sign(a: int, b: int) -> int:
     bb = b
     while bb:
         if bb & 1:
-            swaps += bin(a >> (j + 1)).count("1")
+            swaps += (a >> (j + 1)).bit_count()
         bb >>= 1
         j += 1
     return -1 if swaps & 1 else 1
@@ -90,7 +90,7 @@ def _partial_terms(terms: dict, kind: str, pos: int) -> dict:
         bit = 1 << pos
         for (exps, mask), c in terms.items():
             if mask & bit:
-                below = bin(mask & (bit - 1)).count("1")
+                below = (mask & (bit - 1)).bit_count()
                 out[(exps, mask ^ bit)] = -c if below & 1 else c
     return out
 
@@ -316,7 +316,7 @@ class SuperPolynomial:
     def _sorted_keys(self):
         def order(key):
             exps, mask = key
-            return (sum(exps) + bin(mask).count("1"), exps, mask)
+            return (sum(exps) + mask.bit_count(), exps, mask)
 
         return sorted(self.terms, key=order)
 
@@ -408,7 +408,7 @@ def _chart_map(p: SuperPolynomial, source: Context, target: Context) -> SuperPol
     if p.ctx != source:
         raise ContextError(f"expected a polynomial on {source!r}, got {p.ctx!r}")
     return SuperPolynomial(target, {
-        ((-sum(exps) - bin(mask).count("1"),) + exps[1:], mask): c
+        ((-sum(exps) - mask.bit_count(),) + exps[1:], mask): c
         for (exps, mask), c in p.terms.items()
     })
 

@@ -225,8 +225,8 @@ def global_tangent_fields(m: int) -> GlobalFieldBasis:
     """
     if m < 0:
         raise DomainError("need m >= 0")
-    if m > 4:
-        raise DomainError("global field solver covers m <= 4")
+    if m > 10:
+        raise DomainError("global field solver covers m <= 10")
     ctx = p1m_transition(m).ctx_a
     basis = _rows_to_fields(_solve_global_fields(m), ctx)
     even = [f for f in basis if f.parity == 0]

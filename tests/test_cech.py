@@ -18,16 +18,10 @@ from superproj.cech import (
 )
 from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
-from superproj.errors import (
-    ContextError,
-    DomainError,
-    InstabilityError,
-    InvariantError,
-    ParityError,
-)
+from superproj.errors import ContextError, DomainError, InvariantError, ParityError
 from superproj.linalg import SparseElim
 from superproj.parser import parse_superpoly
-from superproj.properties import _random_unit
+from superproj.properties import _random_unit, random_even_nilpotent
 from superproj.scalars import I, ONE, ZERO, Scalar
 from superproj.superpoly import mask_parity
 
@@ -422,10 +416,9 @@ def test_rational_window_stores_int_rows():
 
 
 def test_advanced_window_lists_the_generators_of_its_own_run():
-    # D = 6 leaves w^-4 p1 p2 out of the band: the window is not covered, so
+    # D = 6 leaves w^-4 p1 p2 out of the band: it is below D_cov = 7, so
     # D = 7 is run and lists the generators of its own run
     sheaf = twist_sheaf(2, -3)
-    assert not cech._run_window(sheaf, CechWindow(6), False)._covered
     res = cech_cohomology(sheaf, CechWindow(6))
     assert res.window_used == CechWindow(7) and res.stabilized
     assert res.h1 == DimPair(6, 6) and len(res.generators_h1) == 12
@@ -434,9 +427,15 @@ def test_advanced_window_lists_the_generators_of_its_own_run():
     assert [g.terms for g in res.generators_h1] == [g.terms for g in ref.generators_h1]
 
 
+def _covering(sheaf):
+    """D_cov: from this window on every graded-H1 monomial lies in the band."""
+    return sheaf.depth + sheaf.m + max(0, -sheaf.body_exponent - 1)
+
+
 @pytest.mark.parametrize("want", (True, False))
 def test_one_window_per_call(monkeypatch, want):
-    """A default window certifies itself: no second window is run."""
+    """The default window is exact, and an explicit window D runs as
+    max(D, D_cov): one window per call."""
     calls = []
     real = cech._run_window
 
@@ -449,6 +448,56 @@ def test_one_window_per_call(monkeypatch, want):
         calls.clear()
         res = cech_cohomology(sheaf, want_generators=want)
         assert calls == [default_window(sheaf)] and res.stabilized, name
+        low = sheaf.depth + sheaf.m
+        for D in (low, low + 1, _covering(sheaf) + 1):
+            calls.clear()
+            res = cech_cohomology(sheaf, CechWindow(D), want_generators=want)
+            used = CechWindow(max(D, _covering(sheaf)))
+            assert calls == [used] == [res.window_used] and res.stabilized, (name, D)
+
+
+def _exactness_sheaves():
+    """Twists, the reference units, and units whose nilpotent terms reach
+    down to w^-4 (c0-truncation among them needs reach columns)."""
+    sheaves = [twist_sheaf(m, k) for m in range(5) for k in range(-6, 3)]
+    sheaves += [sheaf for name, sheaf in REFERENCE_CASES if not name.startswith("twist")]
+    rng = random.Random(20261019)
+    for _ in range(80):
+        m = rng.randint(2, 4)
+        ctx = standard_transition(m).ctx_b
+        body = ctx.monomial(rng.choice([1, -1, Fraction(1, 2)]), (rng.randint(-5, 2),), 0)
+        nil = random_even_nilpotent(rng, ctx, rng.randint(1, 4))
+        sheaves.append(TransitionSheaf(m, body * (ctx.one() + nil)))
+    return sheaves
+
+
+def test_every_allowed_window_is_exact_in_h0_and_from_d_cov_in_h1():
+    """(a) h0 is exact at every allowed window, (b) h1 never exceeds the
+    true h1, and (c) h1 is exact from D_cov on (module docstring)."""
+    nilpotent = 0
+    for sheaf in _exactness_sheaves():
+        res = cech_cohomology(sheaf, want_generators=False)
+        if len(sheaf.W.terms) == 1:
+            closed = cohomology_dims(1, sheaf.m, sheaf.body_exponent)
+            assert (res.h0, res.h1) == (closed[0], closed[1]), sheaf
+        else:
+            nilpotent += 1
+        for D in range(sheaf.depth + sheaf.m, _covering(sheaf) + 2):
+            got = cech._run_window(sheaf, CechWindow(D), False)
+            assert got.h0 == res.h0, (sheaf, D)
+            if D >= _covering(sheaf):
+                assert got.h1 == res.h1, (sheaf, D)
+            else:
+                assert got.h1.even <= res.h1.even and got.h1.odd <= res.h1.odd
+    assert nilpotent >= 70
+
+
+def test_window_below_d_cov_is_raised_to_it():
+    # twist O(-6) on P^(1|2): D_cov = 6 + 2 + 5 = 13, and the band
+    # [6 - D, D - 6] of every D < 13 misses the graded-H1 monomial w^-7 p1 p2
+    res = cech_cohomology(twist_sheaf(2, -6), CechWindow(8))
+    assert res.window_used == CechWindow(13) and res.stabilized
+    assert res.h1 == cohomology_dims(1, 2, -6)[1] == DimPair(12, 12)
 
 
 def test_rational_window_makes_no_scalar_product(monkeypatch):
@@ -485,31 +534,35 @@ def _one_more_even(monkeypatch, field):
 
 @pytest.fixture
 def wrong_h1(monkeypatch):
-    """Every window reports one extra even h1 dimension: a too-small window."""
+    """Every window reports one extra even h1 dimension."""
     _one_more_even(monkeypatch, "h1")
 
 
 @pytest.fixture
 def wrong_h0(monkeypatch):
-    """Every window reports one extra even h0 dimension: no window can."""
+    """Every window reports one extra even h0 dimension."""
     _one_more_even(monkeypatch, "h0")
 
 
 def test_euler_characteristic_invariant(wrong_h0):
-    # a covered window above the Euler characteristic of its split filtration
-    # is an engine fault
+    # a window above the Euler characteristic of its split filtration is an
+    # engine fault
     with pytest.raises(InvariantError, match="Euler characteristic"):
         cech_cohomology(twist_sheaf(2, -1), want_generators=False)
 
 
-def test_too_small_window_is_instability(wrong_h1):
-    # below the Euler characteristic, a window may be too small: D, D + 1 and
-    # D + 2 are tried, and the retry suggests twice the last
+def test_euler_shortfall_is_an_invariant_fault(monkeypatch, wrong_h1):
+    # the window run is exact, so h0 - h1 below the Euler characteristic is
+    # an engine fault too, raised from the one window
+    calls = []
+    run_window = cech._run_window
+    monkeypatch.setattr(
+        cech, "_run_window", lambda *args: calls.append(args[1]) or run_window(*args)
+    )
     sheaf = twist_sheaf(2, -1)
-    D = default_window(sheaf).D
-    with pytest.raises(InstabilityError) as info:
+    with pytest.raises(InvariantError, match="Euler characteristic"):
         cech_cohomology(sheaf, want_generators=False)
-    assert info.value.suggested == 2 * (D + 2)
+    assert calls == [default_window(sheaf)]
 
 
 def test_invariant_violation_exits_1(wrong_h0, capsys):
@@ -517,11 +570,10 @@ def test_invariant_violation_exits_1(wrong_h0, capsys):
     assert "invariant violated" in capsys.readouterr().err
 
 
-def test_too_small_window_exits_3(wrong_h1, capsys):
-    assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 3
+def test_euler_shortfall_exits_1(wrong_h1, capsys):
+    assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 1
     err = capsys.readouterr().err
-    # the default window D = 6 and D + 1, D + 2 fail: retry at 2 * 8
-    assert err.startswith("instability:") and "(retry with --window 16)" in err
+    assert err.startswith("invariant violated:") and "--window" not in err
 
 
 @pytest.mark.parametrize("want", (True, False))

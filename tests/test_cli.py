@@ -85,6 +85,15 @@ def test_tangent_basis(capsys):
     assert len(data["basis"]) == 16
 
 
+def test_tangent_basis_reaches_m_10(capsys):
+    code, out, _ = run(capsys, "tangent", "--n", "1", "--m", "5", "--basis")
+    assert code == 0
+    data = json.loads(out)
+    assert data["h0"] == [28, 20] and len(data["basis"]) == 48
+    code, out, err = run(capsys, "tangent", "--n", "1", "--m", "11", "--basis")
+    assert code == 2 and out == "" and "m <= 10" in err
+
+
 def test_osp22_verify(capsys):
     code, out, _ = run(capsys, "osp22-verify")
     assert code == 0
@@ -157,9 +166,9 @@ PINNED_STDOUT = {
     "characteristic --n 3 --m 4":
         ("57546c70509d10a7a5bc96d82f2003a37d2c125a7bbf0d85649fd7e154eb9de1", 0),
     "selftest":
-        ("9389f79d8764bb2eea6110fed820dacca77682a23657825a5e706db2f0e2fbbd", 0),
+        ("c1418ffc940dda5593d1f0ec95cfbf20b9d34da050f32f4b5820ee53bca9bf1f", 0),
     "selftest --cases 20":
-        ("9389f79d8764bb2eea6110fed820dacca77682a23657825a5e706db2f0e2fbbd", 0),
+        ("9b04260590445a362aa1a2ef248cfbcd6f6d5daa33f3902f1c89f0e2d9616a2f", 0),
 }
 
 

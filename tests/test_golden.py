@@ -72,3 +72,10 @@ def test_run_golden_rejects_fewer_than_one_case(cases):
     # with no cases every property suite reports zero failures, a vacuous match
     with pytest.raises(SuperprojError, match="at least 1"):
         run_golden(suite={"exp-log"}, cases_override=cases)
+
+
+def test_cases_override_reaches_the_exp_log_record():
+    # the override replaces an input named "cases"; exp-log must name its
+    # volume so, or selftest --cases would still run all its cases
+    [result] = run_golden(suite={"exp-log"}, cases_override=3)["results"]
+    assert result["ok"] and result["actual"] == {"failures": 0, "cases": 3}

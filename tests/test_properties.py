@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from superproj.cech import TransitionSheaf, cech_cohomology, standard_transition
 from superproj.cohomology import DimPair
-from superproj.errors import InstabilityError, InvariantError
+from superproj.errors import InvariantError
 from superproj.properties import (
     ALL_SUITES,
     exp_log_round_trips,
@@ -39,7 +39,7 @@ def suite_duality(seed: int, cases: int) -> dict:
         try:
             a = cech_cohomology(TransitionSheaf(m, W), want_generators=False)
             b = cech_cohomology(TransitionSheaf(m, dual), want_generators=False)
-        except (InstabilityError, InvariantError):
+        except InvariantError:
             failures += 1
             continue
         flip = (lambda d: DimPair(d.odd, d.even)) if m % 2 else (lambda d: d)

@@ -156,3 +156,30 @@ def test_euler_route_names_no_gradient():
         == "super_gradient_rank"
     ]
     assert found == []
+
+
+def test_cech_runs_one_window_and_has_no_instability_path():
+    # the window cech_cohomology runs is proven exact (cech module
+    # docstring), so no module keeps a retry path, and cech_cohomology
+    # calls _run_window once, outside any loop
+    found = [path.name for path in SOURCES if "InstabilityError" in path.read_text()]
+    assert found == []
+    path = Path(superproj.__file__).parent / "cech.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (entry,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "cech_cohomology"
+    ]
+
+    def window_runs(root):
+        return [
+            node.lineno for node in ast.walk(root)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_run_window"
+        ]
+
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    assert len(window_runs(entry)) == 1
+    assert [line for node in ast.walk(entry) if isinstance(node, loops)
+            for line in window_runs(node)] == []

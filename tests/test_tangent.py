@@ -236,8 +236,8 @@ def test_global_fields_solve_once(monkeypatch):
 
 
 def test_global_fields_bounds():
-    with pytest.raises(DomainError):
-        global_tangent_fields(5)
+    with pytest.raises(DomainError, match="m <= 10"):
+        global_tangent_fields(11)
     with pytest.raises(DomainError, match="m >= 0"):
         global_tangent_fields(-1)
 
@@ -337,8 +337,8 @@ def test_solved_rows_are_the_reduced_echelon_basis():
 
 
 def test_solved_field_counts_are_the_euler_h0():
-    # the weight-bounded ansatz finds h0(T) fields in each parity beyond the
-    # m <= 4 the solver serves
+    # the weight-bounded ansatz finds h0(T) fields in each parity for every
+    # m <= 10 the solver serves
     for m in range(11):
         parities = [
             mask_parity(mask) ^ (name != "z")
