@@ -70,12 +70,12 @@ systems (union-find on masks) instead of one large one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import ContextError, DomainError, InvariantError, ParityError
 from .linalg import SparseElim, spans_equal
+from .records import FrozenRecord, Record, set_field
 from .scalars import ONE, Scalar
 from .superpoly import (
     Context,
@@ -120,11 +120,13 @@ def twist_sheaf(m: int, ell: int) -> TransitionSheaf:
     return TransitionSheaf(m, ctx_b.monomial(1, (ell,), 0))
 
 
-@dataclass(frozen=True)
-class CechWindow:
+class CechWindow(FrozenRecord):
     """Degree bound: C0 sections up to degree D, C1 band [depth - D, D - depth]."""
 
-    D: int
+    __slots__ = ("D",)
+
+    def __init__(self, D: int):
+        set_field(self, "D", D)
 
     def check(self, sheaf: TransitionSheaf):
         if self.D < sheaf.depth + sheaf.m:
@@ -133,22 +135,28 @@ class CechWindow:
             )
 
 
-@dataclass
-class CohomologyResult:
-    h0: DimPair
-    h1: DimPair
-    generators_h0: list  # V-chart polynomials (the Q component of sections)
-    generators_h1: list  # V-chart Laurent polynomials
-    window_used: CechWindow
-    stabilized: bool
-    _ctx: Context = None  # the V chart, where cocycles live
-    _band: range = None  # the in-window C1 exponents
-    # an untracked eliminator holding the window's stored vectors led by
-    # in-band keys, an echelon basis of the polar in-window image (int rows
-    # for a rational W, against which a Scalar cocycle reduces exactly); a key
-    # (e, s) is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
-    _coboundaries: SparseElim = None
-    _keys: tuple = None
+class CohomologyResult(Record):
+    __slots__ = ("h0", "h1", "generators_h0", "generators_h1", "window_used",
+                 "stabilized", "_ctx", "_band", "_coboundaries", "_keys")
+
+    def __init__(self, h0: DimPair, h1: DimPair, generators_h0: list,
+                 generators_h1: list, window_used: CechWindow, stabilized: bool,
+                 _ctx: Context = None, _band: range = None,
+                 _coboundaries: SparseElim = None, _keys: tuple = None):
+        self.h0 = h0
+        self.h1 = h1
+        self.generators_h0 = generators_h0  # the Q components of sections, V chart
+        self.generators_h1 = generators_h1  # V-chart Laurent polynomials
+        self.window_used = window_used
+        self.stabilized = stabilized
+        self._ctx = _ctx  # the V chart, where cocycles live
+        self._band = _band  # the in-window C1 exponents
+        # an untracked eliminator holding the window's stored vectors led by in-band
+        # keys, an echelon basis of the polar in-window image (int rows for a
+        # rational W, against which a Scalar cocycle reduces exactly); a key (e, s)
+        # is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
+        self._coboundaries = _coboundaries
+        self._keys = _keys
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.

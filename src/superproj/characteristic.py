@@ -8,10 +8,10 @@ two independent routes and asserted equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError, InvariantError
+from .records import FrozenRecord, set_field
 
 
 def berezinian_twist_projected(n: int, m: int) -> int:
@@ -55,14 +55,17 @@ def de_rham_dim(n: int, m: int, i: int, j: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
-    n: int
-    m: int
-    berezinian_twist: int
-    super_c1: int
-    calabi_yau: bool
-    de_rham: dict  # (i, j) -> dimension, nonzero entries only
+class CharacteristicReport(FrozenRecord):
+    __slots__ = ("n", "m", "berezinian_twist", "super_c1", "calabi_yau", "de_rham")
+
+    def __init__(self, n: int, m: int, berezinian_twist: int, super_c1: int,
+                 calabi_yau: bool, de_rham: dict):
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "berezinian_twist", berezinian_twist)
+        set_field(self, "super_c1", super_c1)
+        set_field(self, "calabi_yau", calabi_yau)
+        set_field(self, "de_rham", de_rham)  # (i, j) -> dimension, nonzero entries only
 
     def de_rham_row_sum(self, i: int) -> int:
         return sum(d for (ii, _), d in self.de_rham.items() if ii == i)

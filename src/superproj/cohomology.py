@@ -19,22 +19,22 @@ coefficient is computed in int arithmetic, without fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import DomainError
+from .records import FrozenRecord, set_field
 
 
-@dataclass(frozen=True)
-class DimPair:
+class DimPair(FrozenRecord):
     """Even and odd dimensions of a Z2-graded vector space."""
 
-    even: int
-    odd: int
+    __slots__ = ("even", "odd")
 
-    def __post_init__(self):
-        if self.even < 0 or self.odd < 0:
+    def __init__(self, even: int, odd: int):
+        if even < 0 or odd < 0:
             raise ValueError("dimensions must be nonnegative")
+        set_field(self, "even", even)
+        set_field(self, "odd", odd)
 
     @property
     def total(self) -> int:
@@ -64,14 +64,16 @@ class DimPair:
 ZERO_PAIR = DimPair(0, 0)
 
 
-@dataclass(frozen=True)
-class SplitSheaf:
+class SplitSheaf(FrozenRecord):
     """A direct sum of parity-shifted line bundles on P^n."""
 
-    n: int
-    m: int
-    ell: int
-    summands: tuple  # of (twist, parity, multiplicity)
+    __slots__ = ("n", "m", "ell", "summands")
+
+    def __init__(self, n: int, m: int, ell: int, summands: tuple):
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "ell", ell)
+        set_field(self, "summands", summands)  # of (twist, parity, multiplicity)
 
 
 def decompose(n: int, m: int, ell: int) -> SplitSheaf:

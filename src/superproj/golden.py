@@ -9,7 +9,6 @@ span, never by string equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from importlib import resources
 from math import comb
 
@@ -20,6 +19,7 @@ from .errors import SuperprojError
 from .linalg import spans_equal
 from .parser import parse_in_context, parse_superpoly
 from .picard import continuous_dim_formula, pi_picard, verify_picard_dim_cech
+from .records import FrozenRecord, set_field
 from .superlie import (
     ansatz_context,
     check_srs_pair,
@@ -39,13 +39,16 @@ from .tangent import (
 )
 
 
-@dataclass(frozen=True)
-class GoldenRecord:
-    id: str
-    anchor: str  # plain-language statement of the claim
-    inputs: dict
-    expected: dict
-    provenance: str  # "reference" | "derived" | "trivial"
+class GoldenRecord(FrozenRecord):
+    __slots__ = ("id", "anchor", "inputs", "expected", "provenance")
+
+    def __init__(self, id: str, anchor: str, inputs: dict, expected: dict,
+                 provenance: str):
+        set_field(self, "id", id)
+        set_field(self, "anchor", anchor)  # plain-language statement of the claim
+        set_field(self, "inputs", inputs)
+        set_field(self, "expected", expected)
+        set_field(self, "provenance", provenance)  # "reference" | "derived" | "trivial"
 
 
 def _fixture_dir():
@@ -306,7 +309,8 @@ def run_golden(suite=None, cases_override: int = None,
         if seed_override is not None and "seed" in rec.inputs:
             overrides["seed"] = seed_override
         if overrides:
-            rec = replace(rec, inputs={**rec.inputs, **overrides})
+            rec = GoldenRecord(rec.id, rec.anchor, {**rec.inputs, **overrides},
+                               rec.expected, rec.provenance)
         actual = CHECKERS[rec.id](rec)
         ok = _compare(rec.expected, actual)
         report["results"].append(

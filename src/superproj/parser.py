@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .scalars import I, SQRT2
 from .superpoly import Context, SuperPolynomial, p1m_transition
 
@@ -60,9 +60,8 @@ def _tokenize(text: str) -> list:
 class _Parser:
     """Recursive descent over the token list; values are SuperPolynomials."""
 
-    def __init__(self, text: str, ctx: Context):
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list, ctx: Context):
+        self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
         self.names = set(ctx.even + ctx.odd)
@@ -182,6 +181,8 @@ def parse_superpoly(text: str, m=None):
     uses no chart variables (a pure scalar); scalars are returned in the V
     chart context, where transition functions live.
     """
+    if m is not None and m < 0:
+        raise DomainError("need m >= 0")
     m_eff = _scan_odd_count(text, m)
     tr = p1m_transition(m_eff)
     chart_of = {"z": "U", "w": "V"}
@@ -190,8 +191,9 @@ def parse_superpoly(text: str, m=None):
         chart_of[f"p{k}"] = "V"
 
     # pre-scan the tokens to fix the chart before building any polynomial
+    tokens = _tokenize(text)
     chart = None
-    for tok in _tokenize(text):
+    for tok in tokens:
         if tok.kind != "name" or tok.text not in chart_of:
             continue
         c = chart_of[tok.text]
@@ -204,9 +206,9 @@ def parse_superpoly(text: str, m=None):
                 tok.offset,
             )
     ctx = tr.ctx_a if chart == "U" else tr.ctx_b
-    return parse_in_context(text, ctx), chart
+    return _Parser(tokens, ctx).parse(), chart
 
 
 def parse_in_context(text: str, ctx: Context) -> SuperPolynomial:
     """Parse an expression whose variables are those of a given context."""
-    return _Parser(text, ctx).parse()
+    return _Parser(_tokenize(text), ctx).parse()

@@ -16,11 +16,11 @@ normal-form reduction a per-monomial truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
 from .errors import DomainError, InvariantError
+from .records import Record
 from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
 
 
@@ -30,22 +30,28 @@ def continuous_dim_formula(n: int, m: int) -> int:
     return 0
 
 
-@dataclass
-class PicardGroupData:
-    n: int
-    m: int
-    discrete_rank: int
-    continuous_dim: int
-    generators: list  # transition-function polynomials (V-chart)
+class PicardGroupData(Record):
+    __slots__ = ("n", "m", "discrete_rank", "continuous_dim", "generators")
+
+    def __init__(self, n: int, m: int, discrete_rank: int, continuous_dim: int,
+                 generators: list):
+        self.n = n
+        self.m = m
+        self.discrete_rank = discrete_rank
+        self.continuous_dim = continuous_dim
+        self.generators = generators  # transition-function polynomials (V-chart)
 
 
-@dataclass
-class PiPicardData:
-    n: int
-    m: int
-    split_only: bool
-    nonsplit_parameter_dim: int
-    odd_sector_h1: int  # cross-check value sum_k C(m,2k+1)*2k
+class PiPicardData(Record):
+    __slots__ = ("n", "m", "split_only", "nonsplit_parameter_dim", "odd_sector_h1")
+
+    def __init__(self, n: int, m: int, split_only: bool,
+                 nonsplit_parameter_dim: int, odd_sector_h1: int):
+        self.n = n
+        self.m = m
+        self.split_only = split_only
+        self.nonsplit_parameter_dim = nonsplit_parameter_dim
+        self.odd_sector_h1 = odd_sector_h1  # cross-check value sum_k C(m,2k+1)*2k
 
 
 def _pole_band(mask: int) -> range:

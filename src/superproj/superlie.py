@@ -10,11 +10,11 @@ frame checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
 from .linalg import SparseElim, span_eliminator
+from .records import Record
 from .scalars import HALF, I, INV_SQRT2, ONE, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, p1m_transition
 
@@ -77,10 +77,12 @@ def standard_fields(ctx: Context = None) -> dict:
     return fields
 
 
-@dataclass
-class SuperLieBasis:
-    names: list
-    elements: dict  # name -> SuperDerivation
+class SuperLieBasis(Record):
+    __slots__ = ("names", "elements")
+
+    def __init__(self, names: list, elements: dict):
+        self.names = names
+        self.elements = elements  # name -> SuperDerivation
 
     @property
     def parities(self) -> dict:
@@ -215,10 +217,13 @@ def conformal_equations():
     return eqs
 
 
-@dataclass
-class VerificationReport:
-    entries: list = field(default_factory=list)  # (label, ok, detail)
-    computed_only: list = field(default_factory=list)  # (label, value string)
+class VerificationReport(Record):
+    __slots__ = ("entries", "computed_only")
+
+    def __init__(self, entries: list = None, computed_only: list = None):
+        # (label, ok, detail), then (label, value string); fresh lists by default
+        self.entries = [] if entries is None else entries
+        self.computed_only = [] if computed_only is None else computed_only
 
     @property
     def all_passed(self) -> bool:
@@ -321,12 +326,15 @@ def integrability_conditions() -> list:
     return out
 
 
-@dataclass
-class SrsReport:
-    d1_square_zero: bool
-    d2_square_zero: bool
-    anticommutator: SuperDerivation
-    frame_results: list  # (chart, point, ok)
+class SrsReport(Record):
+    __slots__ = ("d1_square_zero", "d2_square_zero", "anticommutator", "frame_results")
+
+    def __init__(self, d1_square_zero: bool, d2_square_zero: bool,
+                 anticommutator: SuperDerivation, frame_results: list):
+        self.d1_square_zero = d1_square_zero
+        self.d2_square_zero = d2_square_zero
+        self.anticommutator = anticommutator
+        self.frame_results = frame_results  # (chart, point, ok)
 
     @property
     def frame_everywhere(self) -> bool:

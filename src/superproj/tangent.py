@@ -26,12 +26,12 @@ other count is an engine fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import DomainError, InvariantError
 from .linalg import SparseElim
+from .records import Record
 from .scalars import Scalar
 from .superpoly import (
     SuperDerivation,
@@ -43,15 +43,18 @@ from .superpoly import (
 )
 
 
-@dataclass
-class TangentReport:
-    n: int
-    m: int
-    h0: DimPair
-    h1: DimPair
-    rigid: bool
-    sl_dim: DimPair
-    exceptional: bool
+class TangentReport(Record):
+    __slots__ = ("n", "m", "h0", "h1", "rigid", "sl_dim", "exceptional")
+
+    def __init__(self, n: int, m: int, h0: DimPair, h1: DimPair, rigid: bool,
+                 sl_dim: DimPair, exceptional: bool):
+        self.n = n
+        self.m = m
+        self.h0 = h0
+        self.h1 = h1
+        self.rigid = rigid
+        self.sl_dim = sl_dim
+        self.exceptional = exceptional
 
 
 def sl_dimension(n: int, m: int) -> DimPair:
@@ -135,10 +138,12 @@ def euler_tangent_dims(n: int, m: int) -> TangentReport:
     )
 
 
-@dataclass
-class GlobalFieldBasis:
-    even_fields: list  # SuperDerivation, U-chart representatives
-    odd_fields: list
+class GlobalFieldBasis(Record):
+    __slots__ = ("even_fields", "odd_fields")
+
+    def __init__(self, even_fields: list, odd_fields: list):
+        self.even_fields = even_fields  # SuperDerivation, U-chart representatives
+        self.odd_fields = odd_fields
 
     @property
     def dims(self) -> DimPair:

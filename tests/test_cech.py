@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -526,8 +526,9 @@ def _one_more_even(monkeypatch, field):
     real = cech._run_window
 
     def run_window(*args):
-        res = real(*args)
-        return replace(res, **{field: getattr(res, field) + DimPair(1, 0)})
+        res = copy(real(*args))
+        setattr(res, field, getattr(res, field) + DimPair(1, 0))
+        return res
 
     monkeypatch.setattr(cech, "_run_window", run_window)
 

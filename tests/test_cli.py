@@ -56,6 +56,12 @@ def test_cech_parse_error_exit_2(capsys):
     assert "nilpotent" in err
 
 
+def test_cech_negative_m_names_only_m(capsys):
+    code, out, err = run(capsys, "cech", "--m", "-1", "--transition", "1")
+    assert code == 2 and out == ""
+    assert err == "error: need m >= 0\n"
+
+
 def test_cech_wrong_chart_exit_2(capsys):
     code, _, err = run(capsys, "cech", "--m", "2", "--transition", "z")
     assert code == 2

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superproj import parser
 from superproj.errors import ParseError
 from superproj.parser import parse_superpoly
 from superproj.scalars import I, SQRT2, Scalar
@@ -20,6 +21,20 @@ def test_parse_builds_the_chart_pair_once(monkeypatch):
     for _ in range(2):
         parse_superpoly("1 + p1*p2*w^-1", m=5)
     assert len(built) <= 1
+
+
+def test_parse_tokenizes_once(monkeypatch):
+    # the chart pre-scan's token list is the one the parser reads
+    calls = []
+    tokenize = parser._tokenize
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "_tokenize", counting_tokenize)
+    parse_superpoly("1 + (p1*p2 + p1*p3 + p2*p3)*w^-1")
+    assert calls == ["1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"]
 
 
 def test_transition_example():
@@ -85,17 +100,21 @@ def test_chart_mixing_is_parse_error():
 
 
 def test_syntax_errors_carry_offsets():
-    with pytest.raises(ParseError) as exc:
-        parse_superpoly("1 + * 2")
-    assert exc.value.offset == 4
-    with pytest.raises(ParseError):
-        parse_superpoly("(1 + 2")
-    with pytest.raises(ParseError):
-        parse_superpoly("1 2")
-    with pytest.raises(ParseError):
-        parse_superpoly("w^p1")
-    with pytest.raises(ParseError):
-        parse_superpoly("1/0")
+    for text, offset, message in [
+        ("1 + * 2", 4, "expected a value"),
+        ("(1 + 2", 6, "expected ')'"),
+        ("1 2", 2, "unexpected trailing input '2'"),
+        ("w^p1", 2, "expected integer exponent"),
+        ("1/0", 2, "zero denominator"),
+        ("  3/w", 4, "expected integer denominator"),
+        ("1 $ 2", 2, "unexpected character '$'"),
+        ("t1*p1", 3, "variable 'p1' mixes the V chart into a U-chart expression"),
+        ("1 + w*p2^3", 6, "odd variable 'p2' is nilpotent: power 3 vanishes"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_superpoly(text)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{message} (at offset {offset})"
 
 
 def test_unknown_variable():

@@ -138,6 +138,39 @@ def test_cold_import_loads_neither_properties_nor_cli():
     assert run.stdout == "[]\n"
 
 
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    # cold start is import superproj plus the fixture load; dataclasses, and
+    # inspect with it, cost more to import than the engine's own start-up work
+    src = str(Path(superproj.__file__).parent.parent)
+    code = (
+        "import sys, superproj\n"
+        "superproj.golden.load_records()\n"
+        "print(sorted(n for n in ('dataclasses', 'inspect') if n in sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_engine_does_not_import_dataclasses():
+    # the record types are plain slotted classes (superproj.records)
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module] if isinstance(node, ast.ImportFrom) else []
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "dataclasses" in modules(node)
+    ]
+    assert found == []
+
+
 def test_euler_route_names_no_gradient():
     # euler_tangent_dims takes the edge map's kernel from the Euler identity;
     # super_gradient_rank is the independent route the golden table and the

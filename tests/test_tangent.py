@@ -1,4 +1,4 @@
-from dataclasses import replace
+from copy import copy
 from itertools import combinations
 
 import pytest
@@ -183,8 +183,9 @@ def _skew_h0(monkeypatch, skew):
     real = tangent.euler_tangent_dims
 
     def wrong_h0(n, m):
-        rep = real(n, m)
-        return replace(rep, h0=DimPair(rep.h0.even + skew, rep.h0.odd))
+        rep = copy(real(n, m))
+        rep.h0 = DimPair(rep.h0.even + skew, rep.h0.odd)
+        return rep
 
     monkeypatch.setattr(tangent, "euler_tangent_dims", wrong_h0)
 
