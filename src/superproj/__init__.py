@@ -51,7 +51,6 @@ from .superpoly import (
     Context,
     SuperDerivation,
     SuperPolynomial,
-    p1m_transition,
     pnm_transition,
     super_exp,
     super_log,

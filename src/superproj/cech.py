@@ -82,11 +82,13 @@ from .superpoly import (
     SuperPolynomial,
     koszul_sign,
     mask_parity,
-    p1m_transition,
+    pnm_transition,
 )
 
 
-standard_transition = p1m_transition
+def standard_transition(m: int):
+    """The shared chart pair of P^(1|m), ``pnm_transition(1, m)``."""
+    return pnm_transition(1, m)
 
 
 class TransitionSheaf:

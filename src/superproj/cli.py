@@ -79,11 +79,7 @@ def cmd_cech(args, fmt) -> int:
     from .cech import CechWindow, TransitionSheaf, cech_cohomology
     from .parser import parse_superpoly
 
-    W, chart = parse_superpoly(args.transition, m=args.m)
-    if chart == "U":
-        print("error: transition function must use the w/p chart",
-              file=sys.stderr)
-        return EXIT_USAGE
+    W, _ = parse_superpoly(args.transition, m=args.m)
     sheaf = TransitionSheaf(args.m, W)
     window = CechWindow(args.window) if args.window is not None else None
     result = cech_cohomology(sheaf, window=window)

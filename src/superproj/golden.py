@@ -127,7 +127,7 @@ def _check_cech_p13(rec):
 def _check_pi_picard(rec):
     split = []
     for n in range(1, rec.inputs["n_max"] + 1):
-        for m in range(rec.inputs.get("m_min", 0), rec.inputs["m_max"] + 1):
+        for m in range(rec.inputs["m_min"], rec.inputs["m_max"] + 1):
             if pi_picard(n, m).split_only:
                 split.append([n, m])
     dims = {
@@ -293,6 +293,8 @@ def run_golden(suite=None, cases_override: int = None,
     if cases_override is not None and cases_override < 1:
         # zero cases would check nothing, yet match every zero failure count
         raise SuperprojError(f"cases must be at least 1, got {cases_override}")
+    if suite is not None and not suite:
+        raise SuperprojError("an empty golden selection would check nothing")
     records = load_records()
     missing = set(suite or ()) - {rec.id for rec in records}
     if missing:

@@ -11,9 +11,9 @@ Grammar:
 t1..tm on the U chart, w and p1..pm on the V chart; the chart is inferred
 from usage and mixing charts in one expression is a parse error.
 ``parse_in_context`` reads the same grammar over the variables of a given
-context (the golden table's parameter conditions use it).  Squaring an odd
-variable (t1^2) is rejected at parse time rather than silently evaluating
-to zero.
+context (the golden table's parameter conditions use it).  Raising an odd
+factor to a power >= 2 (t1^2, (t1 + t2)^3) is rejected at parse time rather
+than silently evaluating to zero.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .scalars import I, SQRT2
-from .superpoly import Context, SuperPolynomial, p1m_transition
+from .superpoly import Context, SuperPolynomial, pnm_transition
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/()]))")
 
@@ -97,30 +97,33 @@ class _Parser:
             value = value * self.factor()
         return value
 
-    # factor := base ('^' int)?
-    def factor(self) -> SuperPolynomial:
+    # a run of unary '+'/'-' signs, read as one sign
+    def unary_sign(self) -> int:
         sign = 1
         while self.peek().kind == "op" and self.peek().text in "+-":
             if self.take().text == "-":
                 sign = -sign
+        return sign
+
+    # factor := base ('^' int)?
+    def factor(self) -> SuperPolynomial:
+        sign = self.unary_sign()
         base_tok = self.peek()
         value = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
             k = self.exponent()
-            if base_tok.text in self.ctx.odd and abs(k) >= 2:
+            if abs(k) >= 2 and value.parity() == 1:
+                what = (f"odd variable {base_tok.text!r}"
+                        if base_tok.text in self.ctx.odd else "odd factor")
                 raise ParseError(
-                    f"odd variable {base_tok.text!r} is nilpotent: power {k} vanishes",
-                    base_tok.offset,
+                    f"{what} is nilpotent: power {k} vanishes", base_tok.offset
                 )
             value = value ** k
         return value if sign == 1 else -value
 
     def exponent(self) -> int:
-        sign = 1
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            if self.take().text == "-":
-                sign = -sign
+        sign = self.unary_sign()
         tok = self.peek()
         if tok.kind != "int":
             raise ParseError("expected integer exponent", tok.offset)
@@ -184,7 +187,7 @@ def parse_superpoly(text: str, m=None):
     if m is not None and m < 0:
         raise DomainError("need m >= 0")
     m_eff = _scan_odd_count(text, m)
-    tr = p1m_transition(m_eff)
+    tr = pnm_transition(1, m_eff)
     chart_of = {"z": "U", "w": "V"}
     for k in range(1, m_eff + 1):
         chart_of[f"t{k}"] = "U"

@@ -87,8 +87,6 @@ def continuous_generators(m: int) -> list:
 
 
 def even_picard(n: int, m: int) -> PicardGroupData:
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
     ctx = pnm_transition(n, m).ctx_b
     gens = [ctx.var(ctx.even[0])]
     if n == 1:

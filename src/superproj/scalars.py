@@ -186,15 +186,7 @@ class Scalar:
         return other * self.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ONE)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -282,6 +274,19 @@ def _sum(a: tuple, da: int, b: tuple, db: int) -> Scalar:
         if g != 1:
             return _make((n0 // g, n1 // g, n2 // g, n3 // g), d // g)
     return _make((n0, n1, n2, n3), d)
+
+
+def power(x, k: int, one):
+    """x ** k by repeated squaring from ``one``; k < 0 raises x^-1 to -k."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
 
 
 def _operand(x):

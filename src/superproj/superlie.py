@@ -16,11 +16,7 @@ from .errors import DomainError
 from .linalg import SparseElim, span_eliminator
 from .records import Record
 from .scalars import HALF, I, INV_SQRT2, ONE, Scalar
-from .superpoly import Context, SuperDerivation, SuperPolynomial, p1m_transition
-
-
-def _standard_context() -> Context:
-    return p1m_transition(2).ctx_a
+from .superpoly import Context, SuperDerivation, SuperPolynomial, pnm_transition
 
 
 def standard_fields(ctx: Context = None) -> dict:
@@ -29,7 +25,7 @@ def standard_fields(ctx: Context = None) -> dict:
     Works in any context containing (z; t1, t2), so formal even parameters
     can be adjoined for symbolic computations.
     """
-    ctx = ctx or _standard_context()
+    ctx = ctx or pnm_transition(1, 2).ctx_a
     z, t1, t2 = ctx.var("z"), ctx.var("t1"), ctx.var("t2")
     one = ctx.one()
 
@@ -367,10 +363,9 @@ def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation) -> SrsReport:
     d/dz, d/dt1, d/dt2 is invertible) at the FRAME_SAMPLES points in both
     charts.
     """
-    tr = p1m_transition(2)
+    tr = pnm_transition(1, 2)
     if d1.ctx != tr.ctx_a or d2.ctx != tr.ctx_a:
         raise DomainError("expected U-chart fields on P^(1|2)")
-    zero = SuperDerivation(tr.ctx_a, 0, {})
     sq1 = d1.bracket(d1) * HALF
     sq2 = d2.bracket(d2) * HALF
     anti = d1.bracket(d2)
@@ -384,8 +379,8 @@ def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation) -> SrsReport:
         ok = _frame_rank(v_fields, "w", ("p1", "p2"), {"w": s})
         frame.append(("V", s, ok))
     return SrsReport(
-        d1_square_zero=sq1 == zero,
-        d2_square_zero=sq2 == zero,
+        d1_square_zero=sq1.is_zero(),
+        d2_square_zero=sq2.is_zero(),
         anticommutator=anti,
         frame_results=frame,
     )

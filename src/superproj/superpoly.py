@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import ContextError, DomainError, ParityError
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, power
 
 MonKey = tuple  # (exps: tuple[int, ...], mask: int)
 
@@ -258,16 +258,7 @@ class SuperPolynomial:
         return self * other.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.ctx.one())
 
     def inverse(self) -> "SuperPolynomial":
         """Inverse of an even unit: single-term body times (1 + nilpotent)."""
@@ -456,15 +447,6 @@ def pnm_transition(n: int, m: int) -> ChartTransition:
         Context([f"z{j}" for j in suffixes], [f"t{i}" for i in odd]),
         Context([f"w{j}" for j in suffixes], [f"p{i}" for i in odd]),
     )
-
-
-def p1m_transition(m: int) -> ChartTransition:
-    """The shared chart pair of the projective superline P^(1|m).
-
-    Chart A: (z, t1..tm); chart B: (w, p1..pm); z = 1/w, ti = pi/w.  The
-    same object as ``pnm_transition(1, m)``.
-    """
-    return pnm_transition(1, m)
 
 
 class SuperDerivation:

@@ -38,7 +38,6 @@ from .superpoly import (
     SuperPolynomial,
     koszul_sign,
     mask_parity,
-    p1m_transition,
     pnm_transition,
 )
 
@@ -109,8 +108,6 @@ def _compositions(total: int, parts: int):
 
 def euler_tangent_dims(n: int, m: int) -> TangentReport:
     """Tangent cohomology assembled from the Euler long exact sequence."""
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
     d0 = cohomology_dims(n, m, 0)
     d1 = cohomology_dims(n, m, 1)
     h0_mid = (n + 1) * d1[0] + m * d1[0].swap()
@@ -232,7 +229,7 @@ def global_tangent_fields(m: int) -> GlobalFieldBasis:
         raise DomainError("need m >= 0")
     if m > 10:
         raise DomainError("global field solver covers m <= 10")
-    ctx = p1m_transition(m).ctx_a
+    ctx = pnm_transition(1, m).ctx_a
     basis = _rows_to_fields(_solve_global_fields(m), ctx)
     even = [f for f in basis if f.parity == 0]
     odd = [f for f in basis if f.parity == 1]

@@ -63,8 +63,10 @@ def test_cech_negative_m_names_only_m(capsys):
 
 
 def test_cech_wrong_chart_exit_2(capsys):
-    code, _, err = run(capsys, "cech", "--m", "2", "--transition", "z")
+    code, out, err = run(capsys, "cech", "--m", "2", "--transition", "z")
     assert code == 2
+    assert out == ""
+    assert "V chart" in err
 
 
 def test_cech_window_too_small_exit_2(capsys):

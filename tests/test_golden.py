@@ -67,6 +67,13 @@ def test_run_golden_rejects_ids_without_a_fixture():
         run_golden(suite={"characteristic", "missing"})
 
 
+@pytest.mark.parametrize("suite", [set(), []])
+def test_run_golden_rejects_an_empty_selection(suite):
+    # an empty selection would run no checker and report all_passed
+    with pytest.raises(SuperprojError, match="empty"):
+        run_golden(suite=suite)
+
+
 @pytest.mark.parametrize("cases", [0, -3])
 def test_run_golden_rejects_fewer_than_one_case(cases):
     # with no cases every property suite reports zero failures, a vacuous match

@@ -6,7 +6,7 @@ from superproj import parser
 from superproj.errors import ParseError
 from superproj.parser import parse_superpoly
 from superproj.scalars import I, SQRT2, Scalar
-from superproj.superpoly import ChartTransition, p1m_transition
+from superproj.superpoly import ChartTransition, pnm_transition
 
 
 def test_parse_builds_the_chart_pair_once(monkeypatch):
@@ -40,7 +40,7 @@ def test_parse_tokenizes_once(monkeypatch):
 def test_transition_example():
     p, chart = parse_superpoly("1 + (p1*p2 + p1*p3 + p2*p3)*w^-1")
     assert chart == "V"
-    ctx = p1m_transition(3).ctx_b
+    ctx = pnm_transition(1, 3).ctx_b
     expected = (
         ctx.one()
         + ctx.monomial(1, (-1,), 0b011)
@@ -75,7 +75,7 @@ def test_negative_exponents_and_unary_minus():
 def test_u_chart():
     p, chart = parse_superpoly("z^2 + t1*t2", m=2)
     assert chart == "U"
-    ctx = p1m_transition(2).ctx_a
+    ctx = pnm_transition(1, 2).ctx_a
     assert p == ctx.monomial(1, (2,), 0) + ctx.monomial(1, (0,), 0b11)
 
 
@@ -117,6 +117,18 @@ def test_syntax_errors_carry_offsets():
         assert str(exc.value) == f"{message} (at offset {offset})"
 
 
+def test_odd_factor_powers_are_parse_errors():
+    # t1^2 is caught by name; a parenthesised odd factor by the parity of
+    # its value, which would otherwise evaluate silently to zero
+    for text, k in [("(t1)^2", 2), ("(t1+t2)^3", 3), ("(t1*t2*t3)^2", 2),
+                    ("(p1)^-2", -2)]:
+        with pytest.raises(ParseError) as exc:
+            parse_superpoly(text)
+        assert str(exc.value) == f"odd factor is nilpotent: power {k} vanishes (at offset 0)"
+    assert str(parse_superpoly("(1+t1)^2")[0]) == "1 + 2*t1"
+    assert parse_superpoly("(t1*t2)^2")[0].is_zero()
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError):
         parse_superpoly("q1")
@@ -145,7 +157,7 @@ def test_render_parse_idempotent_examples():
 )
 @settings(max_examples=100, deadline=None)
 def test_render_parse_round_trip_random(c1, c2, e, mask):
-    ctx = p1m_transition(2).ctx_b
+    ctx = pnm_transition(1, 2).ctx_b
     p = ctx.monomial(c1, (e,), mask & 0b11) + ctx.monomial(c2, (-e,), 0)
     if p.is_zero():
         return

@@ -57,6 +57,12 @@ def test_cech_route():
         verify_picard_dim_cech(1)
 
 
+def test_even_picard_rejects_bad_dimensions():
+    # the chart builder performs the check; even_picard relies on it
+    with pytest.raises(DomainError, match=r"^need n >= 1 and m >= 0$"):
+        even_picard(0, 1)
+
+
 def test_normal_form_reduction():
     ctx = standard_transition(2).ctx_b
     # W = 3 * w^2 * exp(c * psi1 psi2 / w) has label (2, 3, c psi1psi2/w)

@@ -166,9 +166,9 @@ def test_zeta8_arithmetic_builds_no_fraction(monkeypatch):
 def test_difference_and_quotient_with_a_polynomial():
     # Scalar - SuperPolynomial falls through to the polynomial's reflected
     # operator, as + and * do; the polynomial has no reflected division
-    from superproj.superpoly import p1m_transition
+    from superproj.superpoly import pnm_transition
 
-    w = p1m_transition(1).ctx_b.var("w")
+    w = pnm_transition(1, 1).ctx_b.var("w")
     assert I - w == -(w - I)
     assert HALF - w == -(w - HALF)
     with pytest.raises(TypeError, match="unsupported operand"):

@@ -23,7 +23,7 @@ from superproj.superlie import (
     v_xi_basis,
     verify_osp22,
 )
-from superproj.superpoly import SuperDerivation, p1m_transition
+from superproj.superpoly import SuperDerivation, pnm_transition
 
 
 def express_in_span(basis, target):
@@ -283,7 +283,7 @@ def test_srs_shifted_pair_moves_the_degeneracy(fields):
 
 
 def test_srs_solved_family_anticommutator(fields):
-    ctx = p1m_transition(2).ctx_a
+    ctx = pnm_transition(1, 2).ctx_a
     z, t1, t2 = ctx.var("z"), ctx.var("t1"), ctx.var("t2")
     d1 = fields["Xi4"] + fields["Xi6"]  # (z - t1 t2)(Xi3 + Xi5)
     d2 = fields["Xi2"] + fields["Xi8"]  # (z + t1 t2)(Xi1 + Xi7)
@@ -299,7 +299,7 @@ def test_srs_solved_family_anticommutator(fields):
 def test_srs_rejects_wrong_chart():
     from superproj.errors import DomainError
 
-    ctx = p1m_transition(3).ctx_a
+    ctx = pnm_transition(1, 3).ctx_a
     d = SuperDerivation(ctx, 1, {"t1": ctx.one()})
     with pytest.raises(DomainError):
         check_srs_pair(d, d)

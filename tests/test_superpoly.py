@@ -16,7 +16,6 @@ from superproj.superpoly import (
     SuperPolynomial,
     koszul_sign,
     mask_parity,
-    p1m_transition,
     pnm_transition,
     super_exp,
     super_log,
@@ -94,15 +93,15 @@ def test_exp_log_round_trip(ctx):
 
 
 def test_substitute_roundtrip():
-    tr = p1m_transition(2)
+    tr = pnm_transition(1, 2)
     z = tr.ctx_a.var("z")
     there = tr.to_b(z)
     back = tr.to_a(there)
     assert back == z
 
 
-def test_p1m_transition_rules():
-    tr = p1m_transition(2)
+def test_p1m_chart_map_rules():
+    tr = pnm_transition(1, 2)
     w = tr.ctx_b
     assert tr.to_b(tr.ctx_a.var("z")) == w.monomial(1, (-1,), 0)
     # theta_i = psi_i / w
@@ -118,7 +117,7 @@ def test_pnm_transition_roundtrip():
 
 def test_one_shared_chart_pair_per_n_m():
     for m in range(4):
-        tr = p1m_transition(m)
+        tr = pnm_transition(1, m)
         assert pnm_transition(1, m) is tr
         assert standard_transition(m) is tr
         assert tr.ctx_a.even == ("z",) and tr.ctx_b.even == ("w",)
@@ -129,7 +128,7 @@ def test_chart_builder_rejects_bad_dimensions():
     with pytest.raises(DomainError):
         pnm_transition(0, 2)
     with pytest.raises(DomainError):
-        p1m_transition(-1)
+        pnm_transition(1, -1)
 
 
 def test_transition_validation():
@@ -260,7 +259,7 @@ def test_derivation_calculus_matches_composed_reference():
 
 def test_apply_checks_the_context():
     # apply, __init__, __add__ and bracket each name both contexts
-    ctx_a, ctx_b = p1m_transition(2).ctx_a, p1m_transition(2).ctx_b
+    ctx_a, ctx_b = pnm_transition(1, 2).ctx_a, pnm_transition(1, 2).ctx_b
     on_b = SuperDerivation(ctx_b, 0, {"w": ctx_b.var("w")})
     for field in (
         SuperDerivation(ctx_a, 0, {}),
@@ -311,7 +310,7 @@ def test_odd_odd_bracket_value(ctx):
 
 
 def test_pushforward_global_field():
-    tr = p1m_transition(1)
+    tr = pnm_transition(1, 1)
     ctx = tr.ctx_a
     d = SuperDerivation(ctx, 0, {"z": ctx.one()})  # d/dz
     pushed = d.pushforward(tr)

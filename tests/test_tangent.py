@@ -11,7 +11,7 @@ from superproj.errors import DomainError, InvariantError
 from superproj.golden import run_golden
 from superproj.linalg import SparseElim, bareiss_rank, echelon_basis, spans_equal
 from superproj.superlie import v_xi_basis
-from superproj.superpoly import Context, SuperDerivation, mask_parity, p1m_transition
+from superproj.superpoly import Context, SuperDerivation, mask_parity, pnm_transition
 from superproj.tangent import (
     TangentReport,
     _ansatz,
@@ -100,6 +100,12 @@ def test_gradient_domain_dims():
 def test_gradient_rejects_bad_dimensions(n, m):
     with pytest.raises(DomainError):
         super_gradient_rank(n, m)
+
+
+def test_euler_tangent_dims_rejects_bad_dimensions():
+    # cohomology_dims performs the check; euler_tangent_dims relies on it
+    with pytest.raises(DomainError, match=r"^need n >= 1 and m >= 0$"):
+        euler_tangent_dims(1, -1)
 
 
 def _gradient_euler_dims(n, m):
@@ -266,7 +272,7 @@ def test_report_json():
 
 
 def _reference_ansatz(m, bound_z, bound_t):
-    ctx = p1m_transition(m).ctx_a
+    ctx = pnm_transition(1, m).ctx_a
     ansatz = []
     for mask in range(1 << m):
         for deg in range(bound_z + 1):
@@ -284,7 +290,7 @@ def _reference_ansatz(m, bound_z, bound_t):
 def _reference_polars(m, bound_z, bound_t):
     """Polar parts of the ansatz fields through the general pushforward of
     ``tests/substitution_reference.py``."""
-    ctx_b = p1m_transition(m).ctx_b
+    ctx_b = pnm_transition(1, m).ctx_b
     return [_reference_polar(field, ctx_b) for field in _reference_ansatz(m, bound_z, bound_t)]
 
 
@@ -299,7 +305,7 @@ def _reference_fields(m):
     bounds 2 + m for d/dz and 1 + m for d/dt_i that predate the weight
     bound."""
     bound = 2 + m
-    ctx = p1m_transition(m).ctx_a
+    ctx = pnm_transition(1, m).ctx_a
     ansatz = _reference_ansatz(m, bound, bound - 1)
     elim = SparseElim(track=True)
     for j, polar in enumerate(_reference_polars(m, bound, bound - 1)):
@@ -319,7 +325,7 @@ def test_polar_parts_match_pushforward():
     # the ansatz is every z^d t^S d/dv with d + |S| <= 2, and each key's
     # polar part is the general pushforward's polar part of that key's field
     for m in range(5):
-        ctx_b = p1m_transition(m).ctx_b
+        ctx_b = pnm_transition(1, m).ctx_b
         want = {}
         for field in _reference_ansatz(m, 2, 2):
             key = next(iter(field.vectorize()))
