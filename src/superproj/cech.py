@@ -47,8 +47,15 @@ that needs a <= deg_(s - u) + k - e - |u|.
 (c) h1 is exact from D_cov = depth + m + max(0, -k - 1) on.  The graded-H1
     monomials w^e p^s, k - |s| < e < 0, span H1 under the filtration, and
     from D_cov on each lies in the band, so band -> H1 is onto.
-The default window 2 depth + m + 2 is at least D_cov, since -k <= depth, and
-``cech_cohomology`` runs the one window max(D, D_cov).  So the true h0 - h1,
+The default window is D_cov, and ``cech_cohomology`` runs the one window
+max(D, D_cov).  A cocycle whose lowest polar term w^e p^s lies below the band,
+r = -e > B, is classified on one run of the window depth + r, whose band holds
+it; that window is above D, so at least D_cov, and exact by (b) and (c).  Its
+class is the one every exact window gives to a cocycle in its band: below-band
+keys lead the elimination and the band's keys keep their order, so in either
+window the stored vectors led by the smaller band's keys are an echelon basis,
+with the same pivots, of the image's part in that band (b), and the reduced
+form that holds no pivot key is unique.  So the true h0 - h1,
 sum_s (k - |s| + 1) over the 2^m masks for each parity (the index of a
 triangular map is the sum of its graded indices), is a runtime invariant: a
 window that reads another value is an engine fault.
@@ -78,7 +85,6 @@ from .linalg import SparseElim, spans_equal
 from .records import FrozenRecord, Record, set_field
 from .scalars import ONE, Scalar
 from .superpoly import (
-    Context,
     SuperPolynomial,
     koszul_sign,
     mask_parity,
@@ -139,11 +145,11 @@ class CechWindow(FrozenRecord):
 
 class CohomologyResult(Record):
     __slots__ = ("h0", "h1", "generators_h0", "generators_h1", "window_used",
-                 "stabilized", "_ctx", "_band", "_coboundaries", "_keys")
+                 "stabilized", "_sheaf", "_band", "_coboundaries", "_keys")
 
     def __init__(self, h0: DimPair, h1: DimPair, generators_h0: list,
                  generators_h1: list, window_used: CechWindow, stabilized: bool,
-                 _ctx: Context = None, _band: range = None,
+                 _sheaf: TransitionSheaf = None, _band: range = None,
                  _coboundaries: SparseElim = None, _keys: tuple = None):
         self.h0 = h0
         self.h1 = h1
@@ -151,7 +157,7 @@ class CohomologyResult(Record):
         self.generators_h1 = generators_h1  # V-chart Laurent polynomials
         self.window_used = window_used
         self.stabilized = stabilized
-        self._ctx = _ctx  # the V chart, where cocycles live
+        self._sheaf = _sheaf  # its V chart is where cocycles live
         self._band = _band  # the in-window C1 exponents
         # an untracked eliminator holding the window's stored vectors led by in-band
         # keys, an echelon basis of the polar in-window image (int rows for a
@@ -164,16 +170,20 @@ class CohomologyResult(Record):
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
 
         The result holds no pivot key of the image, so it is unique modulo
-        the image.  A term outside the window's band has no class here and
-        raises DomainError.
+        the image.  A polar term below the window's band, at w^-r, is
+        classified on one uncached run of the window depth + r, which gives
+        the same class (module docstring).
         """
-        if cocycle.ctx != self._ctx:
+        ctx = self._sheaf.transition.ctx_b
+        if cocycle.ctx != ctx:
             raise ContextError(
-                f"cocycle lives in {cocycle.ctx!r}, not the V chart {self._ctx!r}"
+                f"cocycle lives in {cocycle.ctx!r}, not the V chart {ctx!r}"
             )
         vec = {(exps[0], mask): c for (exps, mask), c in cocycle.terms.items()}
-        if any(e not in self._band for e, _ in vec):
-            raise DomainError(f"cocycle has a term off this result's band {self._band}")
+        r = max([-e for e, _ in vec if e < 0], default=0)
+        if -r not in self._band:
+            wider = CechWindow(self._sheaf.depth + r)
+            return _run_window(self._sheaf, wider, False).h1_class(cocycle)
         off, m = self._keys
         low = (1 << m) - 1
         # a term with nonnegative exponent is a q unit column: its class is 0
@@ -328,7 +338,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         generators_h1=gens_h1,
         window_used=window,
         stabilized=False,
-        _ctx=ctx_b,
+        _sheaf=sheaf,
         _band=band,
         _coboundaries=coboundaries,
         _keys=(off, m),
@@ -336,7 +346,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
 
 
 def default_window(sheaf: TransitionSheaf) -> CechWindow:
-    return CechWindow(2 * sheaf.depth + sheaf.m + 2)
+    """D_cov = depth + m + max(0, -k - 1), the least window exact in h1."""
+    return CechWindow(sheaf.depth + sheaf.m + max(0, -sheaf.body_exponent - 1))
 
 
 def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
@@ -346,12 +357,12 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
     The window run is max(D, D_cov), which is exact (module docstring); an
     h0 - h1 other than the Euler characteristic raises InvariantError.
     """
+    covering = default_window(sheaf)
     if window is None:
-        window = default_window(sheaf)
+        window = covering
     window.check(sheaf)
+    res = _run_window(sheaf, CechWindow(max(window.D, covering.D)), want_generators)
     k = sheaf.body_exponent
-    covering = sheaf.depth + sheaf.m + max(0, -k - 1)
-    res = _run_window(sheaf, CechWindow(max(window.D, covering)), want_generators)
     chi = [0, 0]
     for s in range(1 << sheaf.m):
         chi[mask_parity(s)] += k - s.bit_count() + 1

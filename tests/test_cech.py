@@ -79,7 +79,8 @@ def test_window_check():
     sheaf = twist_sheaf(2, -3)
     with pytest.raises(DomainError):
         cech_cohomology(sheaf, CechWindow(2))
-    assert default_window(sheaf).D == 2 * 3 + 2 + 2
+    # D_cov = depth + m + max(0, -k - 1) = 3 + 2 + 2 for W = w^-3 on P^(1|2)
+    assert default_window(sheaf).D == 3 + 2 + 2
 
 
 def test_h0_generators_of_positive_twist():
@@ -138,18 +139,19 @@ def test_h1_class_rejects_wrong_m_cocycle(p13):
         p13.h1_span_equals([cocycle])
 
 
-def test_h1_class_rejects_out_of_band_cocycle(p13):
-    # on cech-p13 (D = 7, band -6..6) w^-7 p1 p2 = W * w^-7 p1 p2 is the
-    # coboundary of z^5 t1 t2, and w^7 is regular on the V chart: neither
-    # may come back as a nonzero class
-    assert p13._band == range(-6, 7)
+def test_h1_class_classifies_out_of_band_cocycle(p13):
+    # on cech-p13 (D = D_cov = 1 + 3 + 0 = 4, band -3..3) w^-7 p1 p2 =
+    # W * w^-7 p1 p2 is the coboundary of z^5 t1 t2, and w^7 is regular on
+    # the V chart: neither may come back as a nonzero class
+    assert p13.window_used == CechWindow(4) and p13._band == range(-3, 4)
     for text in ("w^-7*p1*p2", "w^7"):
-        cocycle = parse_superpoly(text, m=3)[0]
-        with pytest.raises(DomainError):
-            p13.h1_class(cocycle)
+        assert p13.h1_class(parse_superpoly(text, m=3)[0]) == {}
     cocycles = [parse_superpoly(t, m=3)[0] for t in P13_COCYCLES + ["w^-7*p1*p2"]]
-    with pytest.raises(DomainError):
-        p13.h1_span_equals(cocycles)
+    assert p13.h1_span_equals(cocycles)
+    # a term below the band is classified as on a window whose band holds it
+    cocycle = parse_superpoly("w^-5*p1*p2*p3 + 2*w^-1*p1*p2", m=3)[0]
+    wide = cech._run_window(p13._sheaf, CechWindow(7), True)
+    assert p13.h1_class(cocycle) == wide.h1_class(cocycle) != {}
 
 
 def test_p13_euler_characteristic(p13):
@@ -273,6 +275,7 @@ REFERENCE_CASES = _reference_cases()
 )
 def test_run_window_matches_general_path(sheaf):
     window = default_window(sheaf)
+    wider = _reference_window(sheaf, CechWindow(window.D + 1), False)[4]
     for want in (True, False):
         h0, h1, gens_h0, gens_h1, rref = _reference_window(sheaf, window, want)
         res = cech._run_window(sheaf, window, want)
@@ -291,14 +294,15 @@ def test_run_window_matches_general_path(sheaf):
         }
         assert moved == {p for p, _ in rref if p[0] < 0}
         # the class map on the band monomials fixes the rref row by row;
-        # one step past the band on each side has no class
+        # one step past the band, a regular term has class 0 and a polar one
+        # is classified as on the window one step wider
         for s in range(1 << sheaf.m):
             for j in range(-B, B + 1):
                 cocycle = ctx_b.monomial(1, (j,), s)
                 assert res.h1_class(cocycle) == _rref_class(rref, cocycle)
-            for j in (-B - 1, B + 1):
-                with pytest.raises(DomainError):
-                    res.h1_class(ctx_b.monomial(1, (j,), s))
+            assert res.h1_class(ctx_b.monomial(1, (B + 1,), s)) == {}
+            cocycle = ctx_b.monomial(1, (-B - 1,), s)
+            assert res.h1_class(cocycle) == _rref_class(wider, cocycle)
 
 
 def _reference_reach(sheaf, components):
@@ -430,6 +434,38 @@ def test_advanced_window_lists_the_generators_of_its_own_run():
 def _covering(sheaf):
     """D_cov: from this window on every graded-H1 monomial lies in the band."""
     return sheaf.depth + sheaf.m + max(0, -sheaf.body_exponent - 1)
+
+
+def test_default_window_is_d_cov():
+    for name, sheaf in REFERENCE_CASES:
+        assert default_window(sheaf).D == _covering(sheaf), name
+
+
+def test_d_cov_default_matches_the_old_default_window():
+    """The default D_cov window gives what the old default 2 depth + m + 2
+    gave: h0, h1, both generator lists, and the class of every monomial in
+    the old band, those below the D_cov band through the wider re-run."""
+    sheaves = [twist_sheaf(m, k) for m in range(5) for k in range(-6, 3)]
+    rng = random.Random(27)
+    for _ in range(40):
+        m = rng.randint(2, 4)
+        W = _random_unit(rng, standard_transition(m).ctx_b, 3, body_range=(-4, 2))
+        sheaves.append(TransitionSheaf(m, W))
+    rerun = 0
+    for sheaf in sheaves:
+        res = cech_cohomology(sheaf)
+        old = cech._run_window(sheaf, CechWindow(2 * sheaf.depth + sheaf.m + 2), True)
+        assert res.window_used.D < old.window_used.D
+        assert (res.h0, res.h1) == (old.h0, old.h1), sheaf
+        assert [g.terms for g in res.generators_h0] == [g.terms for g in old.generators_h0]
+        assert [g.terms for g in res.generators_h1] == [g.terms for g in old.generators_h1]
+        ctx_b = sheaf.transition.ctx_b
+        for s in range(1 << sheaf.m):
+            for e in old._band:
+                cocycle = ctx_b.monomial(1, (e,), s)
+                assert res.h1_class(cocycle) == old.h1_class(cocycle), (sheaf, e, s)
+                rerun += e < 0 and e not in res._band
+    assert rerun
 
 
 @pytest.mark.parametrize("want", (True, False))

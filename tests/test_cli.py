@@ -164,7 +164,7 @@ PINNED_STDOUT = {
     "cohomology --n 1 --m 3 --ell -1 --oracle":
         ("8c6e435b29f9bc16847210df70d94d0cc5d13afd60b3c78d32c2df1bc97752d9", 0),
     "cech --m 3 --transition '1+(p1*p2+p1*p3+p2*p3)*w^-1'":
-        ("16eb1788b04827204e6ae312eaa440fe70ab6a4a1f30ec938c988b83dcd99121", 0),
+        ("27c084d3f00bfe64fb78d47f1b747ddebe7e78ea18c7484fa6c524533587e315", 0),
     "picard --n 1 --m 4 --verify":
         ("ee74b86510170b6b48bfdef4d88074810aecf27ff9ce678b8ca4755f879b8b2d", 0),
     "tangent --n 1 --m 2 --basis":
