@@ -8,8 +8,9 @@ is proven exact below.
 On P^(1|m) the chart map sends z^a t^S to w^(-a-|S|) p^S with sign +1, so
 each coboundary column is W shifted by a monomial: no polynomial chart map
 and no polynomial product.  Each window is one linear map, the polar-part
-map on the C0 columns, and each mask component eliminates its columns once,
-out-of-band keys leading.  h0 is the kernel: its dimension is the number of
+map on the C0 columns, and each mask component of two or more masks
+eliminates its columns once, out-of-band keys leading (a lone mask is read
+off, see below).  h0 is the kernel: its dimension is the number of
 columns less the rank, and its generators are the tracked kernel
 combinations.  The stored vectors led by in-band keys are an echelon basis
 of the in-window image: their count gives h1, and, moved without their
@@ -73,6 +74,17 @@ its own denominators, against the ``int`` rows.
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
 systems (union-find on masks) instead of one large one.
+
+Lone masks.  The union-find joins s with s | t for every nilpotent term p^t
+of W disjoint from s, so a component {s} of one mask has no term of W acting
+into or out of s: its reach is 0, only the body c w^k acts, and the graded
+piece at s is the whole complex at s, the Cech map of O(n) on P^1 with
+n = k - |s|.  Its kernel is the max(0, n + 1) sections c w^(n - a) p^s,
+a = 0..n, in the order the kernel expansion gives, and each polar column
+z^a t^s, a > n, is the one key w^(n - a) p^s, its own pivot.  So a lone mask
+builds no column and runs no elimination: its in-band pivots w^j p^s,
+-B <= j <= min(-1, n), are stored as the rows {key: 1}, which clear a
+cocycle's key as the scaled column did.  For O(ell) every mask is lone.
 """
 
 from __future__ import annotations
@@ -246,6 +258,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
     w_terms = [(exps[0], mask, c) for (exps, mask), c in terms.items()]
     components = _mask_components(m, {mask for _, mask, _ in w_terms})
     k = sheaf.body_exponent
+    body = sheaf.W.terms[(k,), 0]  # c, unscaled
 
     # the column reach r_s of each mask (module docstring)
     reach = [0] * (1 << m)
@@ -267,68 +280,83 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
 
     for comp in components:
         parity = mask_parity(comp[0])
+        if len(comp) == 1:
+            # a lone mask: the complex at s is O(n) on P^1 (module docstring),
+            # with sections c w^(n - a) p^s, and each polar column is one key
+            s = comp[0]
+            n = k - s.bit_count()
+            h0[parity] += max(0, n + 1)
+            if want_generators:
+                gens_h0 += [SuperPolynomial(ctx_b, {((n - a,), s): body})
+                            for a in range(n + 1)]
+            lead = [-(((j + off) << m) | s) - 1 for j in range(-B, min(-1, n) + 1)]
+            for key in lead:
+                coboundaries.pivots[key] = ({key: 1}, None)
+        else:
+            # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
+            # then by a; one shifted term list per S, kept with each column
+            shifts = []
+            for s in comp:
+                size = s.bit_count()
+                shifted = []
+                for e, mask, c in w_terms:
+                    sign = koszul_sign(mask, s)
+                    if sign:
+                        e -= size
+                        shifted.append((e, mask | s, ((e + off) << m) | mask | s,
+                                        c if sign > 0 else -c))
+                shifts.append((s, shifted))
+            columns = [(a, shifted) for _, shifted in shifts for a in range(D + 1)]
+            columns += [(a, shifted) for s, shifted in shifts
+                        for a in range(D + 1, D + 1 + reach[s])]
 
-        # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
-        # then by a; one shifted term list per S, kept with each column
-        shifts = []
-        for s in comp:
-            size = s.bit_count()
-            shifted = []
-            for e, mask, c in w_terms:
-                sign = koszul_sign(mask, s)
-                if sign:
-                    e -= size
-                    shifted.append((e, mask | s, ((e + off) << m) | mask | s,
-                                    c if sign > 0 else -c))
-            shifts.append((s, shifted))
-        columns = [(a, shifted) for _, shifted in shifts for a in range(D + 1)]
-        columns += [(a, shifted) for s, shifted in shifts
-                    for a in range(D + 1, D + 1 + reach[s])]
+            # h0 is the kernel of the polar-part map.  A column's exponents are at
+            # most depth <= D, so its nonpolar keys are all q unit keys, which are
+            # dropped: one elimination of the polar parts, in-band keys last.
+            elim = SparseElim(track=want_generators)
+            for j, (a, shifted) in enumerate(columns):
+                shift = a << m
+                col = {}
+                for e, _, key, c in shifted:
+                    e -= a
+                    if e < 0:
+                        key -= shift
+                        col[-key - 1 if e >= -B else key] = c
+                elim.add(col, tag_key=j)
+            h0[parity] += len(columns) - elim.rank
+            if want_generators:
+                for combo in elim.kernel:
+                    q = {}
+                    for j, c in combo.items():
+                        a, shifted = columns[j]
+                        for e, mask, _, v in shifted:
+                            key = ((e - a,), mask)
+                            term = c * v
+                            cur = q.get(key)
+                            q[key] = term if cur is None else cur + term
+                    if scale != 1:
+                        q = {key: v / scale for key, v in q.items()}
+                    gens_h0.append(SuperPolynomial(
+                        ctx_b, {key: Scalar.coerce(v) for key, v in q.items()}
+                    ))
 
-        # h0 is the kernel of the polar-part map.  A column's exponents are at
-        # most depth <= D, so its nonpolar keys are all q unit keys, which are
-        # dropped: one elimination of the polar parts, in-band keys last.
-        elim = SparseElim(track=want_generators)
-        for j, (a, shifted) in enumerate(columns):
-            shift = a << m
-            col = {}
-            for e, _, key, c in shifted:
-                e -= a
-                if e < 0:
-                    key -= shift
-                    col[-key - 1 if e >= -B else key] = c
-            elim.add(col, tag_key=j)
-        h0[parity] += len(columns) - elim.rank
-        if want_generators:
-            for combo in elim.kernel:
-                q = {}
-                for j, c in combo.items():
-                    a, shifted = columns[j]
-                    for e, mask, _, v in shifted:
-                        key = ((e - a,), mask)
-                        term = c * v
-                        cur = q.get(key)
-                        q[key] = term if cur is None else cur + term
-                if scale != 1:
-                    q = {key: v / scale for key, v in q.items()}
-                gens_h0.append(SuperPolynomial(
-                    ctx_b, {key: Scalar.coerce(v) for key, v in q.items()}
-                ))
+            # h1: the stored vectors led by in-band keys hold only polar
+            # in-band keys and are an echelon basis of the polar in-window
+            # image.  They move to the window's eliminator without their
+            # kernel tags.
+            pivots = elim.pivots
+            lead = [key for key in pivots if key < 0]
+            for key in lead:
+                coboundaries.pivots[key] = (pivots[key][0], None)
 
-        # h1: the stored vectors led by in-band keys hold only polar in-band
-        # keys and are an echelon basis of the polar in-window image.  They
-        # move to the window's eliminator without their kernel tags.  The q
-        # unit columns cover the band's |comp| * (B + 1) nonnegative monomials.
-        pivots = elim.pivots
-        lead = [key for key in pivots if key < 0]
-        for key in lead:
-            coboundaries.pivots[key] = (pivots[key][0], None)
+        # the q unit columns cover the band's |comp| * (B + 1) nonnegative
+        # monomials
         coboundaries.rank += len(lead)
         h1[parity] += len(comp) * B - len(lead)
         if want_generators:
             for s in comp:
                 for j in range(-B, 0):
-                    if -(((j + off) << m) | s) - 1 not in pivots:
+                    if -(((j + off) << m) | s) - 1 not in coboundaries.pivots:
                         gens_h1.append(SuperPolynomial(ctx_b, {((j,), s): ONE}))
 
     return CohomologyResult(
@@ -378,7 +406,13 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
 
 
 def oracle_check_line(m: int, ell: int) -> bool:
-    """Cech dims of O(ell) on P^(1|m) against the closed forms, parity-resolved."""
+    """Cech dims of O(ell) on P^(1|m) against the closed forms, parity-resolved.
+
+    W = w^ell has no nilpotent term, so every mask is lone: this compares the
+    per-mask counts of O(ell - |s|) on P^1 with the closed forms and runs no
+    elimination.  The elimination of coupled masks is checked against the
+    general path of the tests' ``_reference_window``.
+    """
     if m > 8 or abs(ell) > 8:
         raise DomainError("oracle grid limited to m <= 8, |ell| <= 8")
     result = cech_cohomology(twist_sheaf(m, ell), want_generators=False)

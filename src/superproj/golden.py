@@ -68,6 +68,10 @@ def load_records() -> list:
 # -- checkers, one per record id --------------------------------------------
 
 def _check_oracle_grid(rec):
+    """Cech dims of O(ell) against the closed forms (``oracle_check_line``),
+    and the n >= 2 derivative closed forms against the binomial sums.  Every
+    mask of O(ell) is lone, so the Cech part checks per-mask counts on P^1,
+    not the elimination of coupled masks."""
     bad = []
     for m in range(rec.inputs["m_max"] + 1):
         for ell in range(rec.inputs["ell_min"], rec.inputs["ell_max"] + 1):

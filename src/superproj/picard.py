@@ -128,7 +128,10 @@ def verify_picard_dim_cech(m: int) -> bool:
     the exp/log linearization) against the closed form 2^(m-2)(m-2)+1, and
     the odd sector's H^1 against ``odd_sector_h1_formula``.  W = 1 couples no
     two masks and h^1(O_P1) = 0, so the two sectors' H^1 are the even and
-    odd parts of one run's H^1(O).
+    odd parts of one run's H^1(O).  Every mask is lone, so this compares the
+    per-mask counts of O(-|s|) on P^1 with the closed forms and runs no
+    elimination; the elimination of coupled masks is checked against the
+    general path of the tests' ``_reference_window``.
     """
     if not 2 <= m <= 6:
         raise DomainError("verify_picard_dim_cech covers 2 <= m <= 6")

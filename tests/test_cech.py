@@ -27,6 +27,8 @@ from superproj.superpoly import mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
 C0_TRUNCATION = "w^2 + w^-1*p1*p2"  # needs the columns z^(D+1) t1 t2
+# at m = 4 the masks holding one of p1, p2 are lone, the others pair up
+LONE_AND_COUPLED = "w*(1+i*p1*p2*w^-1)"
 P13_COCYCLES = [
     "w^-1*p1*p2",
     "w^-1*p1*p3",
@@ -264,6 +266,16 @@ def _reference_cases():
     for m in range(5):
         for ell in range(-3, 4):
             cases.append((f"twist-m{m}-ell{ell}", twist_sheaf(m, ell)))
+    # lone masks beside coupled ones, with Q(zeta8) coefficients on the body
+    # or on a nilpotent term, and the cech_wide benchmark's twist shapes
+    for name, text, m in [
+        ("zeta-mixed-m4", LONE_AND_COUPLED, 4),
+        ("zeta-body-m2", "i*w^2", 2),
+        ("zeta-both-m3", "(1+i)*w^-2*(1 + p1*p2*w)", 3),
+    ]:
+        cases.append((name, TransitionSheaf(m, parse_superpoly(text, m=m)[0])))
+    for ell in (-1, 2):
+        cases.append((f"twist-m5-ell{ell}", twist_sheaf(5, ell)))
     return cases
 
 
@@ -614,21 +626,30 @@ def test_euler_shortfall_exits_1(wrong_h1, capsys):
 
 
 @pytest.mark.parametrize("want", (True, False))
-@pytest.mark.parametrize("case", ("twist-m3-ell1", "cech-p13"))
+@pytest.mark.parametrize("case", ("twist-m3-ell1", "cech-p13", "zeta-mixed-m4"))
 def test_one_elimination_per_window(monkeypatch, case, want):
-    """Each column of the polar-part map is eliminated exactly once."""
+    """Each column of a component with two or more masks is eliminated
+    exactly once, and a lone mask is not eliminated at all: its graded piece
+    is the whole complex at its mask.  None of these cases has reach columns,
+    so every O(ell) makes no call."""
     sheaf = dict(REFERENCE_CASES)[case]
     window = default_window(sheaf)
-    calls = []
+    calls = {}  # eliminator -> the column tags added to it, in order
     real = SparseElim.add
 
     def add(self, vec, tag_key=None):
-        calls.append(tag_key)
+        calls.setdefault(self, []).append(tag_key)
         return real(self, vec, tag_key)
 
     monkeypatch.setattr(SparseElim, "add", add)
     cech._run_window(sheaf, window, want)
-    assert len(calls) == (1 << sheaf.m) * (window.D + 1)
+    masks = {mask for _, mask in sheaf.W.terms}
+    coupled = [c for c in cech._mask_components(sheaf.m, masks) if len(c) > 1]
+    assert sorted(len(tags) for tags in calls.values()) == sorted(
+        len(comp) * (window.D + 1) for comp in coupled
+    )
+    assert all(tags == list(range(len(tags))) for tags in calls.values())
+    assert bool(calls) == (case != "twist-m3-ell1")
 
 
 def test_serre_duality_on_law_suite_draws():

@@ -165,6 +165,8 @@ PINNED_STDOUT = {
         ("8c6e435b29f9bc16847210df70d94d0cc5d13afd60b3c78d32c2df1bc97752d9", 0),
     "cech --m 3 --transition '1+(p1*p2+p1*p3+p2*p3)*w^-1'":
         ("27c084d3f00bfe64fb78d47f1b747ddebe7e78ea18c7484fa6c524533587e315", 0),
+    "cech --m 4 --transition 'w*(1+i*p1*p2*w^-1)'":
+        ("c1def3fb040ed9ded7b055c8d1dc3e904e50530e99f06e0be39a155f575bd471", 0),
     "picard --n 1 --m 4 --verify":
         ("ee74b86510170b6b48bfdef4d88074810aecf27ff9ce678b8ca4755f879b8b2d", 0),
     "tangent --n 1 --m 2 --basis":
