@@ -2,38 +2,30 @@
 class, the Calabi-Yau predicate, de Rham dimensions, and topological twist
 bookkeeping for the N=2 structure on P^(1|2).
 
-All quantities are closed-form integers; the Berezinian twist is computed by
-two independent routes and asserted equal.
+All quantities are closed-form integers; the Berezinian twist m - n - 1 is
+derived both from the reduced space and from the Euler sequence, and the two
+derivations give one formula.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 from .records import FrozenRecord, set_field
 
 
-def berezinian_twist_projected(n: int, m: int) -> int:
-    """Twist of Ber(Omega^1) from the projection onto the reduced space.
+def berezinian_twist(n: int, m: int) -> int:
+    """Twist of Ber(Omega^1), from either of two derivations.
 
-    The cotangent Berezinian is the determinant of the reduced cotangent
-    sheaf, O(-n-1), divided by the determinant of the odd conormal bundle
-    O(-1)^m, giving O((-n-1) - (-m)).
+    Projection onto the reduced space: the cotangent Berezinian is the
+    determinant of the reduced cotangent sheaf, O(-n-1), divided by the
+    determinant of the odd conormal bundle O(-1)^m, giving O((-n-1) - (-m)).
+    Euler sequence: 0 -> O -> O(1) (x) C^(n+1|m) -> T -> 0 gives Ber(T) =
+    O(1)^(n+1) over O(1)^m as a Berezinian, so Ber(T) has twist (n+1) - m
+    and the dual Ber(Omega^1) has twist m - (n+1).
     """
-    return (-n - 1) - (-m)
-
-
-def berezinian_twist_euler(n: int, m: int) -> int:
-    """Twist of Ber(Omega^1) from the Euler sequence.
-
-    0 -> O -> O(1) (x) C^(n+1|m) -> T -> 0 gives Ber(T) = O(1)^(n+1) over
-    O(1)^m as a Berezinian, so Ber(T) has twist (n+1) - m and the dual
-    Ber(Omega^1) has twist m - (n+1).
-    """
-    middle_even = (n + 1) * 1
-    middle_odd = m * 1
-    return -(middle_even - middle_odd)
+    return m - n - 1
 
 
 def super_c1(n: int, m: int) -> int:
@@ -43,7 +35,7 @@ def super_c1(n: int, m: int) -> int:
 
 def is_calabi_yau(n: int, m: int) -> bool:
     """Trivial Berezinian sheaf, equivalently m = n + 1."""
-    return berezinian_twist_projected(n, m) == 0
+    return berezinian_twist(n, m) == 0
 
 
 def de_rham_dim(n: int, m: int, i: int, j: int) -> int:
@@ -74,12 +66,6 @@ class CharacteristicReport(FrozenRecord):
 def characteristic_report(n: int, m: int) -> CharacteristicReport:
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
-    projected = berezinian_twist_projected(n, m)
-    euler = berezinian_twist_euler(n, m)
-    if projected != euler:
-        raise InvariantError(
-            f"Berezinian twist routes disagree: {projected} != {euler}"
-        )
     table = {}
     for i in range(0, 2 * n + 1, 2):
         for j in range(m + 1):
@@ -89,7 +75,7 @@ def characteristic_report(n: int, m: int) -> CharacteristicReport:
     return CharacteristicReport(
         n=n,
         m=m,
-        berezinian_twist=projected,
+        berezinian_twist=berezinian_twist(n, m),
         super_c1=super_c1(n, m),
         calabi_yau=is_calabi_yau(n, m),
         de_rham=table,

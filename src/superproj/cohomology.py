@@ -5,8 +5,9 @@ Everything here rests on the split decomposition
     O(ell)  =  sum over k of  O_Pn(ell - k) ^ C(m,k),   parity k mod 2,
 
 so dimensions reduce to classical Bott numbers on P^n.  The binomial sums are
-the authoritative values; the derivative closed forms (chi/zeta) are an
-independent cross-check layer.  Each is (1/k!) d^k/dx^k at x = 0 of
+the authoritative values; the derivative closed forms are an independent
+cross-check layer: chi for h^0 in its two regimes, and zeta for h^n, one
+formula whose tail is empty for ell < 0.  Each is (1/k!) d^k/dx^k at x = 0 of
 (x+1)^a * (x+2)^b, i.e. its x^k Taylor coefficient: a generating-function
 coefficient, not a Bott sum.  It is the integer convolution
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .records import FrozenRecord, set_field
 
 
@@ -76,10 +77,14 @@ class SplitSheaf(FrozenRecord):
         set_field(self, "summands", summands)  # of (twist, parity, multiplicity)
 
 
-def decompose(n: int, m: int, ell: int) -> SplitSheaf:
-    """Split O(ell) on the n|m projective superspace over the reduced P^n."""
+def _check_pnm(n: int, m: int) -> None:
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
+
+
+def decompose(n: int, m: int, ell: int) -> SplitSheaf:
+    """Split O(ell) on the n|m projective superspace over the reduced P^n."""
+    _check_pnm(n, m)
     summands = tuple((ell - k, k & 1, comb(m, k)) for k in range(m + 1))
     return SplitSheaf(n, m, ell, summands)
 
@@ -122,56 +127,27 @@ def _coefficient(k: int, a: int, b: int) -> int:
                for i in range(max(0, k - b), k + 1))
 
 
-def chi_zeta(n: int, m: int, ell: int, which: str) -> int:
-    """Evaluate one of the four derivative closed forms for h^0 / h^n totals.
-
-    which selects the regime: 'chi_m_lt_l' (m < ell), 'chi_m_ge_l'
-    (0 <= ell <= m <= ell + n), 'zeta_le' (ell + n + 1 <= 0), 'zeta_gt'
-    (ell + n + 1 > 0).  A selector outside its regime raises DomainError.
-    """
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
-    if which == "chi_m_lt_l":
-        if not m < ell:
-            raise DomainError("chi_m_lt_l requires m < ell")
-        return _coefficient(n, ell + n - m, m)
-    if which == "chi_m_ge_l":
-        if not (0 <= ell <= m):
-            raise DomainError("chi_m_ge_l requires 0 <= ell <= m")
-        order = ell + n - m
-        if order < 0:
-            raise DomainError("chi_m_ge_l derivative order is negative for m > ell + n")
-        # m!/(n! ell!) * d^order/dx^order (x+1)^n (x+2)^ell at 0
-        value = factorial(m) * factorial(order) * _coefficient(order, n, ell)
-        denominator = factorial(n) * factorial(ell)
-        quotient, remainder = divmod(value, denominator)
-        if remainder:
-            raise DomainError(f"closed form evaluated to non-integer {value}/{denominator}")
-        return quotient
-    if which == "zeta_le":
-        if not ell + n + 1 <= 0:
-            raise DomainError("zeta_le requires ell + n + 1 <= 0")
-        return _coefficient(n, -ell - 1, m)
-    if which == "zeta_gt":
-        if not ell + n + 1 > 0:
-            raise DomainError("zeta_gt requires ell + n + 1 > 0")
-        # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k;
-        # empty for ell < 0
-        tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))
-        return _coefficient(n, -ell - 1, m) - tail
-    raise DomainError(f"unknown regime selector {which!r}")
-
-
 def chi_closed(n: int, m: int, ell: int):
     """h^0 total via the applicable chi regime, or None if neither applies."""
+    _check_pnm(n, m)
     if m < ell:
-        return chi_zeta(n, m, ell, "chi_m_lt_l")
-    if 0 <= ell <= m <= ell + n:
-        return chi_zeta(n, m, ell, "chi_m_ge_l")
-    return None
+        return _coefficient(n, ell + n - m, m)
+    if not 0 <= ell <= m <= ell + n:
+        return None
+    # m!/(n! ell!) * d^order/dx^order (x+1)^n (x+2)^ell at 0
+    order = ell + n - m
+    value = factorial(m) * factorial(order) * _coefficient(order, n, ell)
+    denominator = factorial(n) * factorial(ell)
+    quotient, remainder = divmod(value, denominator)
+    if remainder:
+        raise InvariantError(f"closed form evaluated to non-integer {value}/{denominator}")
+    return quotient
 
 
 def zeta_closed(n: int, m: int, ell: int) -> int:
-    """h^n total via the applicable zeta regime (always defined)."""
-    which = "zeta_le" if ell + n + 1 <= 0 else "zeta_gt"
-    return chi_zeta(n, m, ell, which)
+    """h^n total, always defined: one formula for every ell."""
+    _check_pnm(n, m)
+    # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k;
+    # empty for ell < 0
+    tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))
+    return _coefficient(n, -ell - 1, m) - tail

@@ -16,10 +16,8 @@ normal-form reduction a per-monomial truncation.
 
 from __future__ import annotations
 
-from math import comb
-
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 from .records import Record
 from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
 
@@ -43,15 +41,13 @@ class PicardGroupData(Record):
 
 
 class PiPicardData(Record):
-    __slots__ = ("n", "m", "split_only", "nonsplit_parameter_dim", "odd_sector_h1")
+    __slots__ = ("n", "m", "split_only", "nonsplit_parameter_dim")
 
-    def __init__(self, n: int, m: int, split_only: bool,
-                 nonsplit_parameter_dim: int, odd_sector_h1: int):
+    def __init__(self, n: int, m: int, split_only: bool, nonsplit_parameter_dim: int):
         self.n = n
         self.m = m
         self.split_only = split_only
         self.nonsplit_parameter_dim = nonsplit_parameter_dim
-        self.odd_sector_h1 = odd_sector_h1  # cross-check value sum_k C(m,2k+1)*2k
 
 
 def _pole_band(mask: int) -> range:
@@ -126,22 +122,20 @@ def verify_picard_dim_cech(m: int) -> bool:
 
     H^1 of the even nilpotent sector of the structure sheaf (additive, via
     the exp/log linearization) against the closed form 2^(m-2)(m-2)+1, and
-    the odd sector's H^1 against ``odd_sector_h1_formula``.  W = 1 couples no
-    two masks and h^1(O_P1) = 0, so the two sectors' H^1 are the even and
-    odd parts of one run's H^1(O).  Every mask is lone, so this compares the
-    per-mask counts of O(-|s|) on P^1 with the closed forms and runs no
-    elimination; the elimination of coupled masks is checked against the
-    general path of the tests' ``_reference_window``.
+    the odd sector's H^1 against the non-split parameter count of
+    ``pi_picard``, 2^(m-2)(m-2).  W = 1 couples no two masks and h^1(O_P1)
+    = 0, so the two sectors' H^1 are the even and odd parts of one run's
+    H^1(O).  Every mask is lone, so this compares the per-mask counts of
+    O(-|s|) on P^1 with the closed forms and runs no elimination; the
+    elimination of coupled masks is checked against the general path of the
+    tests' ``_reference_window``.
     """
     if not 2 <= m <= 6:
         raise DomainError("verify_picard_dim_cech covers 2 <= m <= 6")
     sheaf = TransitionSheaf(m, standard_transition(m).ctx_b.one())
     h1 = cech_cohomology(sheaf, want_generators=False).h1
-    return (h1.even, h1.odd) == (continuous_dim_formula(1, m), odd_sector_h1_formula(m))
-
-
-def odd_sector_h1_formula(m: int) -> int:
-    return sum(comb(m, 2 * k + 1) * 2 * k for k in range(m // 2 + 1))
+    return (h1.even, h1.odd) == (continuous_dim_formula(1, m),
+                                 pi_picard(1, m).nonsplit_parameter_dim)
 
 
 def pi_picard(n: int, m: int) -> PiPicardData:
@@ -156,17 +150,11 @@ def pi_picard(n: int, m: int) -> PiPicardData:
         dim = 2 ** (m - 2) * (m - 2)
     else:
         dim = 0
-    cross = odd_sector_h1_formula(m) if n == 1 else 0
-    if n == 1 and m >= 3 and cross != dim:
-        raise InvariantError(
-            f"odd-sector cross-check failed: {cross} != {dim} at m={m}"
-        )
     return PiPicardData(
         n=n,
         m=m,
         split_only=dim == 0,
         nonsplit_parameter_dim=dim,
-        odd_sector_h1=cross,
     )
 
 

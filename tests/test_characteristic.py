@@ -1,9 +1,7 @@
 import pytest
 
-from superproj import characteristic
 from superproj.characteristic import (
-    berezinian_twist_euler,
-    berezinian_twist_projected,
+    berezinian_twist,
     characteristic_report,
     characteristic_report_json,
     de_rham_dim,
@@ -12,15 +10,13 @@ from superproj.characteristic import (
     topological_twist,
     topological_twists_isomorphic,
 )
-from superproj.cli import main
-from superproj.errors import DomainError, InvariantError
+from superproj.errors import DomainError
 
 
 def test_twist_routes_agree():
     for n in range(1, 5):
         for m in range(7):
-            assert berezinian_twist_projected(n, m) == berezinian_twist_euler(n, m)
-            assert berezinian_twist_projected(n, m) == m - n - 1
+            assert berezinian_twist(n, m) == m - n - 1 == -super_c1(n, m)
 
 
 def test_super_c1():
@@ -77,13 +73,3 @@ def test_json_shape():
     assert {tuple(e.values()) for e in rep["de_rham"]} == {
         (0, 0, 1), (0, 1, 2), (0, 2, 1), (2, 0, 1), (2, 1, 2), (2, 2, 1),
     }
-
-
-def test_berezinian_routes_disagreeing_is_an_invariant(monkeypatch, capsys):
-    # a disagreement between the engine's own two routes is a fault (exit 1),
-    # not a usage error (exit 2)
-    monkeypatch.setattr(characteristic, "berezinian_twist_euler", lambda n, m: 99)
-    with pytest.raises(InvariantError, match="Berezinian twist routes"):
-        characteristic_report(3, 4)
-    assert main(["characteristic", "--n", "3", "--m", "4"]) == 1
-    assert "invariant violated" in capsys.readouterr().err

@@ -7,17 +7,17 @@ import pytest
 from closed_form_reference import _coefficient as reference_coefficient
 
 import superproj
+from superproj import cohomology
 from superproj.cohomology import (
     DimPair,
     _coefficient,
     bott_dim,
     chi_closed,
-    chi_zeta,
     cohomology_dims,
     decompose,
     zeta_closed,
 )
-from superproj.errors import DomainError
+from superproj.errors import DomainError, InvariantError
 
 
 def hn_variant_value(n: int, m: int) -> int:
@@ -82,23 +82,29 @@ def test_special_value_minus_one():
 
 
 def test_chi_zeta_regimes():
-    # h^0 totals
-    assert chi_zeta(1, 0, 3, "chi_m_lt_l") == 4
-    assert chi_zeta(2, 2, 1, "chi_m_ge_l") == cohomology_dims(2, 2, 1)[0].total
-    # h^n totals
-    assert chi_zeta(1, 0, -3, "zeta_le") == 2
-    assert chi_zeta(1, 2, 0, "zeta_gt") == 1
-    with pytest.raises(DomainError):
-        chi_zeta(1, 3, 1, "chi_m_lt_l")
-    with pytest.raises(DomainError):
-        chi_zeta(1, 0, -3, "zeta_gt")
-    with pytest.raises(DomainError):
-        chi_zeta(1, 1, 1, "bogus")
+    # h^0 totals: m < ell, then 0 <= ell <= m <= ell + n
+    assert chi_closed(1, 0, 3) == 4
+    assert chi_closed(2, 2, 1) == cohomology_dims(2, 2, 1)[0].total
+    # h^n totals: ell + n + 1 <= 0, then ell + n + 1 > 0
+    assert zeta_closed(1, 0, -3) == 2
+    assert zeta_closed(1, 2, 0) == 1
 
 
-def test_chi_m_ge_l_negative_order():
-    with pytest.raises(DomainError):
-        chi_zeta(1, 4, 1, "chi_m_ge_l")  # m > ell + n
+def test_closed_forms_check_dimensions_first():
+    # checked before any regime is chosen: (0, 5, 1) is in no chi regime
+    for n, m in ((0, 5), (0, 1), (1, -1), (3, -2)):
+        for ell in (-4, 1, 7):
+            with pytest.raises(DomainError, match=r"^need n >= 1 and m >= 0$"):
+                chi_closed(n, m, ell)
+            with pytest.raises(DomainError, match=r"^need n >= 1 and m >= 0$"):
+                zeta_closed(n, m, ell)
+
+
+def test_non_integer_chi_is_an_invariant(monkeypatch):
+    # a fraction from the m >= ell regime is an engine fault, not bad input
+    monkeypatch.setattr(cohomology, "_coefficient", lambda k, a, b: 1)
+    with pytest.raises(InvariantError, match="non-integer 6/4"):
+        chi_closed(2, 3, 2)
 
 
 def test_coefficient_matches_fraction_series():
@@ -118,9 +124,9 @@ def test_coefficient_rejects_negative_b():
 
 
 def test_chi_zeta_returns_int_in_every_regime():
-    for n, m, ell, which in ((2, 1, 3, "chi_m_lt_l"), (2, 3, 2, "chi_m_ge_l"),
-                             (2, 3, -4, "zeta_le"), (2, 3, 1, "zeta_gt")):
-        assert type(chi_zeta(n, m, ell, which)) is int, which
+    for closed, n, m, ell in ((chi_closed, 2, 1, 3), (chi_closed, 2, 3, 2),
+                              (zeta_closed, 2, 3, -4), (zeta_closed, 2, 3, 1)):
+        assert type(closed(n, m, ell)) is int, (closed.__name__, n, m, ell)
 
 
 def test_closed_forms_match_sums_grid():
@@ -141,13 +147,13 @@ def test_hn_variant_is_inconsistent_at_1_2():
 
 # -- sympy as an independent reference for the closed forms -----------------
 
-SELECTORS = ("chi_m_lt_l", "chi_m_ge_l", "zeta_le", "zeta_gt")
-
 
 @pytest.fixture(scope="module")
 def sympy_forms():
     """The derivative closed forms as symbolic expressions, differentiated by
-    sympy: (n, m, ell) -> {selector: value} over the in-regime selectors."""
+    sympy: (n, m, ell) -> {regime: value} over the regimes that apply, one of
+    "chi_m_lt_l" and "chi_m_ge_l" (or neither) and one of "zeta_le" and
+    "zeta_gt"."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
 
@@ -187,12 +193,11 @@ def test_closed_forms_match_sympy(sympy_forms):
         for m in range(6):
             for ell in range(-6, 7):
                 expected = forms(n, m, ell)
-                for which in SELECTORS:
-                    if which in expected:
-                        assert chi_zeta(n, m, ell, which) == expected[which], (n, m, ell, which)
-                    else:
-                        with pytest.raises(DomainError):
-                            chi_zeta(n, m, ell, which)
+                chi = [v for k, v in expected.items() if k.startswith("chi")]
+                zeta = [v for k, v in expected.items() if k.startswith("zeta")]
+                assert len(chi) <= 1 and len(zeta) == 1, (n, m, ell)
+                assert chi_closed(n, m, ell) == (chi[0] if chi else None), (n, m, ell)
+                assert zeta_closed(n, m, ell) == zeta[0], (n, m, ell)
 
 
 def test_hn_variant_matches_sympy(sympy_forms):

@@ -1,24 +1,30 @@
 import json
+from math import comb
 
 import pytest
 
 from superproj import picard
 from superproj.cech import TransitionSheaf, cech_cohomology, standard_transition
 from superproj.cli import main
-from superproj.errors import DomainError, InvariantError
+from superproj.errors import DomainError
 from superproj.picard import (
     continuous_dim_formula,
     continuous_generators,
     even_picard,
     normal_form,
     normal_form_product,
-    odd_sector_h1_formula,
     pi_picard,
     picard_report,
     verify_picard_dim_cech,
 )
 from superproj.scalars import ONE, Scalar
 from superproj.superpoly import super_exp
+
+
+def odd_sector_sum(m: int) -> int:
+    """The odd-sector h^1 count sum_k C(m, 2k+1) * 2k: each odd mask S adds
+    the |S| - 1 pole orders of O(-|S|) on P^1."""
+    return sum(comb(m, 2 * k + 1) * 2 * k for k in range(m // 2 + 1))
 
 
 def odd_sector_h1_cech(m: int) -> int:
@@ -111,14 +117,27 @@ def test_pi_picard_split_criterion():
 
 def test_odd_sector_cross_check():
     for m in range(4):
-        assert odd_sector_h1_cech(m) == odd_sector_h1_formula(m)
+        assert odd_sector_h1_cech(m) == odd_sector_sum(m)
+
+
+def test_odd_sector_sum_is_the_nonsplit_count():
+    # sum over odd j of C(m, j)(j - 1) = m 2^(m-2) - 2^(m-1) = 2^(m-2)(m-2)
+    for m in range(2, 200):
+        assert odd_sector_sum(m) == 2 ** (m - 2) * (m - 2), m
+        assert pi_picard(1, m).nonsplit_parameter_dim == odd_sector_sum(m), m
 
 
 def test_verify_reads_the_odd_sector(monkeypatch, capsys):
-    # the Cech run's odd h1 is checked against the odd-sector formula; at
-    # m = 2 pi_picard does not cross-check it, so only --verify can fail
-    real = picard.odd_sector_h1_formula
-    monkeypatch.setattr(picard, "odd_sector_h1_formula", lambda m: real(m) + 1)
+    # the Cech run's odd h1 is checked against pi_picard's non-split count,
+    # so a wrong count there makes --verify fail
+    real = picard.pi_picard
+
+    def shifted(n, m):
+        data = real(n, m)
+        data.nonsplit_parameter_dim += 1
+        return data
+
+    monkeypatch.setattr(picard, "pi_picard", shifted)
     assert not verify_picard_dim_cech(2)
     assert main(["picard", "--n", "1", "--m", "2", "--verify", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["verify"] == "fail"
@@ -129,13 +148,3 @@ def test_picard_report_json():
     assert rep["schema"] == 1
     assert rep["continuous_dim"] == 3
     assert rep["pi"]["nonsplit_parameter_dim"] == 2
-
-
-def test_odd_sector_cross_check_is_an_invariant(monkeypatch, capsys):
-    # a disagreement between the engine's own two counts is a fault (exit 1),
-    # not a usage error (exit 2)
-    monkeypatch.setattr(picard, "odd_sector_h1_formula", lambda m: -1)
-    with pytest.raises(InvariantError, match="odd-sector cross-check"):
-        pi_picard(1, 4)
-    assert main(["picard", "--n", "1", "--m", "4"]) == 1
-    assert "invariant violated" in capsys.readouterr().err

@@ -14,9 +14,8 @@ from superproj.tangent import GlobalFieldBasis, TangentReport
 def test_repr_names_every_field():
     assert repr(DimPair(1, 2)) == "DimPair(even=1, odd=2)"
     assert repr(CechWindow(7)) == "CechWindow(D=7)"
-    assert repr(PiPicardData(1, 2, False, 1, 0)) == (
-        "PiPicardData(n=1, m=2, split_only=False, nonsplit_parameter_dim=1,"
-        " odd_sector_h1=0)"
+    assert repr(PiPicardData(1, 2, False, 1)) == (
+        "PiPicardData(n=1, m=2, split_only=False, nonsplit_parameter_dim=1)"
     )
     assert str(DimPair(1, 2)) == "1|2"
 
