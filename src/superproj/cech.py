@@ -14,11 +14,12 @@ off, see below).  h0 is the kernel: its dimension is the number of
 columns less the rank, and its generators are the tracked kernel
 combinations.  The stored vectors led by in-band keys are an echelon basis
 of the in-window image: their count gives h1, and, moved without their
-kernel tags into one eliminator for the whole window, they reduce a cocycle
-to its class.  The q unit columns (w^b p^s, 0 <= b <= D) each hold one key
-with coefficient 1, so they are never eliminated: a column's keys with
-nonnegative exponent are dropped instead, and the class of any cocycle term
-with nonnegative exponent is zero.
+kernel tags into one eliminator for the whole window on the first
+``h1_class`` call, they reduce a cocycle to its class.  The q unit columns
+(w^b p^s, 0 <= b <= D) each hold one key with coefficient 1, so they are
+never eliminated: a column's keys with nonnegative exponent are dropped
+instead, and the class of any cocycle term with nonnegative exponent is
+zero.
 
 Column reach.  Mask s takes the columns z^a t^s for a <= D + r_s.  With k the
 body exponent of W, cancelling the term w^e p^t of W on the column z^a t^s
@@ -82,9 +83,12 @@ piece at s is the whole complex at s, the Cech map of O(n) on P^1 with
 n = k - |s|.  Its kernel is the max(0, n + 1) sections c w^(n - a) p^s,
 a = 0..n, in the order the kernel expansion gives, and each polar column
 z^a t^s, a > n, is the one key w^(n - a) p^s, its own pivot.  So a lone mask
-builds no column and runs no elimination: its in-band pivots w^j p^s,
--B <= j <= min(-1, n), are stored as the rows {key: 1}, which clear a
-cocycle's key as the scaled column did.  For O(ell) every mask is lone.
+builds no column, runs no elimination and stores no row: with
+hi = min(-1, n), its in-band pivots are w^j p^s, -B <= j <= hi, so it adds
+B - max(0, hi + B + 1) to h1, its h1 generators are w^j p^s for
+max(hi + 1, -B) <= j <= -1, and the window keeps only the pair (s, hi).  The
+class map turns each pair into the rows {key: 1}, which clear a cocycle's
+key as the scaled column did.  For O(ell) every mask is lone.
 """
 
 from __future__ import annotations
@@ -157,12 +161,13 @@ class CechWindow(FrozenRecord):
 
 class CohomologyResult(Record):
     __slots__ = ("h0", "h1", "generators_h0", "generators_h1", "window_used",
-                 "stabilized", "_sheaf", "_band", "_coboundaries", "_keys")
+                 "stabilized", "_sheaf", "_band", "_rows", "_lone", "_keys",
+                 "_coboundaries")
 
     def __init__(self, h0: DimPair, h1: DimPair, generators_h0: list,
                  generators_h1: list, window_used: CechWindow, stabilized: bool,
                  _sheaf: TransitionSheaf = None, _band: range = None,
-                 _coboundaries: SparseElim = None, _keys: tuple = None):
+                 _rows: dict = None, _lone: list = None, _keys: tuple = None):
         self.h0 = h0
         self.h1 = h1
         self.generators_h0 = generators_h0  # the Q components of sections, V chart
@@ -171,12 +176,32 @@ class CohomologyResult(Record):
         self.stabilized = stabilized
         self._sheaf = _sheaf  # its V chart is where cocycles live
         self._band = _band  # the in-window C1 exponents
-        # an untracked eliminator holding the window's stored vectors led by in-band
-        # keys, an echelon basis of the polar in-window image (int rows for a
-        # rational W, against which a Scalar cocycle reduces exactly); a key (e, s)
-        # is stored as -k - 1 for k = ((e + off) << m) | s, _keys = (off, m)
-        self._coboundaries = _coboundaries
+        # the coupled components' stored vectors led by in-band keys, by key, and
+        # the lone masks' pairs (s, hi); a key (e, s) is stored as -k - 1 for
+        # k = ((e + off) << m) | s, _keys = (off, m)
+        self._rows = _rows
+        self._lone = _lone
         self._keys = _keys
+        # the class map, built from both on the first h1_class call
+        self._coboundaries = None
+
+    def _class_map(self) -> SparseElim:
+        """An untracked eliminator holding an echelon basis of the polar
+        in-window image (int rows for a rational W, against which a Scalar
+        cocycle reduces exactly), built once."""
+        if self._coboundaries is None:
+            off, m = self._keys
+            elim = SparseElim()
+            pivots = elim.pivots
+            for s, hi in self._lone:
+                for j in range(self._band[0], hi + 1):
+                    key = -(((j + off) << m) | s) - 1
+                    pivots[key] = ({key: 1}, None)
+            for key, vec in self._rows.items():
+                pivots[key] = (vec, None)
+            elim.rank = len(pivots)
+            self._coboundaries = elim
+        return self._coboundaries
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
@@ -203,7 +228,7 @@ class CohomologyResult(Record):
         # a rational cocycle reduces on int, and only its class is lifted back
         scale, vec = _int_scaled(vec)
         out = {}
-        for k, c in self._coboundaries.reduce(vec).items():
+        for k, c in self._class_map().reduce(vec).items():
             k = -k - 1
             out[(k >> m) - off, k & low] = Scalar.coerce(c) / scale
         return out
@@ -276,22 +301,25 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
-    coboundaries = SparseElim()
+    rows, lone = {}, []
+    one_term = SuperPolynomial._term
 
     for comp in components:
         parity = mask_parity(comp[0])
         if len(comp) == 1:
             # a lone mask: the complex at s is O(n) on P^1 (module docstring),
-            # with sections c w^(n - a) p^s, and each polar column is one key
+            # with sections c w^(n - a) p^s and pivots w^j p^s, -B <= j <= hi
             s = comp[0]
             n = k - s.bit_count()
+            hi = min(-1, n)
             h0[parity] += max(0, n + 1)
+            h1[parity] += B - max(0, hi + B + 1)
+            lone.append((s, hi))
             if want_generators:
-                gens_h0 += [SuperPolynomial(ctx_b, {((n - a,), s): body})
+                gens_h0 += [one_term(ctx_b, ((n - a,), s), body)
                             for a in range(n + 1)]
-            lead = [-(((j + off) << m) | s) - 1 for j in range(-B, min(-1, n) + 1)]
-            for key in lead:
-                coboundaries.pivots[key] = ({key: 1}, None)
+                gens_h1 += [one_term(ctx_b, ((j,), s), ONE)
+                            for j in range(max(hi + 1, -B), 0)]
         else:
             # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
             # then by a; one shifted term list per S, kept with each column
@@ -342,22 +370,19 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
 
             # h1: the stored vectors led by in-band keys hold only polar
             # in-band keys and are an echelon basis of the polar in-window
-            # image.  They move to the window's eliminator without their
-            # kernel tags.
+            # image.  They are kept for the class map without their kernel
+            # tags.  The q unit columns cover the band's |comp| * (B + 1)
+            # nonnegative monomials.
             pivots = elim.pivots
             lead = [key for key in pivots if key < 0]
             for key in lead:
-                coboundaries.pivots[key] = (pivots[key][0], None)
-
-        # the q unit columns cover the band's |comp| * (B + 1) nonnegative
-        # monomials
-        coboundaries.rank += len(lead)
-        h1[parity] += len(comp) * B - len(lead)
-        if want_generators:
-            for s in comp:
-                for j in range(-B, 0):
-                    if -(((j + off) << m) | s) - 1 not in coboundaries.pivots:
-                        gens_h1.append(SuperPolynomial(ctx_b, {((j,), s): ONE}))
+                rows[key] = pivots[key][0]
+            h1[parity] += len(comp) * B - len(lead)
+            if want_generators:
+                for s in comp:
+                    for j in range(-B, 0):
+                        if -(((j + off) << m) | s) - 1 not in pivots:
+                            gens_h1.append(one_term(ctx_b, ((j,), s), ONE))
 
     return CohomologyResult(
         h0=DimPair(h0[0], h0[1]),
@@ -368,7 +393,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         stabilized=False,
         _sheaf=sheaf,
         _band=band,
-        _coboundaries=coboundaries,
+        _rows=rows,
+        _lone=lone,
         _keys=(off, m),
     )
 

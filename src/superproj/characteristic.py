@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, check_pnm
 from .records import FrozenRecord, set_field
 
 
@@ -64,8 +64,7 @@ class CharacteristicReport(FrozenRecord):
 
 
 def characteristic_report(n: int, m: int) -> CharacteristicReport:
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
+    check_pnm(n, m)
     table = {}
     for i in range(0, 2 * n + 1, 2):
         for j in range(m + 1):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, check_pnm
 from .records import FrozenRecord, set_field
 
 
@@ -77,14 +77,9 @@ class SplitSheaf(FrozenRecord):
         set_field(self, "summands", summands)  # of (twist, parity, multiplicity)
 
 
-def _check_pnm(n: int, m: int) -> None:
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
-
-
 def decompose(n: int, m: int, ell: int) -> SplitSheaf:
     """Split O(ell) on the n|m projective superspace over the reduced P^n."""
-    _check_pnm(n, m)
+    check_pnm(n, m)
     summands = tuple((ell - k, k & 1, comb(m, k)) for k in range(m + 1))
     return SplitSheaf(n, m, ell, summands)
 
@@ -129,7 +124,7 @@ def _coefficient(k: int, a: int, b: int) -> int:
 
 def chi_closed(n: int, m: int, ell: int):
     """h^0 total via the applicable chi regime, or None if neither applies."""
-    _check_pnm(n, m)
+    check_pnm(n, m)
     if m < ell:
         return _coefficient(n, ell + n - m, m)
     if not 0 <= ell <= m <= ell + n:
@@ -146,7 +141,7 @@ def chi_closed(n: int, m: int, ell: int):
 
 def zeta_closed(n: int, m: int, ell: int) -> int:
     """h^n total, always defined: one formula for every ell."""
-    _check_pnm(n, m)
+    check_pnm(n, m)
     # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k;
     # empty for ell < 0
     tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))

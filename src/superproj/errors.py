@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one shape check of P^(n|m)."""
 
 
 class SuperprojError(Exception):
@@ -27,3 +27,9 @@ class ParseError(SuperprojError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+def check_pnm(n: int, m: int) -> None:
+    """The shape check of P^(n|m), said once for every entry point."""
+    if n < 1 or m < 0:
+        raise DomainError("need n >= 1 and m >= 0")

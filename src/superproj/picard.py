@@ -17,7 +17,7 @@ normal-form reduction a per-monomial truncation.
 from __future__ import annotations
 
 from .cech import TransitionSheaf, cech_cohomology, standard_transition
-from .errors import DomainError
+from .errors import DomainError, check_pnm
 from .records import Record
 from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
 
@@ -144,8 +144,7 @@ def pi_picard(n: int, m: int) -> PiPicardData:
     This is classification data of a pointed set, not a group: no
     composition law is reported.
     """
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
+    check_pnm(n, m)
     if n == 1 and m >= 3:
         dim = 2 ** (m - 2) * (m - 2)
     else:

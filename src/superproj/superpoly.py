@@ -25,10 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import ContextError, DomainError, ParityError
+from .errors import ContextError, DomainError, ParityError, check_pnm
 from .scalars import ONE, Scalar, power
 
 MonKey = tuple  # (exps: tuple[int, ...], mask: int)
+_new = object.__new__
 
 
 def mask_parity(mask: int) -> int:
@@ -180,6 +181,15 @@ class SuperPolynomial:
         self.ctx = ctx
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
+    @staticmethod
+    def _term(ctx: Context, key: MonKey, c: Scalar) -> "SuperPolynomial":
+        """The one-term polynomial c * key, for a c known to be nonzero: no
+        dict copy and no zero filter."""
+        p = _new(SuperPolynomial)
+        p.ctx = ctx
+        p.terms = {key: c}
+        return p
+
     # -- basic structure ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -319,16 +329,18 @@ class SuperPolynomial:
                 parts.append(self.ctx.even[pos])
             elif e:
                 parts.append(f"{self.ctx.even[pos]}^{e}")
-        for pos in range(len(self.ctx.odd)):
-            if mask & (1 << pos):
-                parts.append(self.ctx.odd[pos])
+        odd = self.ctx.odd
+        while mask:
+            low = mask & -mask
+            parts.append(odd[low.bit_length() - 1])
+            mask ^= low
         return "*".join(parts) if parts else "1"
 
     def __str__(self):
         if not self.terms:
             return "0"
         chunks = []
-        for key in self._sorted_keys():
+        for key in self.terms if len(self.terms) == 1 else self._sorted_keys():
             c = self.terms[key]
             mono = self.monomial_str(key)
             ctext = str(c)
@@ -439,8 +451,7 @@ def pnm_transition(n: int, m: int) -> ChartTransition:
     w.  The pair is shared by every caller in the process: read it, never
     mutate it.
     """
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
+    check_pnm(n, m)
     suffixes = [""] if n == 1 else [str(j) for j in range(1, n + 1)]
     odd = range(1, m + 1)
     return ChartTransition(

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cohomology import DimPair, cohomology_dims
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, check_pnm
 from .linalg import SparseElim
 from .records import Record
 from .scalars import Scalar
@@ -69,8 +69,7 @@ def super_gradient_rank(n: int, m: int) -> dict:
     ``(v, exps, mask)``, with ``int`` entries, so the elimination is fraction
     free.  Returns domain and kernel dimensions split by source parity.
     """
-    if n < 1 or m < 0:
-        raise DomainError("need n >= 1 and m >= 0")
+    check_pnm(n, m)
     d = m - n - 1
     if d < 0:
         return {"domain_dim": DimPair(0, 0), "kernel_dim": DimPair(0, 0)}

@@ -424,12 +424,70 @@ def test_rational_cocycle_class_matches_the_scalar_path():
 
 
 def test_rational_window_stores_int_rows():
+    # the class map is built on the first h1_class call
     sheaves = _rational_sheaves() + [TransitionSheaf(5, _dense_rational_transition())]
     for sheaf in sheaves:
         res = cech._run_window(sheaf, default_window(sheaf), True)
+        res.h1_class(sheaf.transition.ctx_b.zero())
         rows = [vec for vec, _ in res._coboundaries.pivots.values()]
         assert rows and all(type(v) is int for row in rows for v in row.values())
 
+
+
+# -- the class map is built from the window's counts on first use -----------
+
+# the masks on the chain p1 p2 - p2 p3 - p3 p4 couple; those holding neither
+# p2 nor p3 and one or none of p1, p4, with any p5, stay lone
+CHAINED = "(2/3)*w*(1 + p1*p2*w^-1 + (-1/2)*p2*p3*w^-1 + p3*p4*w^-1)"
+
+
+def _class_map_cases():
+    lone = [twist_sheaf(m, ell) for m in range(7) for ell in range(-4, 5)]
+    mixed = [
+        TransitionSheaf(m, parse_superpoly(text, m=m)[0])
+        for text, m in ((LONE_AND_COUPLED, 4),
+                        ("(1+i)*w^-2*(1 + p1*p2*w)", 3), (CHAINED, 5))
+    ]
+    return lone, mixed
+
+
+def test_generator_ranges_match_the_class_map():
+    """Each h1 generator is its own class, and each lone mask's in-band
+    pivots w^j p^s, -B <= j <= min(-1, k - |s|), have class 0, on windows of
+    lone masks only and of lone beside coupled masks."""
+    lone, mixed = _class_map_cases()
+    for sheaf in lone + mixed:
+        res = cech_cohomology(sheaf)
+        assert len(res.generators_h1) == res.h1.total, sheaf
+        for g in res.generators_h1:
+            [((e,), s)] = g.terms
+            assert res.h1_class(g) == {(e, s): ONE}, (sheaf, e, s)
+        masks = {mask for _, mask in sheaf.W.terms}
+        comps = cech._mask_components(sheaf.m, masks)
+        lone_masks = [c[0] for c in comps if len(c) == 1]
+        assert lone_masks and (sheaf in lone) == (len(comps) == 1 << sheaf.m)
+        ctx_b = sheaf.transition.ctx_b
+        for s in lone_masks:
+            hi = min(-1, sheaf.body_exponent - s.bit_count())
+            for j in range(res._band[0], hi + 1):
+                assert res.h1_class(ctx_b.monomial(1, (j,), s)) == {}, (sheaf, j, s)
+
+
+def test_lone_window_builds_its_class_map_on_first_use(monkeypatch):
+    made = []
+    real = SparseElim.__init__
+
+    def init(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseElim, "__init__", init)
+    res = cech_cohomology(twist_sheaf(6, 0), want_generators=False)
+    assert made == []
+    ctx_b = standard_transition(6).ctx_b
+    assert res.h1_class(ctx_b.monomial(1, (-1,), 0b11)) == {(-1, 0b11): ONE}
+    assert res.h1_class(ctx_b.monomial(1, (-1,), 0)) == {}
+    assert len(made) == 1
 
 def test_advanced_window_lists_the_generators_of_its_own_run():
     # D = 6 leaves w^-4 p1 p2 out of the band: it is below D_cov = 7, so

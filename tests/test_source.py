@@ -93,6 +93,13 @@ def test_chart_pairs_are_built_only_in_superpoly():
     assert found == []
 
 
+def test_pnm_shape_check_is_said_once():
+    # errors.check_pnm is the one home of the P^(n|m) shape rule
+    found = [path.name for path in SOURCES
+             if "need n >= 1 and m >= 0" in path.read_text()]
+    assert found == ["errors.py"]
+
+
 def test_scalar_fraction_view_stays_off_engine_paths():
     # Scalar.c builds four Fractions on every read; the engine reads the int
     # numerators n and the denominator d instead
