@@ -13,8 +13,8 @@ eliminates its columns once, out-of-band keys leading (a lone mask is read
 off, see below).  h0 is the kernel: its dimension is the number of
 columns less the rank, and its generators are the tracked kernel
 combinations.  The stored vectors led by in-band keys are an echelon basis
-of the in-window image: their count gives h1, and, moved without their
-kernel tags into one eliminator for the whole window on the first
+of the in-window image: their count gives h1, and, kept without their
+kernel tags as the pivots of one eliminator, built on the first
 ``h1_class`` call, they reduce a cocycle to its class.  The q unit columns
 (w^b p^s, 0 <= b <= D) each hold one key with coefficient 1, so they are
 never eliminated: a column's keys with nonnegative exponent are dropped
@@ -24,7 +24,9 @@ zero.
 Column reach.  Mask s takes the columns z^a t^s for a <= D + r_s.  With k the
 body exponent of W, cancelling the term w^e p^t of W on the column z^a t^s
 takes the body of z^(a + k - e - |t|) t^(s|t), so r starts at 0 and
-r_(s|t) >= r_s + k - e - |t| for each nilpotent term.  The reach columns come
+r_(s|t) >= r_s + k - e - |t| for each nilpotent term, read in one pass over
+the masks s in ascending order (s | t > s, so r_s is final before s | t reads
+it), the same pass that joins the mask components.  The reach columns come
 after all base columns a <= D, so a window that is exact without them keeps
 its kernel combinations and pivots.
 
@@ -50,17 +52,20 @@ that needs a <= deg_(s - u) + k - e - |u|.
     monomials w^e p^s, k - |s| < e < 0, span H1 under the filtration, and
     from D_cov on each lies in the band, so band -> H1 is onto.
 The default window is D_cov, and ``cech_cohomology`` runs the one window
-max(D, D_cov).  A cocycle whose lowest polar term w^e p^s lies below the band,
-r = -e > B, is classified on one run of the window depth + r, whose band holds
-it; that window is above D, so at least D_cov, and exact by (b) and (c).  Its
-class is the one every exact window gives to a cocycle in its band: below-band
-keys lead the elimination and the band's keys keep their order, so in either
-window the stored vectors led by the smaller band's keys are an echelon basis,
-with the same pivots, of the image's part in that band (b), and the reduced
-form that holds no pivot key is unique.  So the true h0 - h1,
-sum_s (k - |s| + 1) over the 2^m masks for each parity (the index of a
-triangular map is the sum of its graded indices), is a runtime invariant: a
-window that reads another value is an engine fault.
+max(D, D_cov), so every result is stabilized: ``CohomologyResult.stabilized``
+is the class constant True.  A cocycle whose lowest polar term w^e p^s lies
+below the band, r = -e > B, is classified on one run of the window
+depth + r, whose band holds it; that window is above D, so at least D_cov,
+and exact by (b) and (c).  Its class is the one every exact window gives to
+a cocycle in its band: below-band keys lead the elimination and the band's
+keys keep their order, so in either window the stored vectors led by the
+smaller band's keys are an echelon basis, with the same pivots, of the
+image's part in that band (b), and the reduced form that holds no pivot key
+is unique.  So the true h0 - h1, for each
+parity the sum of C(m, j) (k - j + 1) over the mask sizes j of that parity
+(the index of a triangular map is the sum of its graded indices, and the
+graded piece depends on |s| only), is a runtime invariant: a window that
+reads another value is an engine fault.
 
 When every coefficient of W is rational, the window runs on L*W, with L the
 lcm of W's coefficient denominators: every column entry is an ``int``, and
@@ -68,13 +73,13 @@ the elimination is fraction free.  A constant rescaling is an isomorphism of
 sheaves, so h0, h1, both generator lists and the class map do not change:
 the normalised kernel combinations are the same, the h0 generators are
 divided by L, and the stored ``int`` vectors span the same image.  Only what
-leaves the window is lifted to ``Scalar``: the h0 generators and the class
-coordinates.  A rational cocycle reduces the same way, scaled by the lcm of
-its own denominators, against the ``int`` rows.
+leaves the window is lifted to ``Scalar``: the h0 generators.  A cocycle
+reduces on its own field: its ``Scalar`` entries divide against the ``int``
+rows exactly, to the same unique reduced form.
 
 The coboundary never mixes odd-mask sectors that are unreachable from each
 other through W's terms, so the problem splits into many small exact linear
-systems (union-find on masks) instead of one large one.
+systems (union-find on masks, in the mask pass) instead of one large one.
 
 Lone masks.  The union-find joins s with s | t for every nilpotent term p^t
 of W disjoint from s, so a component {s} of one mask has no term of W acting
@@ -86,14 +91,16 @@ z^a t^s, a > n, is the one key w^(n - a) p^s, its own pivot.  So a lone mask
 builds no column, runs no elimination and stores no row: with
 hi = min(-1, n), its in-band pivots are w^j p^s, -B <= j <= hi, so it adds
 B - max(0, hi + B + 1) to h1, its h1 generators are w^j p^s for
-max(hi + 1, -B) <= j <= -1, and the window keeps only the pair (s, hi).  The
-class map turns each pair into the rows {key: 1}, which clear a cocycle's
-key as the scaled column did.  For O(ell) every mask is lone.
+max(hi + 1, -B) <= j <= -1, and the window keeps only hi, by s.  So
+``h1_class`` drops a cocycle's term w^j p^s with j <= hi, as the pivot's
+column would clear it, and keeps a term above hi, a generator: the class map
+holds only the coupled components' rows, and a window of lone masks builds
+none.  For O(ell) every mask is lone.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import comb, lcm
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import ContextError, DomainError, InvariantError, ParityError
@@ -161,47 +168,30 @@ class CechWindow(FrozenRecord):
 
 class CohomologyResult(Record):
     __slots__ = ("h0", "h1", "generators_h0", "generators_h1", "window_used",
-                 "stabilized", "_sheaf", "_band", "_rows", "_lone", "_keys",
-                 "_coboundaries")
+                 "_sheaf", "_band", "_rows", "_lone", "_keys", "_coboundaries")
+
+    # every result a caller sees comes from one exact window (module docstring)
+    stabilized = True
 
     def __init__(self, h0: DimPair, h1: DimPair, generators_h0: list,
-                 generators_h1: list, window_used: CechWindow, stabilized: bool,
+                 generators_h1: list, window_used: CechWindow,
                  _sheaf: TransitionSheaf = None, _band: range = None,
-                 _rows: dict = None, _lone: list = None, _keys: tuple = None):
+                 _rows: dict = None, _lone: dict = None, _keys: tuple = None):
         self.h0 = h0
         self.h1 = h1
         self.generators_h0 = generators_h0  # the Q components of sections, V chart
         self.generators_h1 = generators_h1  # V-chart Laurent polynomials
         self.window_used = window_used
-        self.stabilized = stabilized
         self._sheaf = _sheaf  # its V chart is where cocycles live
         self._band = _band  # the in-window C1 exponents
-        # the coupled components' stored vectors led by in-band keys, by key, and
-        # the lone masks' pairs (s, hi); a key (e, s) is stored as -k - 1 for
-        # k = ((e + off) << m) | s, _keys = (off, m)
+        # the coupled components' stored vectors led by in-band keys, by key,
+        # and each lone mask's hi, by mask; a key (e, s) is stored as
+        # ~k = -k - 1 for k = ((e + off) << m) | s, with _keys = (off, m)
         self._rows = _rows
         self._lone = _lone
         self._keys = _keys
-        # the class map, built from both on the first h1_class call
+        # the class map, built from the rows on the first h1_class call
         self._coboundaries = None
-
-    def _class_map(self) -> SparseElim:
-        """An untracked eliminator holding an echelon basis of the polar
-        in-window image (int rows for a rational W, against which a Scalar
-        cocycle reduces exactly), built once."""
-        if self._coboundaries is None:
-            off, m = self._keys
-            elim = SparseElim()
-            pivots = elim.pivots
-            for s, hi in self._lone:
-                for j in range(self._band[0], hi + 1):
-                    key = -(((j + off) << m) | s) - 1
-                    pivots[key] = ({key: 1}, None)
-            for key, vec in self._rows.items():
-                pivots[key] = (vec, None)
-            elim.rank = len(pivots)
-            self._coboundaries = elim
-        return self._coboundaries
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
@@ -216,22 +206,24 @@ class CohomologyResult(Record):
             raise ContextError(
                 f"cocycle lives in {cocycle.ctx!r}, not the V chart {ctx!r}"
             )
-        vec = {(exps[0], mask): c for (exps, mask), c in cocycle.terms.items()}
-        r = max([-e for e, _ in vec if e < 0], default=0)
+        r = max([-exps[0] for exps, _ in cocycle.terms if exps[0] < 0], default=0)
         if -r not in self._band:
             wider = CechWindow(self._sheaf.depth + r)
             return _run_window(self._sheaf, wider, False).h1_class(cocycle)
         off, m = self._keys
+        # a term with nonnegative exponent is a q unit column, and a lone mask's
+        # term w^e p^s with e <= hi is its own pivot: the class of both is 0
+        lone, floor = self._lone, -r - 1
+        vec = {~(((e + off) << m) | s): c
+               for ((e,), s), c in cocycle.terms.items() if lone.get(s, floor) < e < 0}
+        if self._rows:
+            if self._coboundaries is None:
+                self._coboundaries = elim = SparseElim()
+                elim.pivots = {key: (row, None) for key, row in self._rows.items()}
+                elim.rank = len(elim.pivots)
+            vec = self._coboundaries.reduce(vec)
         low = (1 << m) - 1
-        # a term with nonnegative exponent is a q unit column: its class is 0
-        vec = {-(((e + off) << m) | s) - 1: c for (e, s), c in vec.items() if e < 0}
-        # a rational cocycle reduces on int, and only its class is lifted back
-        scale, vec = _int_scaled(vec)
-        out = {}
-        for k, c in self._class_map().reduce(vec).items():
-            k = -k - 1
-            out[(k >> m) - off, k & low] = Scalar.coerce(c) / scale
-        return out
+        return {((~k >> m) - off, ~k & low): c for k, c in vec.items()}
 
     def h1_span_equals(self, cocycles) -> bool:
         """Whether given cocycles span the computed H1 (compared in the quotient)."""
@@ -240,18 +232,14 @@ class CohomologyResult(Record):
         return spans_equal(given, computed)
 
 
-def _int_scaled(terms: dict):
-    """A rational term dict as (L, L * terms on int), L the lcm of its
-    denominators; any other as (1, terms)."""
-    if not all(c.is_rational() for c in terms.values()):
-        return 1, terms
-    scale = lcm(*(c.d for c in terms.values()))
-    return scale, {k: c.n[0] * (scale // c.d) for k, c in terms.items()}
-
-
-def _mask_components(m: int, term_mask_set):
-    """Partition odd masks into sectors the coboundary cannot mix."""
+def _mask_pass(sheaf: TransitionSheaf):
+    """The mask components, sectors the coboundary cannot mix (union-find),
+    and the column reach r_s of each mask (module docstring), from one pass
+    over the masks s and the nilpotent term masks t of W with s & t = 0."""
+    m, k = sheaf.m, sheaf.body_exponent
+    steps = [(t, k - exps[0] - t.bit_count()) for exps, t in sheaf.W.terms if t]
     parent = list(range(1 << m))
+    reach = [0] * (1 << m)
 
     def find(s):
         while parent[s] != s:
@@ -259,16 +247,19 @@ def _mask_components(m: int, term_mask_set):
             s = parent[s]
         return s
 
+    # s | t > s, so r_s is final before s | t reads it
     for s in range(1 << m):
-        for t in term_mask_set:
-            if t and not (s & t):
-                a, b = find(s), find(s | t)
+        for t, step in steps:
+            if not s & t:
+                u = s | t
+                reach[u] = max(reach[u], reach[s] + step)
+                a, b = find(s), find(u)
                 if a != b:
                     parent[a] = b
     groups = {}
     for s in range(1 << m):
         groups.setdefault(find(s), []).append(s)
-    return sorted(groups.values())
+    return sorted(groups.values()), reach
 
 
 def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: bool):
@@ -279,29 +270,24 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
     B = D - sheaf.depth
     band = range(-B, B + 1)  # in-window C1 exponents
     # a rational W runs scaled by the lcm of its denominators, on int
-    scale, terms = _int_scaled(sheaf.W.terms)
+    terms, scale = sheaf.W.terms, 1
+    if all(c.is_rational() for c in terms.values()):
+        scale = lcm(*(c.d for c in terms.values()))
+        terms = {key: c.n[0] * (scale // c.d) for key, c in terms.items()}
     w_terms = [(exps[0], mask, c) for (exps, mask), c in terms.items()]
-    components = _mask_components(m, {mask for _, mask, _ in w_terms})
+    components, reach = _mask_pass(sheaf)
     k = sheaf.body_exponent
     body = sheaf.W.terms[(k,), 0]  # c, unscaled
 
-    # the column reach r_s of each mask (module docstring)
-    reach = [0] * (1 << m)
-    for s in range(1 << m):
-        for e, t, _ in w_terms:
-            if t and not s & t:
-                reach[s | t] = max(reach[s | t],
-                                   reach[s] + k - e - t.bit_count())
-
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
-    # the elimination an in-band key k is stored as -k - 1, so that out-of-band
-    # keys lead and, in band, the smallest (e, s) leads.
+    # the elimination an in-band key k is stored as ~k = -k - 1, so that
+    # out-of-band keys lead and, in band, the smallest (e, s) leads.
     off = D + max(reach) + sheaf.depth + m
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
     gens_h0, gens_h1 = [], []
-    rows, lone = {}, []
+    rows, lone = {}, {}
     one_term = SuperPolynomial._term
 
     for comp in components:
@@ -314,7 +300,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
             hi = min(-1, n)
             h0[parity] += max(0, n + 1)
             h1[parity] += B - max(0, hi + B + 1)
-            lone.append((s, hi))
+            lone[s] = hi
             if want_generators:
                 gens_h0 += [one_term(ctx_b, ((n - a,), s), body)
                             for a in range(n + 1)]
@@ -349,7 +335,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
                     e -= a
                     if e < 0:
                         key -= shift
-                        col[-key - 1 if e >= -B else key] = c
+                        col[~key if e >= -B else key] = c
                 elim.add(col, tag_key=j)
             h0[parity] += len(columns) - elim.rank
             if want_generators:
@@ -381,7 +367,7 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
             if want_generators:
                 for s in comp:
                     for j in range(-B, 0):
-                        if -(((j + off) << m) | s) - 1 not in pivots:
+                        if ~(((j + off) << m) | s) not in pivots:
                             gens_h1.append(one_term(ctx_b, ((j,), s), ONE))
 
     return CohomologyResult(
@@ -390,7 +376,6 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         generators_h0=gens_h0,
         generators_h1=gens_h1,
         window_used=window,
-        stabilized=False,
         _sheaf=sheaf,
         _band=band,
         _rows=rows,
@@ -416,18 +401,17 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
         window = covering
     window.check(sheaf)
     res = _run_window(sheaf, CechWindow(max(window.D, covering.D)), want_generators)
-    k = sheaf.body_exponent
+    k, m = sheaf.body_exponent, sheaf.m
     chi = [0, 0]
-    for s in range(1 << sheaf.m):
-        chi[mask_parity(s)] += k - s.bit_count() + 1
+    for j in range(m + 1):  # the C(m, j) masks of size j
+        chi[j & 1] += comb(m, j) * (k - j + 1)
     got = [res.h0.even - res.h1.even, res.h0.odd - res.h1.odd]
     if got != chi:
         raise InvariantError(
             f"Cech h0 - h1 = {got[0]}|{got[1]} at D={res.window_used.D}, not "
             f"the Euler characteristic {chi[0]}|{chi[1]} of O({k}) on "
-            f"P^(1|{sheaf.m})"
+            f"P^(1|{m})"
         )
-    res.stabilized = True
     return res
 
 

@@ -133,7 +133,7 @@ def cmd_osp22_verify(args, fmt) -> int:
         {
             "schema": 1,
             "entries": [
-                {"equation": label, "ok": ok} for label, ok, _ in report.entries
+                {"equation": label, "ok": ok} for label, ok in report.entries
             ],
             "computed_only": [
                 {"equation": label, "value": value}

@@ -201,7 +201,7 @@ def _check_osp22(rec):
     return {
         "all_passed": report.all_passed,
         "entries": len(report.entries),
-        "failed": [label for label, ok, _ in report.entries if not ok],
+        "failed": [label for label, ok in report.entries if not ok],
     }
 
 

@@ -16,7 +16,7 @@ normal-form reduction a per-monomial truncation.
 
 from __future__ import annotations
 
-from .cech import TransitionSheaf, cech_cohomology, standard_transition
+from .cech import TransitionSheaf, cech_cohomology, standard_transition, twist_sheaf
 from .errors import DomainError, check_pnm
 from .records import Record
 from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
@@ -132,8 +132,7 @@ def verify_picard_dim_cech(m: int) -> bool:
     """
     if not 2 <= m <= 6:
         raise DomainError("verify_picard_dim_cech covers 2 <= m <= 6")
-    sheaf = TransitionSheaf(m, standard_transition(m).ctx_b.one())
-    h1 = cech_cohomology(sheaf, want_generators=False).h1
+    h1 = cech_cohomology(twist_sheaf(m, 0), want_generators=False).h1
     return (h1.even, h1.odd) == (continuous_dim_formula(1, m),
                                  pi_picard(1, m).nonsplit_parameter_dim)
 

@@ -222,10 +222,7 @@ class Scalar:
                 parts.append(f"-{name}")
             else:
                 parts.append(f"{text}*{name}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        return signed_join(parts)
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -296,6 +293,14 @@ def _operand(x):
     if isinstance(x, (int, Fraction)):
         return Scalar(x)
     return None
+
+
+def signed_join(parts: list) -> str:
+    """The parts joined by " + ", a part's leading "-" read as " - "."""
+    text = parts[0]
+    for p in parts[1:]:
+        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return text
 
 
 def _qstr(p: int, q: int) -> str:

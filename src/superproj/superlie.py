@@ -217,13 +217,13 @@ class VerificationReport(Record):
     __slots__ = ("entries", "computed_only")
 
     def __init__(self, entries: list = None, computed_only: list = None):
-        # (label, ok, detail), then (label, value string); fresh lists by default
+        # (label, ok), then (label, value string); fresh lists by default
         self.entries = [] if entries is None else entries
         self.computed_only = [] if computed_only is None else computed_only
 
     @property
     def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
+        return all(ok for _, ok in self.entries)
 
 
 def _combo_matches(fields, combo, actual: SuperDerivation) -> bool:
@@ -246,14 +246,9 @@ def verify_osp22() -> VerificationReport:
     """
     f = standard_fields()
     report = VerificationReport()
-    for (a, b), combo in U_SIGMA_TABLE.items():
-        actual = f[a].bracket(f[b])
-        ok = _combo_matches(f, combo, actual)
-        report.entries.append((f"[{a},{b}]", ok, str(actual)))
-    for label, (a, b), combo in conformal_equations():
-        actual = f[a].bracket(f[b])
-        ok = _combo_matches(f, combo, actual)
-        report.entries.append((label, ok, str(actual)))
+    table = [(f"[{a},{b}]", (a, b), combo) for (a, b), combo in U_SIGMA_TABLE.items()]
+    for label, (a, b), combo in table + conformal_equations():
+        report.entries.append((label, _combo_matches(f, combo, f[a].bracket(f[b]))))
     elim = span_eliminator([f[n].vectorize() for n in _CONFORMAL_NAMES])
     for i in (1, 2):
         for target in (f"Q{i}", f"S{i}"):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import ContextError, DomainError, ParityError, check_pnm
-from .scalars import ONE, Scalar, power
+from .scalars import ONE, Scalar, power, signed_join
 
 MonKey = tuple  # (exps: tuple[int, ...], mask: int)
 _new = object.__new__
@@ -355,10 +355,7 @@ class SuperPolynomial:
             else:
                 chunk = f"{ctext}*{mono}"
             chunks.append(chunk)
-        text = chunks[0]
-        for ch in chunks[1:]:
-            text += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-        return text
+        return signed_join(chunks)
 
     def __repr__(self):
         return f"SuperPolynomial({self})"

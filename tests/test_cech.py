@@ -202,7 +202,7 @@ def _reference_window(sheaf, window, want_generators):
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
     a_in_b, _ = chart_rules(ctx_a, ctx_b)
     band = range(-(D - depth), D - depth + 1)
-    components = cech._mask_components(m, {mask for (_, mask) in sheaf.W.terms})
+    components, _ = cech._mask_pass(sheaf)
     reach = _reference_reach(sheaf, components)
     h0, h1 = {0: 0, 1: 0}, {0: 0, 1: 0}
     gens_h0, gens_h1, image_rref = [], [], []
@@ -406,8 +406,8 @@ def test_rational_window_matches_its_scalar_multiple():
 
 
 def test_rational_cocycle_class_matches_the_scalar_path():
-    # a rational cocycle reduces on int, scaled by the lcm of its
-    # denominators; I times it reduces on Scalar, and the class map is linear
+    # a rational cocycle and I times it both reduce on their own field
+    # against the int rows, and the class map is linear
     a = cech_cohomology(TransitionSheaf(5, _dense_rational_transition()))
     ctx_b = standard_transition(5).ctx_b
     probes = [ctx_b.monomial(Fraction(-5, 7), (j,), s)
@@ -424,17 +424,22 @@ def test_rational_cocycle_class_matches_the_scalar_path():
 
 
 def test_rational_window_stores_int_rows():
-    # the class map is built on the first h1_class call
+    # the class map is built on the first h1_class call, from the coupled
+    # components' rows only: a window of lone masks has none
     sheaves = _rational_sheaves() + [TransitionSheaf(5, _dense_rational_transition())]
+    rows = []
     for sheaf in sheaves:
         res = cech._run_window(sheaf, default_window(sheaf), True)
         res.h1_class(sheaf.transition.ctx_b.zero())
-        rows = [vec for vec, _ in res._coboundaries.pivots.values()]
-        assert rows and all(type(v) is int for row in rows for v in row.values())
+        if len(sheaf.W.terms) == 1:
+            assert res._coboundaries is None, sheaf
+        else:
+            rows += [vec for vec, _ in res._coboundaries.pivots.values()]
+    assert rows and all(type(v) is int for row in rows for v in row.values())
 
 
 
-# -- the class map is built from the window's counts on first use -----------
+# -- the class map holds the coupled rows, built on first use ---------------
 
 # the masks on the chain p1 p2 - p2 p3 - p3 p4 couple; those holding neither
 # p2 nor p3 and one or none of p1, p4, with any p5, stay lone
@@ -462,8 +467,7 @@ def test_generator_ranges_match_the_class_map():
         for g in res.generators_h1:
             [((e,), s)] = g.terms
             assert res.h1_class(g) == {(e, s): ONE}, (sheaf, e, s)
-        masks = {mask for _, mask in sheaf.W.terms}
-        comps = cech._mask_components(sheaf.m, masks)
+        comps, _ = cech._mask_pass(sheaf)
         lone_masks = [c[0] for c in comps if len(c) == 1]
         assert lone_masks and (sheaf in lone) == (len(comps) == 1 << sheaf.m)
         ctx_b = sheaf.transition.ctx_b
@@ -473,7 +477,7 @@ def test_generator_ranges_match_the_class_map():
                 assert res.h1_class(ctx_b.monomial(1, (j,), s)) == {}, (sheaf, j, s)
 
 
-def test_lone_window_builds_its_class_map_on_first_use(monkeypatch):
+def test_lone_window_builds_no_class_map(monkeypatch):
     made = []
     real = SparseElim.__init__
 
@@ -487,7 +491,8 @@ def test_lone_window_builds_its_class_map_on_first_use(monkeypatch):
     ctx_b = standard_transition(6).ctx_b
     assert res.h1_class(ctx_b.monomial(1, (-1,), 0b11)) == {(-1, 0b11): ONE}
     assert res.h1_class(ctx_b.monomial(1, (-1,), 0)) == {}
-    assert len(made) == 1
+    assert made == []
+
 
 def test_advanced_window_lists_the_generators_of_its_own_run():
     # D = 6 leaves w^-4 p1 p2 out of the band: it is below D_cov = 7, so
@@ -627,13 +632,13 @@ def test_rational_window_makes_no_scalar_product(monkeypatch):
     assert calls
 
 
-def _one_more_even(monkeypatch, field):
-    """Make every window report one extra even dimension in field."""
+def _one_more(monkeypatch, field, extra=DimPair(1, 0)):
+    """Make every window report the extra dimensions in field."""
     real = cech._run_window
 
     def run_window(*args):
         res = copy(real(*args))
-        setattr(res, field, getattr(res, field) + DimPair(1, 0))
+        setattr(res, field, getattr(res, field) + extra)
         return res
 
     monkeypatch.setattr(cech, "_run_window", run_window)
@@ -642,13 +647,13 @@ def _one_more_even(monkeypatch, field):
 @pytest.fixture
 def wrong_h1(monkeypatch):
     """Every window reports one extra even h1 dimension."""
-    _one_more_even(monkeypatch, "h1")
+    _one_more(monkeypatch, "h1")
 
 
 @pytest.fixture
 def wrong_h0(monkeypatch):
     """Every window reports one extra even h0 dimension."""
-    _one_more_even(monkeypatch, "h0")
+    _one_more(monkeypatch, "h0")
 
 
 def test_euler_characteristic_invariant(wrong_h0):
@@ -656,6 +661,14 @@ def test_euler_characteristic_invariant(wrong_h0):
     # engine fault
     with pytest.raises(InvariantError, match="Euler characteristic"):
         cech_cohomology(twist_sheaf(2, -1), want_generators=False)
+
+
+def test_odd_sector_euler_fault_is_caught(monkeypatch):
+    # the Euler sum by mask size counts the odd sizes too: one extra odd h1
+    # dimension on P^(1|5) is an engine fault
+    _one_more(monkeypatch, "h1", DimPair(0, 1))
+    with pytest.raises(InvariantError, match="Euler characteristic"):
+        cech_cohomology(twist_sheaf(5, -1), want_generators=False)
 
 
 def test_euler_shortfall_is_an_invariant_fault(monkeypatch, wrong_h1):
@@ -701,8 +714,7 @@ def test_one_elimination_per_window(monkeypatch, case, want):
 
     monkeypatch.setattr(SparseElim, "add", add)
     cech._run_window(sheaf, window, want)
-    masks = {mask for _, mask in sheaf.W.terms}
-    coupled = [c for c in cech._mask_components(sheaf.m, masks) if len(c) > 1]
+    coupled = [c for c in cech._mask_pass(sheaf)[0] if len(c) > 1]
     assert sorted(len(tags) for tags in calls.values()) == sorted(
         len(comp) * (window.D + 1) for comp in coupled
     )

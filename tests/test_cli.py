@@ -167,6 +167,8 @@ PINNED_STDOUT = {
         ("27c084d3f00bfe64fb78d47f1b747ddebe7e78ea18c7484fa6c524533587e315", 0),
     "cech --m 4 --transition 'w*(1+i*p1*p2*w^-1)'":
         ("c1def3fb040ed9ded7b055c8d1dc3e904e50530e99f06e0be39a155f575bd471", 0),
+    "cech --m 4 --transition '(3/2)*w*(1+(1/3)*p1*p2*w^-1-(2/5)*p2*p3*w)'":
+        ("385111f0e85d069a0e4671ea2337940a676dfadeba85b68dd99a81bb6b487eec", 0),
     "picard --n 1 --m 4 --verify":
         ("ee74b86510170b6b48bfdef4d88074810aecf27ff9ce678b8ca4755f879b8b2d", 0),
     "tangent --n 1 --m 2 --basis":

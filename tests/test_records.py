@@ -33,9 +33,10 @@ def test_equality_is_by_class_then_fields():
     assert rep == TangentReport(1, 2, DimPair(8, 8), DimPair(0, 0), True,
                                 DimPair(8, 8), False)
     window = CechWindow(3)
-    res = CohomologyResult(DimPair(1, 0), DimPair(0, 0), [], [], window, True)
-    assert res == CohomologyResult(DimPair(1, 0), DimPair(0, 0), [], [], window, True)
-    assert res != CohomologyResult(DimPair(1, 0), DimPair(0, 1), [], [], window, True)
+    res = CohomologyResult(DimPair(1, 0), DimPair(0, 0), [], [], window)
+    assert res == CohomologyResult(DimPair(1, 0), DimPair(0, 0), [], [], window)
+    assert res != CohomologyResult(DimPair(1, 0), DimPair(0, 1), [], [], window)
+    assert res.stabilized is True
 
 
 def test_frozen_records_hash_by_fields_and_the_rest_do_not_hash():
@@ -71,7 +72,7 @@ def test_dim_pair_refuses_negative_dimensions():
 
 def test_verification_reports_do_not_share_lists():
     a, b = VerificationReport(), VerificationReport()
-    a.entries.append(("label", True, ""))
+    a.entries.append(("label", True))
     a.computed_only.append(("label", "1"))
     assert b.entries == [] and b.computed_only == []
     assert b.all_passed
