@@ -51,7 +51,6 @@ def emit(obj: dict, fmt: str):
 
 
 def cmd_cohomology(args, fmt) -> int:
-    from .cech import oracle_check_line
     from .cohomology import cohomology_dims
 
     dims = cohomology_dims(args.n, args.m, args.ell)
@@ -67,6 +66,8 @@ def cmd_cohomology(args, fmt) -> int:
         if args.n != 1:
             print("error: --oracle needs n = 1", file=sys.stderr)
             return EXIT_USAGE
+        from .cech import oracle_check_line
+
         ok = oracle_check_line(args.m, args.ell)
         out["oracle"] = "pass" if ok else "fail"
         if not ok:
@@ -154,7 +155,7 @@ def cmd_characteristic(args, fmt) -> int:
 
 
 def cmd_selftest(args, fmt) -> int:
-    from .golden import run_golden
+    from .checkers import run_golden
 
     report = run_golden(
         cases_override=args.cases, seed_override=args.seed

@@ -14,7 +14,14 @@ from functools import lru_cache
 
 from .cech import CechWindow, TransitionSheaf, cech_cohomology, standard_transition
 from .scalars import I, SQRT2, Scalar
-from .superpoly import Context, SuperDerivation, SuperPolynomial, mask_parity
+from .superpoly import (
+    Context,
+    SuperDerivation,
+    SuperPolynomial,
+    mask_parity,
+    super_exp,
+    super_log,
+)
 
 DEFAULT_CASES = 1000
 
@@ -200,7 +207,6 @@ def random_even_nilpotent(rng: random.Random, ctx: Context, depth: int):
 def exp_log_round_trips(seed: int, cases: int = 500, m_max: int = 6,
                         depth_max: int = 3) -> dict:
     """exp then log and log then exp, both exact, on random nilpotents."""
-    from .superpoly import super_exp, super_log
 
     def law(rng: random.Random) -> bool:
         m = rng.randint(2, m_max)

@@ -3,7 +3,7 @@ line.  Every comparison is exact; there are no tolerances anywhere."""
 
 import sys
 
-from superproj.golden import run_golden
+from superproj.checkers import run_golden
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str = ""):

@@ -144,7 +144,7 @@ def test_usage_error_exit_2(capsys):
 
 def test_selftest_subset_runs(capsys):
     # keep it cheap: the full selftest is exercised by the acceptance suite
-    from superproj.golden import run_golden
+    from superproj.checkers import run_golden
 
     report = run_golden(suite={"characteristic"})
     assert report["all_passed"]

@@ -1,8 +1,9 @@
 import pytest
 
+from superproj.checkers import CHECKERS, run_golden
 from superproj.cohomology import cohomology_dims
 from superproj.errors import SuperprojError
-from superproj.golden import CHECKERS, load_records, run_golden
+from superproj.golden import load_records
 
 
 def load_record(record_id: str):

@@ -4,8 +4,9 @@ import pytest
 
 from superproj.cech import CechWindow, CohomologyResult
 from superproj.characteristic import characteristic_report
+from superproj.checkers import CHECKERS, run_golden
 from superproj.cohomology import DimPair, SplitSheaf
-from superproj.golden import CHECKERS, GoldenRecord, load_records, run_golden
+from superproj.golden import GoldenRecord, load_records
 from superproj.picard import PiPicardData
 from superproj.superlie import VerificationReport
 from superproj.tangent import GlobalFieldBasis, TangentReport

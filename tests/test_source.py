@@ -1,8 +1,12 @@
 import ast
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import superproj
 
@@ -53,11 +57,9 @@ def test_test_oracles_stay_off_engine_paths():
 
 def test_engine_has_no_unused_relative_imports():
     # a name imported from another engine module and never read is dead
-    # coupling; __init__.py imports its names to re-export them
+    # coupling; the package itself re-exports nothing
     found = []
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [
@@ -128,39 +130,96 @@ def test_selftest_output_is_the_same_under_python_O():
     assert runs[0].stdout and runs[1].stdout == runs[0].stdout
 
 
-def test_cold_import_loads_neither_properties_nor_cli():
-    # import superproj is the cold start every command pays; the law suites
-    # and the command line load only when a command needs them
+def _loaded_after(code, *flags, path=None):
+    """Stdout of ``code`` in a fresh interpreter with the package's source
+    on the path."""
     src = str(Path(superproj.__file__).parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, superproj\n"
-        "print(sorted(n for n in ('superproj.properties', 'superproj.cli')"
-        " if n in sys.modules))\n"
-    )
+    path = path or os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_cold_import_loads_neither_properties_nor_cli():
+    # import superproj is the cold start every command pays: the package
+    # re-exports nothing, so it loads no engine module, and each command
+    # loads only the modules it uses
+    code = (
+        "import sys, superproj\n"
+        "print(sorted(n for n in sys.modules if n.startswith('superproj.')))\n"
+    )
+    assert _loaded_after(code) == "[]\n"
 
 
 def test_cold_start_loads_neither_dataclasses_nor_inspect():
     # cold start is import superproj plus the fixture load; dataclasses, and
-    # inspect with it, cost more to import than the engine's own start-up work
+    # inspect with it, cost more to import than the engine's own start-up
+    # work, and the fixture store reads JSON without compiling the engine
     src = str(Path(superproj.__file__).parent.parent)
     code = (
-        "import sys, superproj\n"
+        "import sys, superproj.golden\n"
         "superproj.golden.load_records()\n"
         "print(sorted(n for n in ('dataclasses', 'inspect') if n in sys.modules))\n"
+        "print(sorted(n for n in sys.modules if n.startswith('superproj.')))\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+    assert _loaded_after(code, "-S", path=src) == (
+        "[]\n['superproj.golden', 'superproj.records']\n"
     )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["characteristic", "--n", "3", "--m", "4"],
+     ["cech", "golden", "linalg", "scalars", "superpoly"]),
+    (["cohomology", "--n", "1", "--m", "3", "--ell", "-1"],
+     ["cech", "golden", "linalg", "scalars", "superpoly"]),
+    (["osp22-verify"], ["cech", "golden"]),
+])
+def test_each_command_loads_only_what_it_uses(argv, absent):
+    # a closed-form answer needs no Cech engine and no polynomial algebra,
+    # and no command but selftest reads the golden table
+    code = (
+        "import contextlib, io, sys\n"
+        "from superproj.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, sorted(n for n in {absent!r} if 'superproj.' + n in sys.modules))\n"
+    )
+    assert _loaded_after(code) == "0 []\n"
+
+
+def test_lazy_imports_stay_at_the_command_line():
+    # a module's engine imports sit at its head; only a command of cli.py
+    # loads what it needs when it runs, and the golden checkers load the law
+    # suites only for their two records, so no hot path pays for an import
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ImportFrom):
+                continue
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.ImportFrom) and node.level):
+                    continue
+                if path.name == "cli.py" and getattr(top, "name", "").startswith("cmd_"):
+                    continue
+                if path.name == "checkers.py" and node.module == "properties":
+                    continue
+                found.append(f"{path.name}:{node.lineno} {node.module}")
+    assert found == []
+
+
+def test_readme_example_runs():
+    # the README's Python example imports each name from its home module
+    readme = Path(__file__).parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    test = doctest.DocTestParser().get_doctest(
+        "".join(blocks), {}, "README.md", str(readme), 0
+    )
+    result = doctest.DocTestRunner().run(test)
+    assert result.attempted and not result.failed
 
 
 def test_engine_does_not_import_dataclasses():

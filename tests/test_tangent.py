@@ -5,10 +5,10 @@ import pytest
 
 from substitution_reference import pushforward
 from superproj import tangent
+from superproj.checkers import run_golden
 from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
 from superproj.errors import DomainError, InvariantError
-from superproj.golden import run_golden
 from superproj.linalg import SparseElim, bareiss_rank, echelon_basis, spans_equal
 from superproj.superlie import v_xi_basis
 from superproj.superpoly import Context, SuperDerivation, mask_parity, pnm_transition
