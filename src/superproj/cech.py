@@ -21,33 +21,47 @@ never eliminated: a column's keys with nonnegative exponent are dropped
 instead, and the class of any cocycle term with nonnegative exponent is
 zero.
 
-Column reach.  Mask s takes the columns z^a t^s for a <= D + r_s.  With k the
-body exponent of W, cancelling the term w^e p^t of W on the column z^a t^s
-takes the body of z^(a + k - e - |t|) t^(s|t), so r starts at 0 and
-r_(s|t) >= r_s + k - e - |t| for each nilpotent term, read in one pass over
-the masks s in ascending order (s | t > s, so r_s is final before s | t reads
-it), the same pass that joins the mask components.  The reach columns come
-after all base columns a <= D, so a window that is exact without them keeps
-its kernel combinations and pivots.
+Column bound.  With k the body exponent of W, cancelling the term w^e p^t
+of W on the column z^a t^s takes the body of z^(a + k - e - |t|) t^(s|t).
+So sigma starts at 0 and sigma_(s|t) >= sigma_s + k - e for each nilpotent
+term, read in one pass over the masks s in ascending order (s | t > s, so
+sigma_s is final before s | t reads it), the same pass that joins the mask
+components.  Mask s holds sections only at a <= k - |s| + sigma_s, its
+section reach (proof (a)), and the band's part of the image only at
+a <= B + k - |s| + sigma_s, its column bound (proof (b)); it takes the
+columns z^a t^s up to its column bound.  The columns a <= D of every mask
+come first, then those above D, as in the full set a <= D + r_s to which
+(b) relaxes.  No section and no combination with its polar part in the band
+uses a column left out, so a kept column is independent of the kept columns
+before it just when it is in the full set: the kernel combinations and the
+in-band pivots are the same.  A component whose section reach is negative
+at every mask has no section: its elimination tracks no kernel, and a
+kernel there is an engine fault.
 
 Proof that one window is exact (the two-set Cech complex, Hartshorne III.4).
 Filter the masks by size: the coboundary sends mask s to masks containing s,
 and its graded piece at s is the Cech map of O(k - |s|) on P^1.  Write B =
 D - depth for the band half-width; an allowed window has D >= depth + m, so
-D >= k.  Take a combination of U-columns and let a be the top z-degree of
-its component at mask s.  The body turns z^a t^s into c w^(k - a - |s|) p^s,
-below every other term of that component at mask s.  Only a term from the
-component at s - u (u inside s), through w^e p^u of W, can cancel it, and
-that needs a <= deg_(s - u) + k - e - |u|.
+B >= 0, and B + k <= D since k <= depth.  Take a combination of U-columns
+and let a be the top z-degree of its component at mask s.  The body turns
+z^a t^s into c w^(k - a - |s|) p^s, below every other term of that
+component at mask s.  Only a term from the component at s - u (u inside
+s), through w^e p^u of W, can cancel it, and that needs
+a <= deg_(s - u) + k - e - |u|.
 (a) h0 is exact.  A global section has no polar part, so a <= max(k - |s|,
-    deg_(s - u) + k - e - |u|), and by induction over the masks
-    a <= D + r_s, since k <= D.  Every section lies in the window's
+    deg_(s - u) + k - e - |u|).  By induction over the masks,
+    deg_(s - u) <= k - |s - u| + sigma_(s - u), so the second term is at
+    most k - |s| + sigma_(s - u) + k - e <= k - |s| + sigma_s, and
+    a <= k - |s| + sigma_s, the section reach.  It is at most the
+    column bound, since B >= 0: every section lies in the window's
     columns, and so do the h0 generators.
 (b) h1 never exceeds the true h1.  For a combination whose polar part lies
     in the band an uncancelled term has exponent >= -B, so
-    a <= max(B + k - |s|, ...) <= D + r_s, since B + k <= D.  So the
+    a <= max(B + k - |s|, deg_(s - u) + k - e - |u|), and by the same
+    induction a <= B + k - |s| + sigma_s, the column bound.  So the
     image's part in the band is spanned by the window's columns, and
-    band -> H1 is injective.
+    band -> H1 is injective.  Since B + k <= D, the column bound is at
+    most D + r_s, with r starting at 0 and r_(s|t) >= r_s + k - e - |t|.
 (c) h1 is exact from D_cov = depth + m + max(0, -k - 1) on.  The graded-H1
     monomials w^e p^s, k - |s| < e < 0, span H1 under the filtration, and
     from D_cov on each lies in the band, so band -> H1 is onto.
@@ -83,7 +97,7 @@ systems (union-find on masks, in the mask pass) instead of one large one.
 
 Lone masks.  The union-find joins s with s | t for every nilpotent term p^t
 of W disjoint from s, so a component {s} of one mask has no term of W acting
-into or out of s: its reach is 0, only the body c w^k acts, and the graded
+into or out of s: its sigma is 0, only the body c w^k acts, and the graded
 piece at s is the whole complex at s, the Cech map of O(n) on P^1 with
 n = k - |s|.  Its kernel is the max(0, n + 1) sections c w^(n - a) p^s,
 a = 0..n, in the order the kernel expansion gives, and each polar column
@@ -234,12 +248,12 @@ class CohomologyResult(Record):
 
 def _mask_pass(sheaf: TransitionSheaf):
     """The mask components, sectors the coboundary cannot mix (union-find),
-    and the column reach r_s of each mask (module docstring), from one pass
+    and sigma_s of each mask (module docstring, column bound), from one pass
     over the masks s and the nilpotent term masks t of W with s & t = 0."""
     m, k = sheaf.m, sheaf.body_exponent
-    steps = [(t, k - exps[0] - t.bit_count()) for exps, t in sheaf.W.terms if t]
+    steps = [(t, k - exps[0]) for exps, t in sheaf.W.terms if t]
     parent = list(range(1 << m))
-    reach = [0] * (1 << m)
+    sigma = [0] * (1 << m)
 
     def find(s):
         while parent[s] != s:
@@ -247,19 +261,19 @@ def _mask_pass(sheaf: TransitionSheaf):
             s = parent[s]
         return s
 
-    # s | t > s, so r_s is final before s | t reads it
+    # s | t > s, so sigma_s is final before s | t reads it
     for s in range(1 << m):
         for t, step in steps:
             if not s & t:
                 u = s | t
-                reach[u] = max(reach[u], reach[s] + step)
+                sigma[u] = max(sigma[u], sigma[s] + step)
                 a, b = find(s), find(u)
                 if a != b:
                     parent[a] = b
     groups = {}
     for s in range(1 << m):
         groups.setdefault(find(s), []).append(s)
-    return sorted(groups.values()), reach
+    return sorted(groups.values()), sigma
 
 
 def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: bool):
@@ -275,14 +289,15 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         scale = lcm(*(c.d for c in terms.values()))
         terms = {key: c.n[0] * (scale // c.d) for key, c in terms.items()}
     w_terms = [(exps[0], mask, c) for (exps, mask), c in terms.items()]
-    components, reach = _mask_pass(sheaf)
+    components, sigma = _mask_pass(sheaf)
     k = sheaf.body_exponent
     body = sheaf.W.terms[(k,), 0]  # c, unscaled
 
     # A C1 monomial w^e p^s is keyed by the int ((e + off) << m) | s >= 0.  In
     # the elimination an in-band key k is stored as ~k = -k - 1, so that
-    # out-of-band keys lead and, in band, the smallest (e, s) leads.
-    off = D + max(reach) + sheaf.depth + m
+    # out-of-band keys lead and, in band, the smallest (e, s) leads.  off
+    # covers the band and each column bound B + k - |s| + sigma_s <= D + sigma_s.
+    off = D + max(sigma) + sheaf.depth + m
 
     h0 = {0: 0, 1: 0}
     h1 = {0: 0, 1: 0}
@@ -309,6 +324,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         else:
             # the column of z^a t^S is W * w^(-a-|S|) p^S: W's terms shifted by S,
             # then by a; one shifted term list per S, kept with each column
+            # mask s: sections at a <= k - |s| + sigma_s, its section reach,
+            # and columns up to B + that, its column bound (module docstring)
             shifts = []
             for s in comp:
                 size = s.bit_count()
@@ -319,15 +336,17 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
                         e -= size
                         shifted.append((e, mask | s, ((e + off) << m) | mask | s,
                                         c if sign > 0 else -c))
-                shifts.append((s, shifted))
-            columns = [(a, shifted) for _, shifted in shifts for a in range(D + 1)]
-            columns += [(a, shifted) for s, shifted in shifts
-                        for a in range(D + 1, D + 1 + reach[s])]
+                shifts.append((k - size + sigma[s], shifted))
+            columns = [(a, shifted) for reach, shifted in shifts
+                       for a in range(min(D, B + reach) + 1)]
+            columns += [(a, shifted) for reach, shifted in shifts
+                        for a in range(D + 1, B + reach + 1)]
+            sections = max(reach for reach, _ in shifts) >= 0
 
             # h0 is the kernel of the polar-part map.  A column's exponents are at
             # most depth <= D, so its nonpolar keys are all q unit keys, which are
             # dropped: one elimination of the polar parts, in-band keys last.
-            elim = SparseElim(track=want_generators)
+            elim = SparseElim(track=want_generators and sections)
             for j, (a, shifted) in enumerate(columns):
                 shift = a << m
                 col = {}
@@ -337,6 +356,11 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
                         key -= shift
                         col[~key if e >= -B else key] = c
                 elim.add(col, tag_key=j)
+            if not sections and len(columns) > elim.rank:
+                raise InvariantError(
+                    f"a kernel of {len(columns) - elim.rank} in the mask component "
+                    f"{comp}, whose section reach is negative at every mask"
+                )
             h0[parity] += len(columns) - elim.rank
             if want_generators:
                 for combo in elim.kernel:

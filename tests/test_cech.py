@@ -192,11 +192,14 @@ def _reference_window(sheaf, window, want_generators):
     substitution of ``tests/substitution_reference.py`` and SuperPolynomial
     products, the in-window image from a tracked kernel and the quotient
     from a dense echelon_basis.  Returns (h0, h1, generators_h0,
-    generators_h1, image_rref); image_rref holds (pivot, row) pairs of the
-    fully reduced image rows, each pivot the row's smallest key.
+    generators_h1, image_rref, sections); image_rref holds (pivot, row)
+    pairs of the fully reduced image rows, each pivot the row's smallest
+    key, and sections the set of columns (s, a) of each kernel combination.
 
     Mask s takes the columns z^a t^s for a <= D + reach[s], the base columns
-    a <= D of every mask first."""
+    a <= D of every mask first.  This is the full column set to which the
+    window proofs relax the engine's column bound, kept on purpose: the
+    engine's cut must give what the full set gives."""
     D, depth, m = window.D, sheaf.depth, sheaf.m
     tr = sheaf.transition
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
@@ -205,7 +208,7 @@ def _reference_window(sheaf, window, want_generators):
     components, _ = cech._mask_pass(sheaf)
     reach = _reference_reach(sheaf, components)
     h0, h1 = {0: 0, 1: 0}, {0: 0, 1: 0}
-    gens_h0, gens_h1, image_rref = [], [], []
+    gens_h0, gens_h1, image_rref, sections = [], [], [], []
     for comp in components:
         parity = mask_parity(comp[0])
         comp_set = set(comp)
@@ -221,6 +224,7 @@ def _reference_window(sheaf, window, want_generators):
         for j, vec in enumerate(p_images):
             elim.add({k: v for k, v in vec.items() if k[0] < 0}, tag_key=j)
         h0[parity] += len(elim.kernel)
+        sections += [{order[j] for j in combo} for combo in elim.kernel]
         if want_generators:
             for combo in elim.kernel:
                 q = ctx_b.zero()
@@ -250,7 +254,8 @@ def _reference_window(sheaf, window, want_generators):
                 ctx_b.monomial(1, (j,), s)
                 for s in comp for j in band if (j, s) not in pivots
             )
-    return DimPair(h0[0], h0[1]), DimPair(h1[0], h1[1]), gens_h0, gens_h1, image_rref
+    return (DimPair(h0[0], h0[1]), DimPair(h1[0], h1[1]), gens_h0, gens_h1,
+            image_rref, sections)
 
 
 def _reference_cases():
@@ -276,6 +281,17 @@ def _reference_cases():
         cases.append((name, TransitionSheaf(m, parse_superpoly(text, m=m)[0])))
     for ell in (-1, 2):
         cases.append((f"twist-m5-ell{ell}", twist_sheaf(5, ell)))
+    # the cech_wide benchmark's chains c w^k (1 + sum c_i p_i p_(i+1) w^e),
+    # with e = k and e = k - 1: the column bound leaves out 33-55% of the
+    # full column set
+    for name, text, m in [
+        ("chain-m4-k1-e1", "(2/3)*w*(1 + p1*p2*w + (-1/2)*p2*p3*w + 3*p3*p4*w)", 4),
+        ("chain-m4-k1-e0", "(-2)*w*(1 + p1*p2 + (1/3)*p2*p3 - p3*p4)", 4),
+        ("chain-m5-k0-e0", "3*(1 + (1/2)*p1*p2 - p2*p3 + 2*p3*p4 + (-1/3)*p4*p5)", 5),
+        ("zeta-chain-m5-k-1-e-2",
+         "i*w^-1*(1 + p1*p2*w^-2 + (1+i)*p2*p3*w^-2 - p3*p4*w^-2 + 2*p4*p5*w^-2)", 5),
+    ]:
+        cases.append((name, TransitionSheaf(m, parse_superpoly(text, m=m)[0])))
     return cases
 
 
@@ -289,7 +305,7 @@ def test_run_window_matches_general_path(sheaf):
     window = default_window(sheaf)
     wider = _reference_window(sheaf, CechWindow(window.D + 1), False)[4]
     for want in (True, False):
-        h0, h1, gens_h0, gens_h1, rref = _reference_window(sheaf, window, want)
+        h0, h1, gens_h0, gens_h1, rref, _ = _reference_window(sheaf, window, want)
         res = cech._run_window(sheaf, window, want)
         assert (res.h0, res.h1) == (h0, h1)
         assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
@@ -569,7 +585,7 @@ def test_one_window_per_call(monkeypatch, want):
 
 def _exactness_sheaves():
     """Twists, the reference units, and units whose nilpotent terms reach
-    down to w^-4 (c0-truncation among them needs reach columns)."""
+    down to w^-4 (c0-truncation among them needs columns above D)."""
     sheaves = [twist_sheaf(m, k) for m in range(5) for k in range(-6, 3)]
     sheaves += [sheaf for name, sheaf in REFERENCE_CASES if not name.startswith("twist")]
     rng = random.Random(20261019)
@@ -696,15 +712,34 @@ def test_euler_shortfall_exits_1(wrong_h1, capsys):
     assert err.startswith("invariant violated:") and "--window" not in err
 
 
+def _reference_sigma(sheaf, s):
+    """sigma_s: the largest sum of k - e over nilpotent terms w^e p^t of W
+    whose masks t are pairwise disjoint and inside s, 0 for none."""
+    k = sheaf.body_exponent
+    best = 0
+    for (exps, t) in sheaf.W.terms:
+        if t and t & s == t:
+            best = max(best, k - exps[0] + _reference_sigma(sheaf, s & ~t))
+    return best
+
+
+def _section_reach(sheaf, s):
+    """Mask s holds sections only at z-degrees a <= k - |s| + sigma_s."""
+    return sheaf.body_exponent - bin(s).count("1") + _reference_sigma(sheaf, s)
+
+
 @pytest.mark.parametrize("want", (True, False))
-@pytest.mark.parametrize("case", ("twist-m3-ell1", "cech-p13", "zeta-mixed-m4"))
+@pytest.mark.parametrize("case", ("twist-m3-ell1", "cech-p13", "zeta-mixed-m4",
+                                  "chain-m4-k1-e1", "zeta-chain-m5-k-1-e-2"))
 def test_one_elimination_per_window(monkeypatch, case, want):
     """Each column of a component with two or more masks is eliminated
-    exactly once, and a lone mask is not eliminated at all: its graded piece
-    is the whole complex at its mask.  None of these cases has reach columns,
-    so every O(ell) makes no call."""
+    exactly once, in order, and a lone mask is not eliminated at all: its
+    graded piece is the whole complex at its mask.  Mask s has the columns
+    a <= B + k - |s| + sigma_s, its column bound, so every O(ell) makes no
+    call."""
     sheaf = dict(REFERENCE_CASES)[case]
     window = default_window(sheaf)
+    B = window.D - sheaf.depth
     calls = {}  # eliminator -> the column tags added to it, in order
     real = SparseElim.add
 
@@ -716,10 +751,74 @@ def test_one_elimination_per_window(monkeypatch, case, want):
     cech._run_window(sheaf, window, want)
     coupled = [c for c in cech._mask_pass(sheaf)[0] if len(c) > 1]
     assert sorted(len(tags) for tags in calls.values()) == sorted(
-        len(comp) * (window.D + 1) for comp in coupled
+        sum(max(0, B + _section_reach(sheaf, s) + 1) for s in comp) for comp in coupled
     )
     assert all(tags == list(range(len(tags))) for tags in calls.values())
     assert bool(calls) == (case != "twist-m3-ell1")
+
+
+def test_sections_lie_within_the_section_reach():
+    """Proof (a): every kernel combination of the full column set uses only
+    the columns z^a t^s with a <= k - |s| + sigma_s."""
+    used = 0
+    for sheaf in _exactness_sheaves():
+        sections = _reference_window(sheaf, default_window(sheaf), False)[5]
+        for combo in sections:
+            for s, a in combo:
+                assert a <= _section_reach(sheaf, s), (sheaf, s, a)
+            used += any(_reference_sigma(sheaf, s) > 0 for s, _ in combo)
+    # some sections reach past O(k - |s|) through sigma
+    assert used
+
+
+def _lower_sigma(monkeypatch, sheaf):
+    """Lower sigma by one on the masks of the coupled component that has
+    sections."""
+    comps, sigma = cech._mask_pass(sheaf)
+    [comp] = [c for c in comps if len(c) > 1
+              and max(_section_reach(sheaf, s) for s in c) >= 0]
+    low = [v - (s in comp) for s, v in enumerate(sigma)]
+    monkeypatch.setattr(cech, "_mask_pass", lambda sheaf: (comps, low))
+
+
+@pytest.mark.parametrize("want", (True, False))
+@pytest.mark.parametrize("text, m, fault", [
+    # the section 1 at mask 0 survives the cut, at a section reach of -1
+    ("1 + p1*p2", 2, "section reach is negative"),
+    # the band's image needs the columns at the column bound: without
+    # them h1 reads 1|0 too many
+    (C0_TRUNCATION, 2, "Euler characteristic"),
+])
+def test_a_column_bound_below_the_sections_is_an_invariant_fault(
+        monkeypatch, text, m, fault, want):
+    sheaf = TransitionSheaf(m, parse_superpoly(text, m=m)[0])
+    _lower_sigma(monkeypatch, sheaf)
+    with pytest.raises(InvariantError, match=fault):
+        cech_cohomology(sheaf, want_generators=want)
+
+
+def test_a_component_without_sections_tracks_no_kernel(monkeypatch):
+    """At m = 4, w (1 + i p1 p2 w^-1) couples s with s | p1 p2 for s inside
+    p3 p4; the section reach of p3 p4 is -1 and of p1 p2 p3 p4 is -2, so that
+    component's elimination is untracked even when generators are wanted."""
+    sheaf = dict(REFERENCE_CASES)["zeta-mixed-m4"]
+    made = []
+    real = SparseElim.__init__
+
+    def init(self, track=False):
+        made.append(track)
+        real(self, track)
+
+    monkeypatch.setattr(SparseElim, "__init__", init)
+    res = cech._run_window(sheaf, default_window(sheaf), True)
+    coupled = [c for c in cech._mask_pass(sheaf)[0] if len(c) > 1]
+    assert made == [max(_section_reach(sheaf, s) for s in comp) >= 0
+                    for comp in coupled]
+    assert made.count(False) == 1 and 0b1100 in coupled[made.index(False)]
+    assert len(res.generators_h0) == res.h0.total > 0
+    made.clear()
+    cech._run_window(sheaf, default_window(sheaf), False)
+    assert made == [False] * len(coupled)
 
 
 def test_serre_duality_on_law_suite_draws():
@@ -775,8 +874,8 @@ def test_odd_sector_example():
     piece has an H1 and h1 = 0.  Then h0 is the Euler characteristic,
     sum_s (4 - |s| + 1): even 5 + 6 * 3 + 1 = 24, odd 4 * 4 + 4 * 2 = 24.
     The columns z^a t^s with a <= D leave out the z^(D+2) t^(s|p3p4) that
-    cancel the p3 p4 term of z^D t^s, so without the reach every window
-    reads h1 = 2|2 and none certifies itself.
+    cancel the p3 p4 term of z^D t^s, so without the columns above D every
+    window reads h1 = 2|2 and none certifies itself.
     """
     W, _ = parse_superpoly("2*w^4 - p3*p4", m=4)
     res = cech_cohomology(TransitionSheaf(4, W), want_generators=False)
