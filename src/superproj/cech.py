@@ -130,7 +130,8 @@ from .superpoly import (
 
 
 def standard_transition(m: int):
-    """The shared chart pair of P^(1|m), ``pnm_transition(1, m)``."""
+    """``pnm_transition(1, m)``, kept as an alias for the benchmark only; the
+    engine calls ``pnm_transition`` itself."""
     return pnm_transition(1, m)
 
 
@@ -141,8 +142,7 @@ class TransitionSheaf:
         if m < 0:
             raise DomainError("need m >= 0")
         self.m = m
-        self.transition = standard_transition(m)
-        if W.ctx != self.transition.ctx_b:
+        if W.ctx != pnm_transition(1, m).ctx_b:
             raise DomainError("W must live in the V chart (w, p1..pm)")
         if W.parity() != 0:
             raise ParityError("transition function must be even")
@@ -161,7 +161,7 @@ class TransitionSheaf:
 
 def twist_sheaf(m: int, ell: int) -> TransitionSheaf:
     """The sheaf O(ell): W = w^ell, calibrated at m=0 against the Bott numbers."""
-    ctx_b = standard_transition(m).ctx_b
+    ctx_b = pnm_transition(1, m).ctx_b
     return TransitionSheaf(m, ctx_b.monomial(1, (ell,), 0))
 
 
@@ -182,30 +182,33 @@ class CechWindow(FrozenRecord):
 
 class CohomologyResult(Record):
     __slots__ = ("h0", "h1", "generators_h0", "generators_h1", "window_used",
-                 "_sheaf", "_band", "_rows", "_lone", "_keys", "_coboundaries")
+                 "_sheaf", "_rows", "_lone", "_off", "_coboundaries")
 
     # every result a caller sees comes from one exact window (module docstring)
     stabilized = True
 
     def __init__(self, h0: DimPair, h1: DimPair, generators_h0: list,
                  generators_h1: list, window_used: CechWindow,
-                 _sheaf: TransitionSheaf = None, _band: range = None,
-                 _rows: dict = None, _lone: dict = None, _keys: tuple = None):
+                 _sheaf: TransitionSheaf = None, _rows: dict = None,
+                 _lone: dict = None, _off: int = None):
         self.h0 = h0
         self.h1 = h1
         self.generators_h0 = generators_h0  # the Q components of sections, V chart
         self.generators_h1 = generators_h1  # V-chart Laurent polynomials
         self.window_used = window_used
         self._sheaf = _sheaf  # its V chart is where cocycles live
-        self._band = _band  # the in-window C1 exponents
         # the coupled components' stored vectors led by in-band keys, by key,
         # and each lone mask's hi, by mask; a key (e, s) is stored as
-        # ~k = -k - 1 for k = ((e + off) << m) | s, with _keys = (off, m)
+        # ~k = -k - 1 for k = ((e + _off) << m) | s
         self._rows = _rows
         self._lone = _lone
-        self._keys = _keys
+        self._off = _off
         # the class map, built from the rows on the first h1_class call
         self._coboundaries = None
+
+    def _values(self) -> tuple:
+        # the class map, the last slot, is a cache: equality reads the rows
+        return tuple([getattr(self, name) for name in self.__slots__[:-1]])
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.
@@ -215,16 +218,17 @@ class CohomologyResult(Record):
         classified on one uncached run of the window depth + r, which gives
         the same class (module docstring).
         """
-        ctx = self._sheaf.transition.ctx_b
+        sheaf = self._sheaf
+        ctx = sheaf.W.ctx
         if cocycle.ctx != ctx:
             raise ContextError(
                 f"cocycle lives in {cocycle.ctx!r}, not the V chart {ctx!r}"
             )
         r = max([-exps[0] for exps, _ in cocycle.terms if exps[0] < 0], default=0)
-        if -r not in self._band:
-            wider = CechWindow(self._sheaf.depth + r)
-            return _run_window(self._sheaf, wider, False).h1_class(cocycle)
-        off, m = self._keys
+        if r > self.window_used.D - sheaf.depth:  # below the band [-B, B]
+            wider = CechWindow(sheaf.depth + r)
+            return _run_window(sheaf, wider, False).h1_class(cocycle)
+        off, m = self._off, sheaf.m
         # a term with nonnegative exponent is a q unit column, and a lone mask's
         # term w^e p^s with e <= hi is its own pivot: the class of both is 0
         lone, floor = self._lone, -r - 1
@@ -280,9 +284,8 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
     """One full computation at a fixed, allowed window."""
     D = window.D
     m = sheaf.m
-    ctx_b = sheaf.transition.ctx_b
-    B = D - sheaf.depth
-    band = range(-B, B + 1)  # in-window C1 exponents
+    ctx_b = sheaf.W.ctx
+    B = D - sheaf.depth  # the in-window C1 exponents are -B..B
     # a rational W runs scaled by the lcm of its denominators, on int
     terms, scale = sheaf.W.terms, 1
     if all(c.is_rational() for c in terms.values()):
@@ -401,10 +404,9 @@ def _run_window(sheaf: TransitionSheaf, window: CechWindow, want_generators: boo
         generators_h1=gens_h1,
         window_used=window,
         _sheaf=sheaf,
-        _band=band,
         _rows=rows,
         _lone=lone,
-        _keys=(off, m),
+        _off=off,
     )
 
 

@@ -48,12 +48,10 @@ def de_rham_dim(n: int, m: int, i: int, j: int) -> int:
 
 
 class CharacteristicReport(FrozenRecord):
-    __slots__ = ("n", "m", "berezinian_twist", "super_c1", "calabi_yau", "de_rham")
+    __slots__ = ("berezinian_twist", "super_c1", "calabi_yau", "de_rham")
 
-    def __init__(self, n: int, m: int, berezinian_twist: int, super_c1: int,
-                 calabi_yau: bool, de_rham: dict):
-        set_field(self, "n", n)
-        set_field(self, "m", m)
+    def __init__(self, berezinian_twist: int, super_c1: int, calabi_yau: bool,
+                 de_rham: dict):
         set_field(self, "berezinian_twist", berezinian_twist)
         set_field(self, "super_c1", super_c1)
         set_field(self, "calabi_yau", calabi_yau)
@@ -72,8 +70,6 @@ def characteristic_report(n: int, m: int) -> CharacteristicReport:
             if d:
                 table[(i, j)] = d
     return CharacteristicReport(
-        n=n,
-        m=m,
         berezinian_twist=berezinian_twist(n, m),
         super_c1=super_c1(n, m),
         calabi_yau=is_calabi_yau(n, m),

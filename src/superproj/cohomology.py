@@ -65,23 +65,11 @@ class DimPair(FrozenRecord):
 ZERO_PAIR = DimPair(0, 0)
 
 
-class SplitSheaf(FrozenRecord):
-    """A direct sum of parity-shifted line bundles on P^n."""
-
-    __slots__ = ("n", "m", "ell", "summands")
-
-    def __init__(self, n: int, m: int, ell: int, summands: tuple):
-        set_field(self, "n", n)
-        set_field(self, "m", m)
-        set_field(self, "ell", ell)
-        set_field(self, "summands", summands)  # of (twist, parity, multiplicity)
-
-
-def decompose(n: int, m: int, ell: int) -> SplitSheaf:
-    """Split O(ell) on the n|m projective superspace over the reduced P^n."""
+def decompose(n: int, m: int, ell: int) -> tuple:
+    """Split O(ell) on the n|m projective superspace over the reduced P^n:
+    its parity-shifted line bundles as (twist, parity, multiplicity)."""
     check_pnm(n, m)
-    summands = tuple((ell - k, k & 1, comb(m, k)) for k in range(m + 1))
-    return SplitSheaf(n, m, ell, summands)
+    return tuple((ell - k, k & 1, comb(m, k)) for k in range(m + 1))
 
 
 def bott_dim(n: int, k: int) -> dict:
@@ -99,7 +87,7 @@ def bott_dim(n: int, k: int) -> dict:
 def cohomology_dims(n: int, m: int, ell: int) -> dict:
     """Map degree -> DimPair for O(ell); nonzero only in degrees 0 and n."""
     dims = {i: ZERO_PAIR for i in range(n + 1)}
-    for twist, parity, mult in decompose(n, m, ell).summands:
+    for twist, parity, mult in decompose(n, m, ell):
         for degree, d in bott_dim(n, twist).items():
             pair = DimPair(d * mult, 0) if parity == 0 else DimPair(0, d * mult)
             dims[degree] = dims[degree] + pair

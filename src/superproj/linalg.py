@@ -3,9 +3,9 @@
 One eliminator: a sparse Gaussian eliminator on vectors stored as
 ``{key: coeff}`` dicts.  It serves the Cech engine (ranks, kernels, and its
 stored vectors as an echelon basis of the in-window image), the super
-gradient rank, the global field basis (its tracked kernel), the section
-solvers, span comparison (a rank test) and expression in a fixed basis (one
-tracked elimination of the basis serves every target).  The matrices are
+gradient rank, the global field basis (its tracked kernel), span comparison
+(a rank test) and expression in a fixed basis (one tracked elimination of
+the basis serves every target).  The matrices are
 extremely sparse and the row index sets are ad hoc.
 
 Two references are kept beside it for the tests, and no engine path calls

@@ -16,7 +16,7 @@ normal-form reduction a per-monomial truncation.
 
 from __future__ import annotations
 
-from .cech import TransitionSheaf, cech_cohomology, standard_transition, twist_sheaf
+from .cech import TransitionSheaf, cech_cohomology, twist_sheaf
 from .errors import DomainError, check_pnm
 from .records import Record
 from .superpoly import SuperPolynomial, mask_parity, pnm_transition, super_log
@@ -29,23 +29,20 @@ def continuous_dim_formula(n: int, m: int) -> int:
 
 
 class PicardGroupData(Record):
-    __slots__ = ("n", "m", "discrete_rank", "continuous_dim", "generators")
+    __slots__ = ("continuous_dim", "generators")
 
-    def __init__(self, n: int, m: int, discrete_rank: int, continuous_dim: int,
-                 generators: list):
-        self.n = n
-        self.m = m
-        self.discrete_rank = discrete_rank
+    # the degree: one Z factor on every P^(n|m)
+    discrete_rank = 1
+
+    def __init__(self, continuous_dim: int, generators: list):
         self.continuous_dim = continuous_dim
         self.generators = generators  # transition-function polynomials (V-chart)
 
 
 class PiPicardData(Record):
-    __slots__ = ("n", "m", "split_only", "nonsplit_parameter_dim")
+    __slots__ = ("split_only", "nonsplit_parameter_dim")
 
-    def __init__(self, n: int, m: int, split_only: bool, nonsplit_parameter_dim: int):
-        self.n = n
-        self.m = m
+    def __init__(self, split_only: bool, nonsplit_parameter_dim: int):
         self.split_only = split_only
         self.nonsplit_parameter_dim = nonsplit_parameter_dim
 
@@ -72,7 +69,7 @@ def _truncate_to_bands(n_log: SuperPolynomial) -> SuperPolynomial:
 
 def continuous_generators(m: int) -> list:
     """One representative transition function per free normal-form coefficient."""
-    ctx = standard_transition(m).ctx_b
+    ctx = pnm_transition(1, m).ctx_b
     gens = []
     for mask in range(1, 1 << m):
         if mask_parity(mask) != 0:
@@ -87,13 +84,7 @@ def even_picard(n: int, m: int) -> PicardGroupData:
     gens = [ctx.var(ctx.even[0])]
     if n == 1:
         gens += continuous_generators(m)
-    return PicardGroupData(
-        n=n,
-        m=m,
-        discrete_rank=1,
-        continuous_dim=continuous_dim_formula(n, m),
-        generators=gens,
-    )
+    return PicardGroupData(continuous_dim_formula(n, m), gens)
 
 
 def normal_form(sheaf: TransitionSheaf):
@@ -148,12 +139,7 @@ def pi_picard(n: int, m: int) -> PiPicardData:
         dim = 2 ** (m - 2) * (m - 2)
     else:
         dim = 0
-    return PiPicardData(
-        n=n,
-        m=m,
-        split_only=dim == 0,
-        nonsplit_parameter_dim=dim,
-    )
+    return PiPicardData(split_only=dim == 0, nonsplit_parameter_dim=dim)
 
 
 def picard_report(n: int, m: int) -> dict:

@@ -12,13 +12,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .cech import CechWindow, TransitionSheaf, cech_cohomology, standard_transition
+from .cech import CechWindow, TransitionSheaf, cech_cohomology
 from .scalars import I, SQRT2, Scalar
 from .superpoly import (
     Context,
     SuperDerivation,
     SuperPolynomial,
     mask_parity,
+    pnm_transition,
     super_exp,
     super_log,
 )
@@ -166,7 +167,7 @@ def _random_unit(rng: random.Random, ctx, depth: int,
 def suite_stabilization(rng: random.Random) -> bool:
     """Cech dims agree between the stabilized window and a larger one."""
     m = rng.choice([2, 2, 3])
-    ctx = standard_transition(m).ctx_b
+    ctx = pnm_transition(1, m).ctx_b
     sheaf = TransitionSheaf(m, _random_unit(rng, ctx, 2))
     res = cech_cohomology(sheaf, want_generators=False)
     bigger = cech_cohomology(
@@ -179,7 +180,7 @@ def suite_stabilization(rng: random.Random) -> bool:
 def suite_iso_invariance(rng: random.Random) -> bool:
     """Cech dims are invariant under coboundary twists of the transition."""
     m = rng.choice([2, 2, 3])
-    tr = standard_transition(m)
+    tr = pnm_transition(1, m)
     sheaf = TransitionSheaf(m, _random_unit(rng, tr.ctx_b, 1))
     p_unit = _random_unit(rng, tr.ctx_a, 2, body_range=(0, 0), nil_range=(0, 2))
     q_unit = _random_unit(rng, tr.ctx_b, 2, body_range=(0, 0), nil_range=(0, 2))

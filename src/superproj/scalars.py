@@ -227,11 +227,6 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self})"
 
-    def to_json(self):
-        """JSON form: the 4-tuple of rational strings c0..c3."""
-        d = self.d
-        return [_qstr(x, d) for x in self.n]
-
 
 _new = object.__new__
 _set_n = Scalar.n.__set__

@@ -204,14 +204,11 @@ class SuperPolynomial:
             return None
         return seen.pop()
 
-    def mask_filter(self, pred) -> "SuperPolynomial":
-        return SuperPolynomial(
-            self.ctx, {k: v for k, v in self.terms.items() if pred(k[1])}
-        )
-
     def body(self) -> "SuperPolynomial":
         """The part with no odd variables."""
-        return self.mask_filter(lambda m: m == 0)
+        return SuperPolynomial(
+            self.ctx, {k: v for k, v in self.terms.items() if k[1] == 0}
+        )
 
     def is_nilpotent(self) -> bool:
         return all(mask for _, mask in self.terms)
@@ -557,7 +554,9 @@ class SuperDerivation:
         return self.parity == other.parity and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ctx, self.parity, frozenset(self.coeffs.items())))
+        # without the parity: a zero derivation equals the zero of either
+        # parity, and a nonzero one's coefficients fix its parity
+        return hash((self.ctx, frozenset(self.coeffs.items())))
 
     def bracket(self, other: "SuperDerivation") -> "SuperDerivation":
         """Supercommutator [X, Y] = XY - (-1)^(|X||Y|) YX as a derivation."""

@@ -43,16 +43,12 @@ from .superpoly import (
 
 
 class TangentReport(Record):
-    __slots__ = ("n", "m", "h0", "h1", "rigid", "sl_dim", "exceptional")
+    __slots__ = ("h0", "h1", "rigid", "exceptional")
 
-    def __init__(self, n: int, m: int, h0: DimPair, h1: DimPair, rigid: bool,
-                 sl_dim: DimPair, exceptional: bool):
-        self.n = n
-        self.m = m
+    def __init__(self, h0: DimPair, h1: DimPair, rigid: bool, exceptional: bool):
         self.h0 = h0
         self.h1 = h1
         self.rigid = rigid
-        self.sl_dim = sl_dim
         self.exceptional = exceptional
 
 
@@ -122,15 +118,11 @@ def euler_tangent_dims(n: int, m: int) -> TangentReport:
         # H^2(O) = 0, so it does not read the kernel, which sits in H^n(O)
         h0 = h0_mid - d0[0]
         h1 = kernel if n == 2 else DimPair(0, 0)
-    sl = sl_dimension(n, m)
     return TangentReport(
-        n=n,
-        m=m,
         h0=h0,
         h1=h1,
         rigid=h1 == DimPair(0, 0),
-        sl_dim=sl,
-        exceptional=h0 != sl,
+        exceptional=h0 != sl_dimension(n, m),
     )
 
 

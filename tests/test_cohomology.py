@@ -46,8 +46,7 @@ def test_dimpair_ops():
 
 
 def test_decompose():
-    sheaf = decompose(1, 2, 0)
-    assert sheaf.summands == ((0, 0, 1), (-1, 1, 2), (-2, 0, 1))
+    assert decompose(1, 2, 0) == ((0, 0, 1), (-1, 1, 2), (-2, 0, 1))
     with pytest.raises(DomainError):
         decompose(0, 1, 0)
 

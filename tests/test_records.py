@@ -5,7 +5,7 @@ import pytest
 from superproj.cech import CechWindow, CohomologyResult
 from superproj.characteristic import characteristic_report
 from superproj.checkers import CHECKERS, run_golden
-from superproj.cohomology import DimPair, SplitSheaf
+from superproj.cohomology import DimPair
 from superproj.golden import GoldenRecord, load_records
 from superproj.picard import PiPicardData
 from superproj.superlie import VerificationReport
@@ -15,8 +15,8 @@ from superproj.tangent import GlobalFieldBasis, TangentReport
 def test_repr_names_every_field():
     assert repr(DimPair(1, 2)) == "DimPair(even=1, odd=2)"
     assert repr(CechWindow(7)) == "CechWindow(D=7)"
-    assert repr(PiPicardData(1, 2, False, 1)) == (
-        "PiPicardData(n=1, m=2, split_only=False, nonsplit_parameter_dim=1)"
+    assert repr(PiPicardData(False, 1)) == (
+        "PiPicardData(split_only=False, nonsplit_parameter_dim=1)"
     )
     assert str(DimPair(1, 2)) == "1|2"
 
@@ -26,13 +26,11 @@ def test_equality_is_by_class_then_fields():
     assert DimPair(1, 2) != DimPair(2, 1)
     assert DimPair(1, 2) != (1, 2)
     assert CechWindow(3) == CechWindow(3) != CechWindow(4)
-    assert SplitSheaf(1, 2, 0, ((0, 0, 1),)) == SplitSheaf(1, 2, 0, ((0, 0, 1),))
     assert characteristic_report(1, 2) == characteristic_report(1, 2)
     assert GlobalFieldBasis([], [1]) == GlobalFieldBasis([], [1])
     assert GlobalFieldBasis([], [1]) != GlobalFieldBasis([1], [])
-    rep = TangentReport(1, 2, DimPair(8, 8), DimPair(0, 0), True, DimPair(8, 8), False)
-    assert rep == TangentReport(1, 2, DimPair(8, 8), DimPair(0, 0), True,
-                                DimPair(8, 8), False)
+    rep = TangentReport(DimPair(8, 8), DimPair(0, 0), True, False)
+    assert rep == TangentReport(DimPair(8, 8), DimPair(0, 0), True, False)
     window = CechWindow(3)
     res = CohomologyResult(DimPair(1, 0), DimPair(0, 0), [], [], window)
     assert res == CohomologyResult(DimPair(1, 0), DimPair(0, 0), [], [], window)
@@ -44,7 +42,6 @@ def test_frozen_records_hash_by_fields_and_the_rest_do_not_hash():
     assert hash(DimPair(1, 2)) == hash(DimPair(1, 2))
     assert hash(CechWindow(5)) == hash(CechWindow(5))
     assert len({DimPair(1, 2), DimPair(1, 2), DimPair(2, 1)}) == 2
-    assert hash(SplitSheaf(1, 2, 0, ())) == hash(SplitSheaf(1, 2, 0, ()))
     with pytest.raises(TypeError):
         hash(VerificationReport())
     with pytest.raises(TypeError):

@@ -55,7 +55,6 @@ def test_str_and_json():
     assert str(ONE + I) == "1 + i"
     assert str(-SQRT2) == "-sqrt2"
     assert str(ZERO) == "0"
-    assert Scalar(Fraction(1, 2)).to_json() == ["1/2", "0", "0", "0"]
 
 
 def test_immutable_and_hashable():

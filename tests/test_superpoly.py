@@ -309,6 +309,14 @@ def test_odd_odd_bracket_value(ctx):
     assert anti == SuperDerivation(ctx, 0, {"z": ctx.one() * 2})
 
 
+def test_zero_derivations_of_either_parity_hash_alike(ctx):
+    # the zero of either parity is one derivation: equal, so one hash
+    a, b = SuperDerivation(ctx, 0, {}), SuperDerivation(ctx, 1, {})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_pushforward_global_field():
     tr = pnm_transition(1, 1)
     ctx = tr.ctx_a

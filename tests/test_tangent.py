@@ -128,10 +128,8 @@ def _gradient_euler_dims(n, m):
     else:
         h0 = h0_mid - d0[0]
         h1 = DimPair(0, 0)
-    sl = sl_dimension(n, m)
     return TangentReport(
-        n=n, m=m, h0=h0, h1=h1, rigid=h1 == DimPair(0, 0), sl_dim=sl,
-        exceptional=h0 != sl,
+        h0=h0, h1=h1, rigid=h1 == DimPair(0, 0), exceptional=h0 != sl_dimension(n, m),
     )
 
 
