@@ -207,8 +207,17 @@ class CohomologyResult(Record):
         self._coboundaries = None
 
     def _values(self) -> tuple:
-        # the class map, the last slot, is a cache: equality reads the rows
-        return tuple([getattr(self, name) for name in self.__slots__[:-1]])
+        # the class map, the last slot, is a cache: equality reads the rows,
+        # and the sheaf by its data (m, W)
+        sheaf = self._sheaf
+        return (self.h0, self.h1, self.generators_h0, self.generators_h1,
+                self.window_used, None if sheaf is None else (sheaf.m, sheaf.W),
+                self._rows, self._lone, self._off)
+
+    def __repr__(self):
+        # the fields equality reads, without the cache
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"CohomologyResult({fields})"
 
     def h1_class(self, cocycle: SuperPolynomial) -> dict:
         """Canonical coordinates of a V-chart cocycle in the H1 quotient.

@@ -4,12 +4,15 @@ Everything here rests on the split decomposition
 
     O(ell)  =  sum over k of  O_Pn(ell - k) ^ C(m,k),   parity k mod 2,
 
-so dimensions reduce to classical Bott numbers on P^n.  The binomial sums are
-the authoritative values; the derivative closed forms are an independent
+so dimensions reduce to classical Bott numbers on P^n: O(t) has C(t+n, n)
+sections for t >= 0 and h^n = C(-t-1, n) for t <= -n-1.  ``cohomology_dims``
+sums these counts on ``int``s, parity by parity, and these binomial sums are
+the authoritative values.  The derivative closed forms are an independent
 cross-check layer: chi for h^0 in its two regimes, and zeta for h^n, one
-formula whose tail is empty for ell < 0.  Each is (1/k!) d^k/dx^k at x = 0 of
-(x+1)^a * (x+2)^b, i.e. its x^k Taylor coefficient: a generating-function
-coefficient, not a Bott sum.  It is the integer convolution
+formula whose tail runs over k <= min(ell, m) (C(m, k) = 0 past m) and is
+empty for ell < 0.  Each is (1/k!) d^k/dx^k at x = 0 of (x+1)^a * (x+2)^b,
+i.e. its x^k Taylor coefficient: a generating-function coefficient, not a
+Bott sum.  It is the integer convolution
 
     sum over i of  C(a, i) * C(b, k - i) * 2^(b - k + i),
 
@@ -72,25 +75,22 @@ def decompose(n: int, m: int, ell: int) -> tuple:
     return tuple((ell - k, k & 1, comb(m, k)) for k in range(m + 1))
 
 
-def bott_dim(n: int, k: int) -> dict:
-    """Per-degree cohomology dimensions of O(k) on P^n (nonzero entries only)."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    out = {}
-    if k >= 0:
-        out[0] = comb(k + n, n)
-    if k <= -n - 1:
-        out[n] = comb(-k - 1, -k - n - 1)
-    return out
-
-
 def cohomology_dims(n: int, m: int, ell: int) -> dict:
-    """Map degree -> DimPair for O(ell); nonzero only in degrees 0 and n."""
-    dims = {i: ZERO_PAIR for i in range(n + 1)}
+    """Map degree -> DimPair for O(ell); nonzero only in degrees 0 and n.
+
+    Each summand O(t)^mult of ``decompose`` adds mult times its Bott number
+    to its parity: C(t+n, n) in degree 0 for t >= 0, C(-t-1, n) in degree n
+    for t <= -n-1.
+    """
+    low, top = [0, 0], [0, 0]
     for twist, parity, mult in decompose(n, m, ell):
-        for degree, d in bott_dim(n, twist).items():
-            pair = DimPair(d * mult, 0) if parity == 0 else DimPair(0, d * mult)
-            dims[degree] = dims[degree] + pair
+        if twist >= 0:
+            low[parity] += mult * comb(twist + n, n)
+        elif twist <= -n - 1:
+            top[parity] += mult * comb(-twist - 1, n)
+    dims = dict.fromkeys(range(n + 1), ZERO_PAIR)
+    dims[0] = DimPair(*low)
+    dims[n] = DimPair(*top)
     return dims
 
 
@@ -130,7 +130,8 @@ def chi_closed(n: int, m: int, ell: int):
 def zeta_closed(n: int, m: int, ell: int) -> int:
     """h^n total, always defined: one formula for every ell."""
     check_pnm(n, m)
-    # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k;
-    # empty for ell < 0
-    tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))
+    # tail removes the k <= ell part of (x+2)^m = sum C(m,k)(x+1)^k, whose
+    # x^n coefficient is C(m,k) C(k-ell-1, n); C(m,k) = 0 past m, and the
+    # tail is empty for ell < 0
+    tail = sum(comb(m, k) * _gbinom(k - ell - 1, n) for k in range(min(ell, m) + 1))
     return _coefficient(n, -ell - 1, m) - tail

@@ -60,6 +60,9 @@ class Scalar:
             return x
         if type(x) is int:
             return _make((x, 0, 0, 0), 1)
+        if type(x) is Fraction:
+            # a Fraction is in lowest terms with a positive denominator
+            return _make((x.numerator, 0, 0, 0), x.denominator)
         return Scalar(x)
 
     # -- predicates ---------------------------------------------------

@@ -227,14 +227,16 @@ class VerificationReport(Record):
 
 
 def _combo_matches(fields, combo, actual: SuperDerivation) -> bool:
-    expected = None
-    ctx = actual.ctx
+    """Whether ``actual`` is sum c * fields[name] over ``combo``, compared as
+    ``vectorize`` dicts: a derivation's coefficients hold no zero term, and
+    nonzero ones fix its parity, so equal vectors are equal derivations."""
+    expected = {}
     for name, c in combo.items():
-        piece = fields[name] * Scalar.coerce(c)
-        expected = piece if expected is None else expected + piece
-    if expected is None:
-        expected = SuperDerivation(ctx, actual.parity, {})
-    return expected == actual
+        c = Scalar.coerce(c)
+        for key, v in fields[name].vectorize().items():
+            prev = expected.get(key)
+            expected[key] = v * c if prev is None else prev + v * c
+    return {k: v for k, v in expected.items() if not v.is_zero()} == actual.vectorize()
 
 
 def verify_osp22() -> VerificationReport:

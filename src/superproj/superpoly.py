@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 from .errors import ContextError, DomainError, ParityError, check_pnm
 from .scalars import ONE, Scalar, power, signed_join
@@ -66,7 +67,7 @@ def _mul_into(out: dict, ta: dict, tb: dict, sign: int = 1) -> None:
             s = koszul_sign(ma, mb)
             if s == 0:
                 continue
-            key = (tuple(x + y for x, y in zip(ea, eb)), ma | mb)
+            key = (tuple(map(add, ea, eb)), ma | mb)
             c = ca * cb
             if s != sign:
                 c = -c
@@ -465,7 +466,7 @@ class SuperDerivation:
         clean = {}
         for name, poly in coeffs.items():
             kind, _ = ctx.lookup(name)
-            if poly.ctx != ctx:
+            if poly.ctx is not ctx and poly.ctx != ctx:
                 raise ContextError(
                     f"coefficient of d/d{name} on {poly.ctx!r} in a derivation on {ctx!r}"
                 )

@@ -26,7 +26,9 @@ other count is an engine fault.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
+from operator import sub
 
 from .cohomology import DimPair, cohomology_dims
 from .errors import DomainError, InvariantError, check_pnm
@@ -73,19 +75,24 @@ def super_gradient_rank(n: int, m: int) -> dict:
     elims = [SparseElim(), SparseElim()]
     for size in range(min(d, m) + 1):
         parity = size & 1
+        elim = elims[parity]
+        # each X^a with its even partials (v, lowered a, e), shared by every T^S
+        evens = [
+            (exps, [(v, exps[:v] + (e - 1,) + exps[v + 1:], e)
+                    for v, e in enumerate(exps) if e])
+            for exps in _compositions(d - size, n + 1)
+        ]
         for mask_bits in combinations(range(m), size):
             mask = sum(1 << b for b in mask_bits)
-            for exps in _compositions(d - size, n + 1):
-                col = {}
-                for v, e in enumerate(exps):
-                    if e:
-                        lowered = exps[:v] + (e - 1,) + exps[v + 1:]
-                        col[(v, lowered, mask)] = e
-                for below, b in enumerate(mask_bits):
-                    # left derivative sign (-1)^below, times the odd row's minus sign
-                    col[(n + 1 + b, exps, mask & ~(1 << b))] = 1 if below & 1 else -1
-                domain[parity] += 1
-                elims[parity].add(col)
+            # left derivative sign (-1)^below, times the odd row's minus sign
+            odds = [(n + 1 + b, mask & ~(1 << b), 1 if below & 1 else -1)
+                    for below, b in enumerate(mask_bits)]
+            for exps, partials in evens:
+                col = {(v, lowered, mask): e for v, lowered, e in partials}
+                for row, lower, sign in odds:
+                    col[(row, exps, lower)] = sign
+                elim.add(col)
+        domain[parity] += len(evens) * comb(m, size)
     return {
         "domain_dim": DimPair(domain[0], domain[1]),
         "kernel_dim": DimPair(domain[0] - elims[0].rank, domain[1] - elims[1].rank),
@@ -93,12 +100,11 @@ def super_gradient_rank(n: int, m: int) -> dict:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The ``parts``-tuples of nonnegative ints summing to ``total``, in
+    lexicographic order: stars and bars, the parts - 1 bars cutting the
+    total stars at nondecreasing points."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def euler_tangent_dims(n: int, m: int) -> TangentReport:

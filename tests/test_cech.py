@@ -176,6 +176,25 @@ def test_equality_ignores_the_class_map_cache():
     assert a == b
 
 
+def test_results_of_equal_sheaves_are_equal():
+    # the sheaf compares by its data (m, W), not by identity
+    assert cech_cohomology(twist_sheaf(2, 0)) == cech_cohomology(twist_sheaf(2, 0))
+    sheaf = TransitionSheaf(3, parse_superpoly(P13_TRANSITION)[0])
+    again = TransitionSheaf(3, parse_superpoly(P13_TRANSITION)[0])
+    assert cech_cohomology(sheaf) == cech_cohomology(again)
+    assert cech_cohomology(twist_sheaf(2, 0)) != cech_cohomology(twist_sheaf(2, 1))
+
+
+def test_repr_ignores_the_class_map_cache():
+    W = parse_superpoly("1 + 2*w^-1*p1*p2", m=2)[0]
+    result = cech_cohomology(TransitionSheaf(2, W))
+    before = repr(result)
+    result.h1_class(W.ctx.monomial(1, (-1,), 0b11))
+    assert result._coboundaries is not None
+    assert repr(result) == before
+    assert " at 0x" not in before
+
+
 def test_p13_euler_characteristic(p13):
     # chi from the split filtration of this sheaf: even 1 - 3 = -2, odd -2
     chi_even = (p13.h0.even - p13.h1.even)

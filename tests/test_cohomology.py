@@ -5,13 +5,13 @@ from math import comb
 
 import pytest
 from closed_form_reference import _coefficient as reference_coefficient
+from closed_form_reference import bott_dim
 
 import superproj
 from superproj import cohomology
 from superproj.cohomology import (
     DimPair,
     _coefficient,
-    bott_dim,
     chi_closed,
     cohomology_dims,
     decompose,
@@ -57,6 +57,29 @@ def test_bott_dim():
     assert bott_dim(1, -2) == {1: 1}
     assert bott_dim(3, 2) == {0: comb(5, 3)}
     assert bott_dim(2, -4) == {2: comb(3, 1)}
+
+
+def test_cohomology_dims_are_the_bott_sums():
+    # the int counts against the per-summand Bott numbers, added as DimPairs
+    # degree by degree and parity by parity
+    for n in range(1, 6):
+        for m in range(9):
+            for ell in range(-12, 13):
+                want = {i: DimPair(0, 0) for i in range(n + 1)}
+                for twist, parity, mult in decompose(n, m, ell):
+                    for degree, d in bott_dim(n, twist).items():
+                        pair = DimPair(d * mult, 0) if parity == 0 else DimPair(0, d * mult)
+                        want[degree] += pair
+                assert cohomology_dims(n, m, ell) == want, (n, m, ell)
+
+
+def test_zeta_tail_stops_at_m():
+    # the tail summed over every k <= ell: the terms past m vanish
+    for n in range(1, 5):
+        for m in range(7):
+            for ell in range(-3, 12):
+                tail = sum(comb(m, k) * _coefficient(n, k - ell - 1, 0) for k in range(ell + 1))
+                assert zeta_closed(n, m, ell) == _coefficient(n, -ell - 1, m) - tail
 
 
 def test_cohomology_dims_classical():

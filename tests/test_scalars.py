@@ -51,6 +51,13 @@ def test_mixed_arithmetic_with_rationals():
     assert 2 / SQRT2 == SQRT2
 
 
+@pytest.mark.parametrize("q", [Fraction(-3, 4), Fraction(0), Fraction(5), Fraction(-6, 3),
+                               Fraction(7, 9)])
+def test_coerce_of_a_fraction_is_canonical(q):
+    a, b = Scalar.coerce(q), Scalar(q)
+    assert (a.n, a.d) == (b.n, b.d)
+
+
 def test_str_and_json():
     assert str(ONE + I) == "1 + i"
     assert str(-SQRT2) == "-sqrt2"

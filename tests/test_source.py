@@ -34,11 +34,12 @@ def test_test_oracles_stay_off_engine_paths():
     # express_in_span are test-only helpers kept in tests/test_golden.py,
     # tests/test_properties.py and tests/test_superlie.py; composed_apply and
     # composed_bracket, the derivation calculus by whole-polynomial steps,
-    # live only in tests/derivation_reference.py
+    # live only in tests/derivation_reference.py, and bott_dim, the Bott
+    # numbers as a per-degree dict, only in tests/closed_form_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
-        "composed_apply": None, "composed_bracket": None,
+        "composed_apply": None, "composed_bracket": None, "bott_dim": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []

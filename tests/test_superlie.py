@@ -97,6 +97,21 @@ def test_u_sigma_table_verbatim(fields):
         assert _combo_matches(fields, combo, fields[a].bracket(fields[b])), (a, b)
 
 
+def test_combo_matches_rejects_a_different_combination(fields):
+    from superproj.superlie import _combo_matches
+
+    bracket = fields["U1"].bracket(fields["U3"])
+    assert _combo_matches(fields, {"U2": 1, "U4": 1}, bracket)
+    assert not _combo_matches(fields, {"U2": 1, "U4": 2}, bracket)
+    assert not _combo_matches(fields, {"U2": 1, "U4": 1, "U1": HALF}, bracket)
+    assert not _combo_matches(fields, {}, bracket)
+    # a zero bracket matches the empty combination and one with a zero coefficient
+    zero = fields["U2"].bracket(fields["U4"])
+    assert _combo_matches(fields, {}, zero)
+    assert _combo_matches(fields, {"U1": 0}, zero)
+    assert not _combo_matches(fields, {"U1": 1}, zero)
+
+
 def test_u_sigma_span_is_4_4(fields):
     from superproj.linalg import sparse_rank
 

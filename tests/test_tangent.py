@@ -90,6 +90,24 @@ def test_gradient_kernel_grid():
             assert got == want, (n, m)
 
 
+def _recursive_compositions(total, parts):
+    """The compositions by first part, then the rest recursively."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_reference():
+    for total in range(9):
+        for parts in range(1, 6):
+            assert list(_compositions(total, parts)) == list(
+                _recursive_compositions(total, parts)
+            ), (total, parts)
+
+
 def test_gradient_domain_dims():
     data = super_gradient_rank(1, 4)
     # Sym^2 of 2|4 variables: 3 + C(4,2) even, 2*4 odd
