@@ -77,13 +77,12 @@ def cmd_cohomology(args, fmt) -> int:
 
 
 def cmd_cech(args, fmt) -> int:
-    from .cech import CechWindow, TransitionSheaf, cech_cohomology
+    from .cech import TransitionSheaf, cech_cohomology
     from .parser import parse_superpoly
 
     W, _ = parse_superpoly(args.transition, m=args.m)
     sheaf = TransitionSheaf(args.m, W)
-    window = CechWindow(args.window) if args.window is not None else None
-    result = cech_cohomology(sheaf, window=window)
+    result = cech_cohomology(sheaf)
     emit(
         {
             "schema": 1,
@@ -91,8 +90,6 @@ def cmd_cech(args, fmt) -> int:
             "transition": str(sheaf.W),
             "h0": result.h0.to_json(),
             "h1": result.h1.to_json(),
-            "window": result.window_used.D,
-            "stabilized": result.stabilized,
             "generators_h0": [str(g) for g in result.generators_h0],
             "generators_h1": [str(g) for g in result.generators_h1],
         },
@@ -192,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("cech", help="raw Cech run for a transition function")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--transition", required=True)
-    p.add_argument("--window", type=int, default=None,
-                   help="window D >= depth(W) + m, raised to the covering size")
     p.set_defaults(func=cmd_cech)
 
     p = add_parser("picard", help="Picard and Pi-Picard data")

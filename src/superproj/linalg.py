@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and Q(zeta_8).
 
 One eliminator: a sparse Gaussian eliminator on vectors stored as
-``{key: coeff}`` dicts.  It serves the Cech engine (ranks, kernels, and its
-stored vectors as an echelon basis of the in-window image), the super
-gradient rank, the global field basis (its tracked kernel), span comparison
+``{key: coeff}`` dicts.  It serves the Cech engine (the rank and kernel of
+its E1 differential, whose stored vectors are the class map's pivots), the
+super gradient rank, the global field basis (its tracked kernel), span comparison
 (a rank test) and expression in a fixed basis (one tracked elimination of
 the basis serves every target).  The matrices are
 extremely sparse and the row index sets are ad hoc.

@@ -116,10 +116,10 @@ def verify_picard_dim_cech(m: int) -> bool:
     the odd sector's H^1 against the non-split parameter count of
     ``pi_picard``, 2^(m-2)(m-2).  W = 1 couples no two masks and h^1(O_P1)
     = 0, so the two sectors' H^1 are the even and odd parts of one run's
-    H^1(O).  Every mask is lone, so this compares the per-mask counts of
-    O(-|s|) on P^1 with the closed forms and runs no elimination; the
-    elimination of coupled masks is checked against the general path of the
-    tests' ``_reference_window``.
+    H^1(O).  W = 1 has no nilpotent term, so D is zero: this compares the
+    E1 page's per-mask counts of O(-|s|) on P^1 with the closed forms.  D
+    itself, on coupled masks, is checked against the windowed reference of
+    the tests.
     """
     if not 2 <= m <= 6:
         raise DomainError("verify_picard_dim_cech covers 2 <= m <= 6")

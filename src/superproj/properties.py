@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .cech import CechWindow, TransitionSheaf, cech_cohomology
+from .cech import TransitionSheaf, cech_cohomology
 from .scalars import I, SQRT2, Scalar
 from .superpoly import (
     Context,
@@ -165,15 +165,18 @@ def _random_unit(rng: random.Random, ctx, depth: int,
 
 @_law_suite
 def suite_stabilization(rng: random.Random) -> bool:
-    """Cech dims agree between the stabilized window and a larger one."""
+    """Cech generator lists as long as the dims, the same dims without
+    generators, and each h1 generator its own class."""
     m = rng.choice([2, 2, 3])
     ctx = pnm_transition(1, m).ctx_b
     sheaf = TransitionSheaf(m, _random_unit(rng, ctx, 2))
-    res = cech_cohomology(sheaf, want_generators=False)
-    bigger = cech_cohomology(
-        sheaf, CechWindow(res.window_used.D + 2), want_generators=False
-    )
-    return (res.h0, res.h1) == (bigger.h0, bigger.h1)
+    res = cech_cohomology(sheaf)
+    counts = cech_cohomology(sheaf, want_generators=False)
+    return (len(res.generators_h0) == res.h0.total
+            and len(res.generators_h1) == res.h1.total
+            and (counts.h0, counts.h1) == (res.h0, res.h1)
+            and all(res.h1_class(g) == {(e, s): c for ((e,), s), c in g.terms.items()}
+                    for g in res.generators_h1))
 
 
 @_law_suite

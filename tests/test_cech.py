@@ -1,12 +1,13 @@
 import random
 from copy import copy
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import cech_window_reference as ref
 from dense_reference import echelon_basis
 from substitution_reference import chart_rules, substitute
-from superproj import cech
 from superproj.cech import (
     CechWindow,
     TransitionSheaf,
@@ -19,11 +20,11 @@ from superproj.cech import (
 from superproj.cli import main
 from superproj.cohomology import DimPair, cohomology_dims
 from superproj.errors import ContextError, DomainError, InvariantError, ParityError
-from superproj.linalg import SparseElim
+from superproj.linalg import SparseElim, spans_equal
 from superproj.parser import parse_superpoly
 from superproj.properties import _random_unit, random_even_nilpotent
 from superproj.scalars import I, ONE, ZERO, Scalar
-from superproj.superpoly import mask_parity
+from superproj.superpoly import SuperPolynomial, mask_parity
 
 P13_TRANSITION = "1 + (p1*p2 + p1*p3 + p2*p3)*w^-1"
 C0_TRUNCATION = "w^2 + w^-1*p1*p2"  # needs the columns z^(D+1) t1 t2
@@ -84,9 +85,10 @@ def test_oracle_grid_bounds():
 
 
 def test_window_check():
+    # the windowed reference refuses a window below depth(W) + m
     sheaf = twist_sheaf(2, -3)
     with pytest.raises(DomainError):
-        cech_cohomology(sheaf, CechWindow(2))
+        ref.window_cohomology(sheaf, CechWindow(2))
     # D_cov = depth + m + max(0, -k - 1) = 3 + 2 + 2 for W = w^-3 on P^(1|2)
     assert default_window(sheaf).D == 3 + 2 + 2
 
@@ -156,21 +158,24 @@ def test_h1_class_classifies_out_of_band_cocycle(p13):
         assert p13.h1_class(parse_superpoly(text, m=3)[0]) == {}
     cocycles = [parse_superpoly(t, m=3)[0] for t in P13_COCYCLES + ["w^-7*p1*p2"]]
     assert p13.h1_span_equals(cocycles)
-    # a term below the band is classified as on a window whose band holds it
+    # w^-5 p1 p2 p3, below the reference's band, is the coboundary of
+    # z^2 t1 t2 t3: the cocycle has the class of its part 2 w^-1 p1 p2, here
+    # and on the reference window whose band holds it
     cocycle = parse_superpoly("w^-5*p1*p2*p3 + 2*w^-1*p1*p2", m=3)[0]
-    wide = cech._run_window(p13._sheaf, CechWindow(7), True)
-    assert p13.h1_class(cocycle) == wide.h1_class(cocycle) != {}
+    part = parse_superpoly("2*w^-1*p1*p2", m=3)[0]
+    wide = ref._run_window(p13._sheaf, CechWindow(7), True)
+    assert p13.h1_class(cocycle) == p13.h1_class(part) != {}
+    assert wide.h1_class(cocycle) == wide.h1_class(part) != {}
 
 
 def test_equality_ignores_the_class_map_cache():
-    # the class map is built on the first h1_class call; two results of one
-    # sheaf stay equal whichever of them has built it
+    # the class map is a function of the sheaf: two results of one sheaf
+    # compare by their data and stay equal whichever of them has classified
     sheaf = TransitionSheaf(3, parse_superpoly(P13_TRANSITION)[0])
     a, b = cech_cohomology(sheaf), cech_cohomology(sheaf)
-    assert a == b
+    assert a == b and a._image is not b._image
     cocycle = parse_superpoly(P13_COCYCLES[0], m=3)[0]
     a.h1_class(cocycle)
-    assert a._coboundaries is not None
     assert a == b
     b.h1_class(cocycle)
     assert a == b
@@ -189,8 +194,7 @@ def test_repr_ignores_the_class_map_cache():
     W = parse_superpoly("1 + 2*w^-1*p1*p2", m=2)[0]
     result = cech_cohomology(TransitionSheaf(2, W))
     before = repr(result)
-    result.h1_class(W.ctx.monomial(1, (-1,), 0b11))
-    assert result._coboundaries is not None
+    assert result.h1_class(W.ctx.monomial(1, (-1,), 0b11)) == {}
     assert repr(result) == before
     assert " at 0x" not in before
 
@@ -244,7 +248,7 @@ def _reference_window(sheaf, window, want_generators):
     ctx_a, ctx_b = tr.ctx_a, tr.ctx_b
     a_in_b, _ = chart_rules(ctx_a, ctx_b)
     band = range(-(D - depth), D - depth + 1)
-    components, _ = cech._mask_pass(sheaf)
+    components, _ = ref._mask_pass(sheaf)
     reach = _reference_reach(sheaf, components)
     h0, h1 = {0: 0, 1: 0}, {0: 0, 1: 0}
     gens_h0, gens_h1, image_rref, sections = [], [], [], []
@@ -345,7 +349,7 @@ def test_run_window_matches_general_path(sheaf):
     wider = _reference_window(sheaf, CechWindow(window.D + 1), False)[4]
     for want in (True, False):
         h0, h1, gens_h0, gens_h1, rref, _ = _reference_window(sheaf, window, want)
-        res = cech._run_window(sheaf, window, want)
+        res = ref._run_window(sheaf, window, want)
         assert (res.h0, res.h1) == (h0, h1)
         assert [g.terms for g in res.generators_h0] == [g.terms for g in gens_h0]
         assert [g.terms for g in res.generators_h1] == [g.terms for g in gens_h1]
@@ -370,6 +374,205 @@ def test_run_window_matches_general_path(sheaf):
             assert res.h1_class(ctx_b.monomial(1, (B + 1,), s)) == {}
             cocycle = ctx_b.monomial(1, (-B - 1,), s)
             assert res.h1_class(cocycle) == _rref_class(wider, cocycle)
+
+
+# -- the E1 page against the windowed reference ------------------------------
+
+def _cocycles(old, rng, count=3):
+    """Random combinations of the reference's h1 generators, some of them
+    empty, each plus the coboundary of a random U-chart monomial."""
+    sheaf = old._sheaf
+    tr = standard_transition(sheaf.m)
+    out = []
+    for _ in range(count):
+        terms = {}
+        for g in old.generators_h1:
+            r = rng.choice((0, 0, 1, -2))
+            if r:
+                [(key, c)] = g.terms.items()
+                terms[key] = c * r
+        column = tr.ctx_a.monomial(rng.choice((1, 3)), (rng.randint(0, 2),),
+                                   rng.randrange(1 << sheaf.m))
+        out.append(SuperPolynomial(sheaf.W.ctx, terms) + sheaf.W * tr.to_b(column))
+    return out
+
+
+def _assert_matches_the_window_reference(sheaf, rng, degrees=range(3)):
+    """Counts equal, both generator lists span the reference's, h1_class is
+    zero just where the reference's is, and W * (z^a t^s o chart) has class
+    {} for every mask s and each a in degrees."""
+    res = cech_cohomology(sheaf)
+    old = ref.window_cohomology(sheaf)
+    counts = cech_cohomology(sheaf, want_generators=False)
+    assert (res.h0, res.h1) == (old.h0, old.h1) == (counts.h0, counts.h1), sheaf
+    assert len(res.generators_h0) == res.h0.total, sheaf
+    assert len(res.generators_h1) == res.h1.total, sheaf
+    assert spans_equal([g.terms for g in res.generators_h0],
+                       [g.terms for g in old.generators_h0]), sheaf
+    assert res.h1_span_equals(old.generators_h1), sheaf
+    assert old.h1_span_equals(res.generators_h1), sheaf
+    for cocycle in _cocycles(old, rng):
+        assert (res.h1_class(cocycle) == {}) == (old.h1_class(cocycle) == {}), (
+            sheaf, cocycle)
+    tr = standard_transition(sheaf.m)
+    for s in range(1 << sheaf.m):
+        for a in degrees:
+            coboundary = sheaf.W * tr.to_b(tr.ctx_a.monomial(1, (a,), s))
+            assert res.h1_class(coboundary) == {}, (sheaf, a, s)
+
+
+# the cech_wide benchmark's problem shapes, with fixed coefficients:
+# O(ell) at m = 5..7 and the chains c w^k (1 + sum c_i p_i p_(i+1) w^e)
+CECH_WIDE = [
+    ("wide-twist-m5", "(1/2)*w^-1", 5),
+    ("wide-twist-m6", "(-2)*w^2", 6),
+    ("wide-twist-m7", "3*w^0", 7),
+    ("wide-chain-m5-k-1-e-1",
+     "(-1/3)*w^-1*(1+(1/2)*p1*p2*w^-1+2*p2*p3*w^-1+(-1)*p3*p4*w^-1+3*p4*p5*w^-1)", 5),
+    ("wide-chain-m5-k1-e1",
+     "2*w^1*(1+(-1/2)*p1*p2*w^1+p2*p3*w^1+(1/2)*p3*p4*w^1+(-2)*p4*p5*w^1)", 5),
+    ("wide-chain-m6-k0-e-1",
+     "(1/2)*w^0*(1+(1/2)*p1*p2*w^-1+(-1)*p2*p3*w^-1+3*p3*p4*w^-1"
+     "+(-1/3)*p4*p5*w^-1+2*p5*p6*w^-1)", 6),
+    ("wide-chain-m6-k1-e0",
+     "(-1)*w^1*(1+2*p1*p2*w^0+(1/2)*p2*p3*w^0+(-2)*p3*p4*w^0"
+     "+p4*p5*w^0+(-1/2)*p5*p6*w^0)", 6),
+]
+E1_CASES = REFERENCE_CASES + [
+    (name, TransitionSheaf(m, parse_superpoly(text, m=m)[0])) for name, text, m in CECH_WIDE
+]
+
+
+@pytest.mark.parametrize("sheaf", [c[1] for c in E1_CASES], ids=[c[0] for c in E1_CASES])
+def test_e1_page_matches_the_window_reference(sheaf):
+    _assert_matches_the_window_reference(sheaf, random.Random(repr(sheaf)))
+
+
+BODY_COEFFS = (1, -1, 2, Fraction(1, 2), I, I + 1)
+
+
+def _seeded_sheaf(rng):
+    """c w^k (1 + up to 4 even nilpotent terms) on P^(1|m), m = 2..6,
+    k = -3..3, rational and Q(zeta8) coefficients."""
+    m = rng.randint(2, 6)
+    ctx = standard_transition(m).ctx_b
+    body = ctx.monomial(rng.choice(BODY_COEFFS), (rng.randint(-3, 3),), 0)
+    return TransitionSheaf(m, body * (ctx.one() + random_even_nilpotent(rng, ctx, 3)))
+
+
+def test_e1_page_matches_the_window_reference_on_seeded_sheaves():
+    rng = random.Random(20261020)
+    coupled = 0
+    for _ in range(1000):
+        sheaf = _seeded_sheaf(rng)
+        _assert_matches_the_window_reference(sheaf, rng, degrees=(0, rng.randint(1, 3)))
+        coupled += len(sheaf.W.terms) > 1
+    assert coupled > 600
+
+
+def test_lists_without_nilpotent_terms_are_the_window_reference_lists():
+    # c w^ell couples no masks: D is zero, so the sections are the H0
+    # classes and the h1 generators the H1 monomials, by mask and then
+    # degree, as the windowed reference listed them
+    for m in range(7):
+        ctx = standard_transition(m).ctx_b
+        for ell in range(-4, 5):
+            for c in (1, Fraction(-2, 3), I + 1):
+                sheaf = TransitionSheaf(m, ctx.monomial(c, (ell,), 0))
+                res, old = cech_cohomology(sheaf), ref.window_cohomology(sheaf)
+                assert [g.terms for g in res.generators_h0] == [
+                    g.terms for g in old.generators_h0], sheaf
+                assert [g.terms for g in res.generators_h1] == [
+                    g.terms for g in old.generators_h1], sheaf
+
+
+# -- sign faults: the gluing check and the class map see them --------------
+#
+# A flipped sign in delta (N acting on a column) or in h (the 1/c that
+# clears a term) leaves every count right: no count changed on the coupled
+# draws below, nor on 693 coupled draws of 1000 from ``_seeded_sheaf`` in a
+# trial run.  Counts alone miss both faults; a section that no longer glues,
+# or a coboundary with a nonzero class, catches them.
+
+def _flip_delta(monkeypatch):
+    real = TransitionSheaf._spread
+
+    def spread(self, polar, heap, s, e, x):
+        return real(self, polar, heap, s, e, -x)
+
+    monkeypatch.setattr(TransitionSheaf, "_spread", spread)
+
+
+@pytest.fixture
+def flipped_delta(monkeypatch):
+    _flip_delta(monkeypatch)
+
+
+def _flip_h(monkeypatch, sheaf):
+    monkeypatch.setattr(sheaf, "_inverse_body", -sheaf._inverse_body)
+
+
+def _caught(sheaf):
+    """Whether the engine raises InvariantError on the sheaf, or gives some
+    coboundary W * (z^a t^s o chart), a <= 2, a nonzero class."""
+    try:
+        res = cech_cohomology(sheaf)
+    except InvariantError as exc:
+        assert "does not glue" in str(exc)
+        return True
+    tr = standard_transition(sheaf.m)
+    return any(
+        res.h1_class(sheaf.W * tr.to_b(tr.ctx_a.monomial(1, (a,), s)))
+        for s in range(1 << sheaf.m) for a in range(3)
+    )
+
+
+def _fault_cases():
+    rng = random.Random(36)
+    sheaves = [_seeded_sheaf(rng) for _ in range(200)]
+    return [sheaf for sheaf in sheaves if len(sheaf.W.terms) > 1]
+
+
+@pytest.mark.parametrize("fault", ("delta", "h"))
+def test_a_flipped_sign_is_caught_where_counts_miss_it(monkeypatch, fault):
+    sheaves = _fault_cases()
+    truth = [cech_cohomology(sheaf) for sheaf in sheaves]
+    if fault == "delta":
+        _flip_delta(monkeypatch)
+    caught = 0
+    for sheaf, right in zip(sheaves, truth):
+        if fault == "h":
+            _flip_h(monkeypatch, sheaf)
+        counts = cech_cohomology(sheaf, want_generators=False)
+        assert (counts.h0, counts.h1) == (right.h0, right.h1), sheaf
+        if _caught(sheaf):
+            caught += 1
+        else:
+            # a fault nothing sees changed nothing a caller reads
+            res = cech_cohomology(sheaf)
+            assert spans_equal([g.terms for g in res.generators_h0],
+                               [g.terms for g in right.generators_h0]), sheaf
+            assert right.h1_span_equals(res.generators_h1), sheaf
+    assert caught > len(sheaves) // 2
+    # both faults trip the gluing check on a README example
+    W = parse_superpoly(LONE_AND_COUPLED, m=4)[0]
+    sheaf = TransitionSheaf(4, W)
+    if fault == "h":
+        _flip_h(monkeypatch, sheaf)
+    with pytest.raises(InvariantError, match="does not glue"):
+        cech_cohomology(sheaf)
+
+
+def test_each_h0_generator_is_a_global_section():
+    # a generator Q is polynomial in w, and its U component W^-1 Q, read in
+    # the U chart, is polynomial in z
+    tr_of = {}
+    for name, sheaf in E1_CASES:
+        tr = tr_of.setdefault(sheaf.m, standard_transition(sheaf.m))
+        inverse = sheaf.W.inverse()
+        for q in cech_cohomology(sheaf).generators_h0:
+            assert q.terms and all(e >= 0 for (e,), _ in q.terms), name
+            assert all(a >= 0 for (a,), _ in tr.to_a(inverse * q).terms), name
 
 
 def _reference_reach(sheaf, components):
@@ -402,7 +605,10 @@ def _rref_class(rref, cocycle):
     return vec
 
 
-# -- rational windows compute on int ---------------------------------------
+# -- rational coefficients --------------------------------------------------
+#
+# The E1 page computes on Scalar; the windowed reference runs a rational W on
+# int, as L * W.
 
 def _rational_sheaves():
     W, _ = parse_superpoly(P13_TRANSITION)
@@ -479,12 +685,12 @@ def test_rational_cocycle_class_matches_the_scalar_path():
 
 
 def test_rational_window_stores_int_rows():
-    # the class map is built on the first h1_class call, from the coupled
-    # components' rows only: a window of lone masks has none
+    # the reference builds its class map on the first h1_class call, from the
+    # coupled components' rows only: a window of lone masks has none
     sheaves = _rational_sheaves() + [TransitionSheaf(5, _dense_rational_transition())]
     rows = []
     for sheaf in sheaves:
-        res = cech._run_window(sheaf, default_window(sheaf), True)
+        res = ref._run_window(sheaf, default_window(sheaf), True)
         res.h1_class(sheaf.W.ctx.zero())
         if len(sheaf.W.terms) == 1:
             assert res._coboundaries is None, sheaf
@@ -522,7 +728,7 @@ def test_generator_ranges_match_the_class_map():
         for g in res.generators_h1:
             [((e,), s)] = g.terms
             assert res.h1_class(g) == {(e, s): ONE}, (sheaf, e, s)
-        comps, _ = cech._mask_pass(sheaf)
+        comps, _ = ref._mask_pass(sheaf)
         lone_masks = [c[0] for c in comps if len(c) == 1]
         assert lone_masks and (sheaf in lone) == (len(comps) == 1 << sheaf.m)
         ctx_b = sheaf.W.ctx
@@ -533,6 +739,7 @@ def test_generator_ranges_match_the_class_map():
 
 
 def test_lone_window_builds_no_class_map(monkeypatch):
+    # the windowed reference reads a lone mask off and eliminates nothing
     made = []
     real = SparseElim.__init__
 
@@ -541,7 +748,7 @@ def test_lone_window_builds_no_class_map(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseElim, "__init__", init)
-    res = cech_cohomology(twist_sheaf(6, 0), want_generators=False)
+    res = ref.window_cohomology(twist_sheaf(6, 0), want_generators=False)
     assert made == []
     ctx_b = standard_transition(6).ctx_b
     assert res.h1_class(ctx_b.monomial(1, (-1,), 0b11)) == {(-1, 0b11): ONE}
@@ -552,13 +759,14 @@ def test_lone_window_builds_no_class_map(monkeypatch):
 def test_advanced_window_lists_the_generators_of_its_own_run():
     # D = 6 leaves w^-4 p1 p2 out of the band: it is below D_cov = 7, so
     # D = 7 is run and lists the generators of its own run
+    # (the windowed reference)
     sheaf = twist_sheaf(2, -3)
-    res = cech_cohomology(sheaf, CechWindow(6))
-    assert res.window_used == CechWindow(7) and res.stabilized
+    res = ref.window_cohomology(sheaf, CechWindow(6))
+    assert res.window_used == CechWindow(7)
     assert res.h1 == DimPair(6, 6) and len(res.generators_h1) == 12
-    ref = cech._run_window(sheaf, CechWindow(7), True)
-    assert [g.terms for g in res.generators_h0] == [g.terms for g in ref.generators_h0]
-    assert [g.terms for g in res.generators_h1] == [g.terms for g in ref.generators_h1]
+    run = ref._run_window(sheaf, CechWindow(7), True)
+    assert [g.terms for g in res.generators_h0] == [g.terms for g in run.generators_h0]
+    assert [g.terms for g in res.generators_h1] == [g.terms for g in run.generators_h1]
 
 
 def _covering(sheaf):
@@ -572,9 +780,10 @@ def test_default_window_is_d_cov():
 
 
 def test_d_cov_default_matches_the_old_default_window():
-    """The default D_cov window gives what the old default 2 depth + m + 2
-    gave: h0, h1, both generator lists, and the class of every monomial in
-    the old band, those below the D_cov band through the wider re-run."""
+    """On the windowed reference, the default D_cov window gives what the
+    old default 2 depth + m + 2 gave: h0, h1, both generator lists, and the
+    class of every monomial in the old band, those below the D_cov band
+    through the wider re-run."""
     sheaves = [twist_sheaf(m, k) for m in range(5) for k in range(-6, 3)]
     rng = random.Random(27)
     for _ in range(40):
@@ -583,8 +792,8 @@ def test_d_cov_default_matches_the_old_default_window():
         sheaves.append(TransitionSheaf(m, W))
     rerun = 0
     for sheaf in sheaves:
-        res = cech_cohomology(sheaf)
-        old = cech._run_window(sheaf, CechWindow(2 * sheaf.depth + sheaf.m + 2), True)
+        res = ref.window_cohomology(sheaf)
+        old = ref._run_window(sheaf, CechWindow(2 * sheaf.depth + sheaf.m + 2), True)
         assert res.window_used.D < old.window_used.D
         assert (res.h0, res.h1) == (old.h0, old.h1), sheaf
         assert [g.terms for g in res.generators_h0] == [g.terms for g in old.generators_h0]
@@ -600,26 +809,30 @@ def test_d_cov_default_matches_the_old_default_window():
 
 @pytest.mark.parametrize("want", (True, False))
 def test_one_window_per_call(monkeypatch, want):
-    """The default window is exact, and an explicit window D runs as
-    max(D, D_cov): one window per call."""
+    """The windowed reference's default window is exact, and an explicit
+    window D runs as max(D, D_cov): one window per call.  The E1-page engine
+    reports the same window_used, which the benchmark reads."""
     calls = []
-    real = cech._run_window
+    real = ref._run_window
 
     def run_window(*args):
         calls.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(cech, "_run_window", run_window)
+    monkeypatch.setattr(ref, "_run_window", run_window)
     for name, sheaf in REFERENCE_CASES:
         calls.clear()
-        res = cech_cohomology(sheaf, want_generators=want)
-        assert calls == [default_window(sheaf)] and res.stabilized, name
+        ref.window_cohomology(sheaf, want_generators=want)
+        assert calls == [default_window(sheaf)], name
+        assert cech_cohomology(sheaf, want_generators=want).window_used == calls[0]
         low = sheaf.depth + sheaf.m
         for D in (low, low + 1, _covering(sheaf) + 1):
             calls.clear()
-            res = cech_cohomology(sheaf, CechWindow(D), want_generators=want)
+            res = ref.window_cohomology(sheaf, CechWindow(D), want_generators=want)
             used = CechWindow(max(D, _covering(sheaf)))
-            assert calls == [used] == [res.window_used] and res.stabilized, (name, D)
+            assert calls == [used] == [res.window_used], (name, D)
+            res = cech_cohomology(sheaf, CechWindow(D), want_generators=want)
+            assert res.window_used == used and res.stabilized, (name, D)
 
 
 def _exactness_sheaves():
@@ -638,8 +851,9 @@ def _exactness_sheaves():
 
 
 def test_every_allowed_window_is_exact_in_h0_and_from_d_cov_in_h1():
-    """(a) h0 is exact at every allowed window, (b) h1 never exceeds the
-    true h1, and (c) h1 is exact from D_cov on (module docstring)."""
+    """On the windowed reference, against the E1 page: (a) h0 is exact at
+    every allowed window, (b) h1 never exceeds the true h1, and (c) h1 is
+    exact from D_cov on (tests/cech_window_reference.py)."""
     nilpotent = 0
     for sheaf in _exactness_sheaves():
         res = cech_cohomology(sheaf, want_generators=False)
@@ -649,7 +863,7 @@ def test_every_allowed_window_is_exact_in_h0_and_from_d_cov_in_h1():
         else:
             nilpotent += 1
         for D in range(sheaf.depth + sheaf.m, _covering(sheaf) + 2):
-            got = cech._run_window(sheaf, CechWindow(D), False)
+            got = ref._run_window(sheaf, CechWindow(D), False)
             assert got.h0 == res.h0, (sheaf, D)
             if D >= _covering(sheaf):
                 assert got.h1 == res.h1, (sheaf, D)
@@ -679,76 +893,99 @@ def test_rational_window_makes_no_scalar_product(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     monkeypatch.setattr(Scalar, "__rmul__", counted)
     for sheaf in sheaves:
-        res = cech._run_window(sheaf, default_window(sheaf), False)
+        res = ref._run_window(sheaf, default_window(sheaf), False)
         assert res.h0.even + res.h0.odd + res.h1.even + res.h1.odd > 0
     assert calls == []
     # the counter sees the Scalar path: a Q(zeta8) coefficient multiplies
-    cech._run_window(zeta, default_window(zeta), False)
+    ref._run_window(zeta, default_window(zeta), False)
     assert calls
 
 
+# -- the Euler characteristic: an identity of the E1 page, the reference's check
+
 def _one_more(monkeypatch, field, extra=DimPair(1, 0)):
-    """Make every window report the extra dimensions in field."""
-    real = cech._run_window
+    """Make every reference window report the extra dimensions in field."""
+    real = ref._run_window
 
     def run_window(*args):
         res = copy(real(*args))
         setattr(res, field, getattr(res, field) + extra)
         return res
 
-    monkeypatch.setattr(cech, "_run_window", run_window)
+    monkeypatch.setattr(ref, "_run_window", run_window)
 
 
 @pytest.fixture
 def wrong_h1(monkeypatch):
-    """Every window reports one extra even h1 dimension."""
+    """Every reference window reports one extra even h1 dimension."""
     _one_more(monkeypatch, "h1")
 
 
 @pytest.fixture
 def wrong_h0(monkeypatch):
-    """Every window reports one extra even h0 dimension."""
+    """Every reference window reports one extra even h0 dimension."""
     _one_more(monkeypatch, "h0")
 
 
+def _euler(m, k):
+    """Sum of C(m, j) (k - j + 1) over the mask sizes j of each parity."""
+    chi = [0, 0]
+    for j in range(m + 1):
+        chi[j & 1] += comb(m, j) * (k - j + 1)
+    return chi
+
+
 def test_euler_characteristic_invariant(wrong_h0):
-    # a window above the Euler characteristic of its split filtration is an
-    # engine fault
+    # on the E1 page h0 - h1 = #H0 classes - #H1 monomials, the Euler
+    # characteristic, whatever D is; the windowed reference checks it at
+    # runtime, and a window above it is a fault there
+    for name, sheaf in REFERENCE_CASES:
+        res = cech_cohomology(sheaf, want_generators=False)
+        got = [res.h0.even - res.h1.even, res.h0.odd - res.h1.odd]
+        assert got == _euler(sheaf.m, sheaf.body_exponent), name
     with pytest.raises(InvariantError, match="Euler characteristic"):
-        cech_cohomology(twist_sheaf(2, -1), want_generators=False)
+        ref.window_cohomology(twist_sheaf(2, -1), want_generators=False)
 
 
 def test_odd_sector_euler_fault_is_caught(monkeypatch):
-    # the Euler sum by mask size counts the odd sizes too: one extra odd h1
-    # dimension on P^(1|5) is an engine fault
+    # the reference's Euler sum by mask size counts the odd sizes too: one
+    # extra odd h1 dimension on P^(1|5) is a fault
     _one_more(monkeypatch, "h1", DimPair(0, 1))
     with pytest.raises(InvariantError, match="Euler characteristic"):
-        cech_cohomology(twist_sheaf(5, -1), want_generators=False)
+        ref.window_cohomology(twist_sheaf(5, -1), want_generators=False)
 
 
 def test_euler_shortfall_is_an_invariant_fault(monkeypatch, wrong_h1):
-    # the window run is exact, so h0 - h1 below the Euler characteristic is
-    # an engine fault too, raised from the one window
+    # the reference's window is exact, so h0 - h1 below the Euler
+    # characteristic is a fault too, raised from the one window
     calls = []
-    run_window = cech._run_window
+    run_window = ref._run_window
     monkeypatch.setattr(
-        cech, "_run_window", lambda *args: calls.append(args[1]) or run_window(*args)
+        ref, "_run_window", lambda *args: calls.append(args[1]) or run_window(*args)
     )
     sheaf = twist_sheaf(2, -1)
     with pytest.raises(InvariantError, match="Euler characteristic"):
-        cech_cohomology(sheaf, want_generators=False)
+        ref.window_cohomology(sheaf, want_generators=False)
     assert calls == [default_window(sheaf)]
 
 
-def test_invariant_violation_exits_1(wrong_h0, capsys):
-    assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 1
-    assert "invariant violated" in capsys.readouterr().err
+def test_euler_shortfall_exits_1(monkeypatch, wrong_h1, capsys):
+    # an Euler characteristic fault raised under the cech command exits 1,
+    # named as an invariant violation, with no hint of a window option
+    import superproj.cech
 
-
-def test_euler_shortfall_exits_1(wrong_h1, capsys):
+    monkeypatch.setattr(superproj.cech, "cech_cohomology", ref.window_cohomology)
     assert main(["cech", "--m", "2", "--transition", "w^-1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invariant violated:") and "--window" not in err
+    assert err.startswith("invariant violated:") and "Euler characteristic" in err
+    assert "--window" not in err
+
+
+def test_invariant_violation_exits_1(flipped_delta, capsys):
+    # a section that does not glue is an engine fault: exit 1, named as such
+    assert main(["cech", "--m", "4", "--transition", LONE_AND_COUPLED]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violated:") and "does not glue" in err
 
 
 def _reference_sigma(sheaf, s):
@@ -771,8 +1008,8 @@ def _section_reach(sheaf, s):
 @pytest.mark.parametrize("case", ("twist-m3-ell1", "cech-p13", "zeta-mixed-m4",
                                   "chain-m4-k1-e1", "zeta-chain-m5-k-1-e-2"))
 def test_one_elimination_per_window(monkeypatch, case, want):
-    """Each column of a component with two or more masks is eliminated
-    exactly once, in order, and a lone mask is not eliminated at all: its
+    """In the windowed reference, each column of a component with two or
+    more masks is eliminated exactly once, in order, and a lone mask is not eliminated at all: its
     graded piece is the whole complex at its mask.  Mask s has the columns
     a <= B + k - |s| + sigma_s, its column bound, so every O(ell) makes no
     call."""
@@ -787,8 +1024,8 @@ def test_one_elimination_per_window(monkeypatch, case, want):
         return real(self, vec, tag_key)
 
     monkeypatch.setattr(SparseElim, "add", add)
-    cech._run_window(sheaf, window, want)
-    coupled = [c for c in cech._mask_pass(sheaf)[0] if len(c) > 1]
+    ref._run_window(sheaf, window, want)
+    coupled = [c for c in ref._mask_pass(sheaf)[0] if len(c) > 1]
     assert sorted(len(tags) for tags in calls.values()) == sorted(
         sum(max(0, B + _section_reach(sheaf, s) + 1) for s in comp) for comp in coupled
     )
@@ -797,8 +1034,8 @@ def test_one_elimination_per_window(monkeypatch, case, want):
 
 
 def test_sections_lie_within_the_section_reach():
-    """Proof (a): every kernel combination of the full column set uses only
-    the columns z^a t^s with a <= k - |s| + sigma_s."""
+    """The reference's proof (a): every kernel combination of the full
+    column set uses only the columns z^a t^s with a <= k - |s| + sigma_s."""
     used = 0
     for sheaf in _exactness_sheaves():
         sections = _reference_window(sheaf, default_window(sheaf), False)[5]
@@ -813,11 +1050,11 @@ def test_sections_lie_within_the_section_reach():
 def _lower_sigma(monkeypatch, sheaf):
     """Lower sigma by one on the masks of the coupled component that has
     sections."""
-    comps, sigma = cech._mask_pass(sheaf)
+    comps, sigma = ref._mask_pass(sheaf)
     [comp] = [c for c in comps if len(c) > 1
               and max(_section_reach(sheaf, s) for s in c) >= 0]
     low = [v - (s in comp) for s, v in enumerate(sigma)]
-    monkeypatch.setattr(cech, "_mask_pass", lambda sheaf: (comps, low))
+    monkeypatch.setattr(ref, "_mask_pass", lambda sheaf: (comps, low))
 
 
 @pytest.mark.parametrize("want", (True, False))
@@ -833,13 +1070,14 @@ def test_a_column_bound_below_the_sections_is_an_invariant_fault(
     sheaf = TransitionSheaf(m, parse_superpoly(text, m=m)[0])
     _lower_sigma(monkeypatch, sheaf)
     with pytest.raises(InvariantError, match=fault):
-        cech_cohomology(sheaf, want_generators=want)
+        ref.window_cohomology(sheaf, want_generators=want)
 
 
 def test_a_component_without_sections_tracks_no_kernel(monkeypatch):
     """At m = 4, w (1 + i p1 p2 w^-1) couples s with s | p1 p2 for s inside
-    p3 p4; the section reach of p3 p4 is -1 and of p1 p2 p3 p4 is -2, so that
-    component's elimination is untracked even when generators are wanted."""
+    p3 p4; the section reach of p3 p4 is -1 and of p1 p2 p3 p4 is -2, so
+    that component's elimination in the windowed reference is untracked even
+    when generators are wanted."""
     sheaf = dict(REFERENCE_CASES)["zeta-mixed-m4"]
     made = []
     real = SparseElim.__init__
@@ -849,14 +1087,14 @@ def test_a_component_without_sections_tracks_no_kernel(monkeypatch):
         real(self, track)
 
     monkeypatch.setattr(SparseElim, "__init__", init)
-    res = cech._run_window(sheaf, default_window(sheaf), True)
-    coupled = [c for c in cech._mask_pass(sheaf)[0] if len(c) > 1]
+    res = ref._run_window(sheaf, default_window(sheaf), True)
+    coupled = [c for c in ref._mask_pass(sheaf)[0] if len(c) > 1]
     assert made == [max(_section_reach(sheaf, s) for s in comp) >= 0
                     for comp in coupled]
     assert made.count(False) == 1 and 0b1100 in coupled[made.index(False)]
     assert len(res.generators_h0) == res.h0.total > 0
     made.clear()
-    cech._run_window(sheaf, default_window(sheaf), False)
+    ref._run_window(sheaf, default_window(sheaf), False)
     assert made == [False] * len(coupled)
 
 

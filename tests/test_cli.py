@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from superproj.cech import TransitionSheaf, cech_cohomology
 from superproj.cli import main
+from superproj.linalg import spans_equal
+from superproj.parser import parse_superpoly
 
 
 def run(capsys, *argv):
@@ -47,7 +50,8 @@ def test_cech_example(capsys):
     data = json.loads(out)
     assert data["h0"] == [0, 0]
     assert data["h1"] == [2, 2]
-    assert data["stabilized"] is True
+    # the E1 page has no window: nothing reports one
+    assert "window" not in data and "stabilized" not in data
 
 
 def test_cech_parse_error_exit_2(capsys):
@@ -69,12 +73,13 @@ def test_cech_wrong_chart_exit_2(capsys):
     assert "V chart" in err
 
 
-def test_cech_window_too_small_exit_2(capsys):
-    code, _, _ = run(
+def test_cech_has_no_window_option(capsys):
+    code, out, err = run(
         capsys, "cech", "--m", "2", "--transition", "1 - 3*p1*p2*w^-1",
-        "--window", "2",
+        "--window", "6",
     )
-    assert code == 2
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --window" in err
 
 
 def test_picard_verify(capsys):
@@ -164,11 +169,11 @@ PINNED_STDOUT = {
     "cohomology --n 1 --m 3 --ell -1 --oracle":
         ("8c6e435b29f9bc16847210df70d94d0cc5d13afd60b3c78d32c2df1bc97752d9", 0),
     "cech --m 3 --transition '1+(p1*p2+p1*p3+p2*p3)*w^-1'":
-        ("27c084d3f00bfe64fb78d47f1b747ddebe7e78ea18c7484fa6c524533587e315", 0),
+        ("da3c45f49b9df719717461ab462c10e920120df1036044e6c3209f9c0215e3a6", 0),
     "cech --m 4 --transition 'w*(1+i*p1*p2*w^-1)'":
-        ("c1def3fb040ed9ded7b055c8d1dc3e904e50530e99f06e0be39a155f575bd471", 0),
+        ("33e0823f469486696fa88d73f0e471cafbdf19f02ad336be1bc33cd0c9cab038", 0),
     "cech --m 4 --transition '(3/2)*w*(1+(1/3)*p1*p2*w^-1-(2/5)*p2*p3*w)'":
-        ("385111f0e85d069a0e4671ea2337940a676dfadeba85b68dd99a81bb6b487eec", 0),
+        ("b32e84aa569ef413c84f58d0d1f6d9b6eeab9950ec6dbeb8d52b5a7d125405e2", 0),
     "picard --n 1 --m 4 --verify":
         ("ee74b86510170b6b48bfdef4d88074810aecf27ff9ce678b8ca4755f879b8b2d", 0),
     "tangent --n 1 --m 2 --basis":
@@ -198,3 +203,37 @@ def test_pinned_commands_are_the_readme_examples():
 def test_stdout_is_pinned(capsys, command):
     code, out, _ = run(capsys, *shlex.split(command))
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == PINNED_STDOUT[command]
+
+
+# the generator lists the windowed engine printed for the README cech lines,
+# before the E1 page; the H1 basis differs (w^-1*p3 is no E1 monomial), the
+# spans do not
+WINDOWED_LISTS = {
+    "1+(p1*p2+p1*p3+p2*p3)*w^-1": (
+        [], ["w^-1*p1*p3", "w^-1*p2*p3", "w^-1*p3", "w^-1*p1*p2*p3"]),
+    "w*(1+i*p1*p2*w^-1)": (
+        ["w + i*p1*p2", "i", "p1", "p2"],
+        ["w^-1*p3*p4", "w^-1*p1*p2*p3*p4", "w^-1*p1*p3*p4", "w^-1*p2*p3*p4"]),
+    "(3/2)*w*(1+(1/3)*p1*p2*w^-1-(2/5)*p2*p3*w)": (
+        ["3/2*w + 1/2*p1*p2 - 3/5*w^2*p2*p3", "-9/2 + 9/5*w*p2*p3",
+         "3/2*p1 - 3/5*w*p1*p2*p3", "3/2*p2"],
+        ["w^-1*p2*p3*p4", "w^-1*p3*p4", "w^-1*p1*p2*p3*p4", "w^-1*p1*p3*p4"]),
+}
+
+
+@pytest.mark.parametrize("transition", WINDOWED_LISTS)
+def test_readme_cech_lists_span_the_windowed_lists(capsys, transition):
+    m = 3 if transition.startswith("1+") else 4
+    code, out, _ = run(capsys, "cech", "--m", str(m), "--transition", transition)
+    data = json.loads(out)
+    old_h0, old_h1 = WINDOWED_LISTS[transition]
+    assert code == 0 and data["generators_h1"] != old_h1
+
+    def parse(texts):
+        return [parse_superpoly(text, m=m)[0] for text in texts]
+
+    result = cech_cohomology(TransitionSheaf(m, parse([transition])[0]))
+    assert spans_equal([g.terms for g in parse(data["generators_h0"])],
+                       [g.terms for g in parse(old_h0)])
+    assert result.h1_span_equals(parse(old_h1))
+    assert result.h1_span_equals(parse(data["generators_h1"]))

@@ -34,12 +34,15 @@ def test_test_oracles_stay_off_engine_paths():
     # express_in_span are test-only helpers kept in tests/test_golden.py,
     # tests/test_properties.py and tests/test_superlie.py; composed_apply and
     # composed_bracket, the derivation calculus by whole-polynomial steps,
-    # live only in tests/derivation_reference.py, and bott_dim, the Bott
-    # numbers as a per-degree dict, only in tests/closed_form_reference.py
+    # live only in tests/derivation_reference.py, bott_dim, the Bott
+    # numbers as a per-degree dict, only in tests/closed_form_reference.py,
+    # and the windowed Cech engine's _run_window and _mask_pass only in
+    # tests/cech_window_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
         "composed_apply": None, "composed_bracket": None, "bott_dim": None,
+        "_run_window": None, "_mask_pass": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
@@ -77,11 +80,9 @@ def test_chart_pairs_are_built_only_in_superpoly():
     # pnm_transition builds each chart pair once per process; a module that
     # called ChartTransition itself would rebuild pairs and re-run the
     # round-trip check on every call.  P^(1|m) has one name for its pair,
-    # pnm_transition(1, m), so no module names a second one; the alias
-    # cech.standard_transition, kept for the benchmark, is named only in cech.
+    # pnm_transition(1, m), so no module names a second one (the alias
+    # cech.standard_transition is a benchmark shim, see below).
     found = [path.name for path in SOURCES if "p1m_transition" in path.read_text()]
-    found += [path.name for path in SOURCES
-              if path.name != "cech.py" and "standard_transition" in path.read_text()]
     for path in SOURCES:
         if path.name == "superpoly.py":
             continue
@@ -96,6 +97,19 @@ def test_chart_pairs_are_built_only_in_superpoly():
             )
             if name == "ChartTransition":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_benchmark_shims_are_named_only_in_cech():
+    # the E1-page engine has no window; the names the benchmark still reads
+    # (the alias standard_transition, CechWindow, default_window, the result's
+    # window_used and stabilized) stay in cech for it alone, and no engine
+    # path reads them
+    shims = re.compile(
+        r"\b(standard_transition|CechWindow|default_window|window_used|stabilized)\b"
+    )
+    found = [f"{path.name} {name}" for path in SOURCES if path.name != "cech.py"
+             for name in sorted(set(shims.findall(path.read_text())))]
     assert found == []
 
 
@@ -263,27 +277,7 @@ def test_euler_route_names_no_gradient():
 
 
 def test_cech_runs_one_window_and_has_no_instability_path():
-    # the window cech_cohomology runs is proven exact (cech module
-    # docstring), so no module keeps a retry path, and cech_cohomology
-    # calls _run_window once, outside any loop
+    # the E1 page is exact with no degree bound (cech module docstring), so
+    # no module keeps a retry path
     found = [path.name for path in SOURCES if "InstabilityError" in path.read_text()]
     assert found == []
-    path = Path(superproj.__file__).parent / "cech.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    (entry,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "cech_cohomology"
-    ]
-
-    def window_runs(root):
-        return [
-            node.lineno for node in ast.walk(root)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "_run_window"
-        ]
-
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-             ast.GeneratorExp)
-    assert len(window_runs(entry)) == 1
-    assert [line for node in ast.walk(entry) if isinstance(node, loops)
-            for line in window_runs(node)] == []
