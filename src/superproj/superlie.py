@@ -11,12 +11,28 @@ frame checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .linalg import SparseElim, span_eliminator
 from .records import Record
 from .scalars import HALF, I, INV_SQRT2, ONE, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, pnm_transition
+
+
+# The conformal generators in U/Sigma coordinates, the one statement of this
+# change of basis: standard_fields builds H..S2 from it, verify_osp22 reads it.
+CONFORMAL_CHANGE = {
+    "H": {"U1": ONE},
+    "K": {"U3": ONE},
+    "D": {"U2": HALF, "U4": HALF},
+    "Y": {"U2": HALF, "U4": -HALF},
+    "Q1": {"Sigma1": INV_SQRT2, "Sigma3": -(I * INV_SQRT2)},
+    "Q2": {"Sigma3": INV_SQRT2, "Sigma1": -(I * INV_SQRT2)},
+    "S1": {"Sigma2": -INV_SQRT2, "Sigma4": I * INV_SQRT2},
+    "S2": {"Sigma4": -INV_SQRT2, "Sigma2": I * INV_SQRT2},
+}
 
 
 def standard_fields(ctx: Context = None) -> dict:
@@ -62,14 +78,8 @@ def standard_fields(ctx: Context = None) -> dict:
     f["Sigma2"] = f["Xi2"] + f["Xi8"]
     f["Sigma3"] = f["Xi3"] + f["Xi5"]
     f["Sigma4"] = f["Xi4"] + f["Xi6"]
-    f["H"] = f["U1"]
-    f["K"] = f["U3"]
-    f["D"] = (f["U2"] + f["U4"]) * HALF
-    f["Y"] = (f["U2"] - f["U4"]) * HALF
-    f["Q1"] = (f["Sigma1"] - I * f["Sigma3"]) * INV_SQRT2
-    f["Q2"] = (f["Sigma3"] - I * f["Sigma1"]) * INV_SQRT2
-    f["S1"] = -((f["Sigma2"] - I * f["Sigma4"]) * INV_SQRT2)
-    f["S2"] = -((f["Sigma4"] - I * f["Sigma2"]) * INV_SQRT2)
+    for name, combo in CONFORMAL_CHANGE.items():
+        f[name] = reduce(add, (f[u] * c for u, c in combo.items()))
     return fields
 
 
@@ -97,12 +107,9 @@ def v_xi_basis() -> SuperLieBasis:
     return SuperLieBasis(names, {n: f[n] for n in names})
 
 
-_CONFORMAL_NAMES = ("H", "K", "D", "Y", "Q1", "Q2", "S1", "S2")
-
-
 def conformal_basis() -> SuperLieBasis:
     f = standard_fields()
-    return SuperLieBasis(list(_CONFORMAL_NAMES), {n: f[n] for n in _CONFORMAL_NAMES})
+    return SuperLieBasis(list(CONFORMAL_CHANGE), {n: f[n] for n in CONFORMAL_CHANGE})
 
 
 class NonClosureError(DomainError):
@@ -116,31 +123,41 @@ class NonClosureError(DomainError):
 
 
 def structure_constants(basis: SuperLieBasis) -> dict:
-    """Tensor {(i, j): {k: Scalar}} with [e_i, e_j] = sum_k c_ij^k e_k."""
-    elim = span_eliminator(
-        [basis.elements[name].vectorize() for name in basis.names]
-    )
+    """Tensor {(a, b): {c: Scalar}} with [e_a, e_b] = sum_c c_ab^c e_c.
+
+    Each unordered pair is bracketed once; super antisymmetry,
+    [e_b, e_a] = -(-1)^(|a||b|) [e_a, e_b], fills the other half.
+    """
+    names, par = basis.names, basis.parities
+    elim = span_eliminator([basis.elements[name].vectorize() for name in names])
     tensor = {}
-    for i, a in enumerate(basis.names):
-        for j, b in enumerate(basis.names):
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            if j < i:
+                row = tensor[(b, a)]
+                odd_pair = par[a] and par[b]
+                tensor[(a, b)] = row if odd_pair else {k: -c for k, c in row.items()}
+                continue
             br = basis.elements[a].bracket(basis.elements[b])
             combo = elim.express(br.vectorize())
             if combo is None:
                 raise NonClosureError((a, b), br)
-            tensor[(a, b)] = {
-                basis.names[k]: c for k, c in combo.items() if not c.is_zero()
-            }
+            tensor[(a, b)] = {names[k]: c for k, c in combo.items() if not c.is_zero()}
     return tensor
 
 
-def bracket_via_constants(tensor, basis: SuperLieBasis, combo_a: dict, combo_b: dict):
+def _accumulate(out: dict, c, row: dict) -> None:
+    """out += c * row, for combinations {name: Scalar}."""
+    for k, v in row.items():
+        out[k] = out[k] + c * v if k in out else c * v
+
+
+def bracket_via_constants(tensor, combo_a: dict, combo_b: dict) -> dict:
     """Expand [sum a_i e_i, sum b_j e_j] through a structure tensor."""
     out = {}
     for i, ca in combo_a.items():
         for j, cb in combo_b.items():
-            for k, c in tensor[(i, j)].items():
-                cur = out.get(k, Scalar(0))
-                out[k] = cur + ca * cb * c
+            _accumulate(out, ca * cb, tensor[(i, j)])
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -226,38 +243,51 @@ class VerificationReport(Record):
         return all(ok for _, ok in self.entries)
 
 
-def _combo_matches(fields, combo, actual: SuperDerivation) -> bool:
-    """Whether ``actual`` is sum c * fields[name] over ``combo``, compared as
-    ``vectorize`` dicts: a derivation's coefficients hold no zero term, and
-    nonzero ones fix its parity, so equal vectors are equal derivations."""
-    expected = {}
+def _in_u_sigma(combo: dict) -> dict:
+    """A combination of conformal generators in U/Sigma coordinates."""
+    out = {}
     for name, c in combo.items():
-        c = Scalar.coerce(c)
-        for key, v in fields[name].vectorize().items():
-            prev = expected.get(key)
-            expected[key] = v * c if prev is None else prev + v * c
-    return {k: v for k, v in expected.items() if not v.is_zero()} == actual.vectorize()
+        _accumulate(out, c, CONFORMAL_CHANGE[name])
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def verify_osp22() -> VerificationReport:
     """Exact check of every unambiguous structure equation plus the U/Sigma table.
 
+    Everything is read off the structure tensor of the eight U/Sigma fields,
+    whose coefficients are integers (36 brackets).  The 28 table entries are
+    compared with it directly.  The conformal generators are the fixed
+    Q(zeta_8)-combinations CONFORMAL_CHANGE of those fields and the bracket
+    is bilinear over constants, so each conformal equation expands both of
+    its sides into U/Sigma coordinates through the tensor; the U/Sigma
+    fields are independent, so equal coordinates are equal fields.  A
+    U/Sigma bracket outside their span means the hand-written fields are
+    wrong, an engine fault: ``InvariantError`` naming the pair.
+
     Two printed bracket lines conflict ("[H,Q_i] = 0" versus "[H,Q_i] = S_i"
     in one display); the likely-intended [K,Q_i] and [K,S_i] values are
-    computed and reported without being asserted.
+    computed and reported in the conformal basis without being asserted.
     """
-    f = standard_fields()
+    try:
+        tensor = structure_constants(u_sigma_basis())
+    except NonClosureError as exc:
+        raise InvariantError(f"the U/Sigma fields do not close: {exc}") from exc
     report = VerificationReport()
-    table = [(f"[{a},{b}]", (a, b), combo) for (a, b), combo in U_SIGMA_TABLE.items()]
-    for label, (a, b), combo in table + conformal_equations():
-        report.entries.append((label, _combo_matches(f, combo, f[a].bracket(f[b]))))
-    elim = span_eliminator([f[n].vectorize() for n in _CONFORMAL_NAMES])
+    for (a, b), combo in U_SIGMA_TABLE.items():
+        expected = {k: Scalar.coerce(c) for k, c in combo.items() if c}
+        report.entries.append((f"[{a},{b}]", tensor[(a, b)] == expected))
+    change = CONFORMAL_CHANGE
+    for label, (a, b), combo in conformal_equations():
+        lhs = bracket_via_constants(tensor, change[a], change[b])
+        report.entries.append((label, lhs == _in_u_sigma(combo)))
+    names = list(change)
+    elim = span_eliminator(list(change.values()))
     for i in (1, 2):
         for target in (f"Q{i}", f"S{i}"):
-            br = f["K"].bracket(f[target])
-            combo = elim.express(br.vectorize())
+            br = bracket_via_constants(tensor, change["K"], change[target])
+            combo = elim.express(br)
             rendered = " + ".join(
-                f"({c})*{_CONFORMAL_NAMES[k]}" for k, c in sorted(combo.items())
+                f"({c})*{names[k]}" for k, c in sorted(combo.items())
             ) if combo else "0"
             report.computed_only.append((f"[K,{target}]", rendered))
     return report

@@ -36,13 +36,16 @@ def test_test_oracles_stay_off_engine_paths():
     # composed_bracket, the derivation calculus by whole-polynomial steps,
     # live only in tests/derivation_reference.py, bott_dim, the Bott
     # numbers as a per-degree dict, only in tests/closed_form_reference.py,
-    # and the windowed Cech engine's _run_window and _mask_pass only in
-    # tests/cech_window_reference.py
+    # the windowed Cech engine's _run_window and _mask_pass only in
+    # tests/cech_window_reference.py, and the osp(2|2) check by direct
+    # brackets, combo_matches and direct_osp22, only in
+    # tests/osp22_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
         "composed_apply": None, "composed_bracket": None, "bott_dim": None,
         "_run_window": None, "_mask_pass": None,
+        "combo_matches": None, "_combo_matches": None, "direct_osp22": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []

@@ -6,12 +6,18 @@ from pathlib import Path
 import pytest
 
 import superproj
+import superproj.superlie as superlie
 
+from osp22_reference import combo_matches, direct_osp22
+from superproj.cli import main
+from superproj.errors import InvariantError
 from superproj.linalg import span_eliminator
-from superproj.scalars import HALF, I, ONE, Scalar
+from superproj.scalars import HALF, I, INV_SQRT2, ONE, Scalar
 from superproj.superlie import (
+    CONFORMAL_CHANGE,
     U_SIGMA_TABLE,
     NonClosureError,
+    SuperLieBasis,
     bracket_via_constants,
     check_srs_pair,
     conformal_basis,
@@ -33,6 +39,21 @@ def express_in_span(basis, target):
     )
 
 
+def direct_tensor(basis):
+    """The structure tensor with every ordered pair bracketed directly and
+    expressed against a fresh elimination of the basis."""
+    vectors = [basis.elements[n].vectorize() for n in basis.names]
+    tensor = {}
+    for a in basis.names:
+        for b in basis.names:
+            br = basis.elements[a].bracket(basis.elements[b])
+            combo = express_in_span(vectors, br.vectorize())
+            tensor[(a, b)] = {
+                basis.names[k]: c for k, c in combo.items() if not c.is_zero()
+            }
+    return tensor
+
+
 @pytest.fixture(scope="module")
 def fields():
     return standard_fields()
@@ -45,21 +66,44 @@ def test_closure_of_standard_bases():
 
 
 def test_non_closure_detected(fields):
-    from superproj.superlie import SuperLieBasis
-
     bad = SuperLieBasis(["V1", "V3"], {k: fields[k] for k in ("V1", "V3")})
     with pytest.raises(NonClosureError):
         structure_constants(bad)  # [V1, V3] needs V2 + 2*V5-type terms
 
 
 def test_super_antisymmetry_of_tensor():
-    basis = u_sigma_basis()
-    tensor = structure_constants(basis)
-    par = basis.parities
-    for (a, b), combo in tensor.items():
-        sign = Scalar(-1 if not (par[a] and par[b]) else 1)
-        flipped = {k: c * sign for k, c in tensor[(b, a)].items()}
-        assert combo == flipped, (a, b)
+    # structure_constants fills [b, a] from [a, b] by super antisymmetry, so
+    # the rule is checked on direct brackets of both orders, not read back
+    for basis in (u_sigma_basis(), conformal_basis()):
+        tensor = structure_constants(basis)
+        direct = direct_tensor(basis)
+        el, par = basis.elements, basis.parities
+        for a in basis.names:
+            for b in basis.names:
+                sign = 1 if par[a] and par[b] else -1
+                assert el[b].bracket(el[a]) == el[a].bracket(el[b]) * sign, (a, b)
+                flipped = {k: c * sign for k, c in direct[(a, b)].items()}
+                assert tensor[(b, a)] == direct[(b, a)] == flipped, (a, b)
+
+
+def _logged_brackets(monkeypatch) -> list:
+    """Log every SuperDerivation.bracket call from here on; returns the log."""
+    calls = []
+    bracket = SuperDerivation.bracket
+
+    def logged(self, other):
+        calls.append((self, other))
+        return bracket(self, other)
+
+    monkeypatch.setattr(SuperDerivation, "bracket", logged)
+    return calls
+
+
+def test_structure_constants_bracket_each_unordered_pair_once(monkeypatch):
+    basis = v_xi_basis()
+    calls = _logged_brackets(monkeypatch)
+    structure_constants(basis)
+    assert len(calls) == 16 * 17 // 2
 
 
 def test_jacobi_via_tensor():
@@ -71,16 +115,16 @@ def test_jacobi_via_tensor():
         for y in names:
             for z in names:
                 lhs = bracket_via_constants(
-                    tensor, basis, {x: ONE}, tensor[(y, z)]
+                    tensor, {x: ONE}, tensor[(y, z)]
                 )
                 t1 = bracket_via_constants(
-                    tensor, basis, tensor[(x, y)], {z: ONE}
+                    tensor, tensor[(x, y)], {z: ONE}
                 )
                 sgn = Scalar(-1 if par[x] and par[y] else 1)
                 t2 = {
                     k: c * sgn
                     for k, c in bracket_via_constants(
-                        tensor, basis, {y: ONE}, tensor[(x, z)]
+                        tensor, {y: ONE}, tensor[(x, z)]
                     ).items()
                 }
                 total = dict(t1)
@@ -91,25 +135,21 @@ def test_jacobi_via_tensor():
 
 
 def test_u_sigma_table_verbatim(fields):
-    from superproj.superlie import _combo_matches
-
     for (a, b), combo in U_SIGMA_TABLE.items():
-        assert _combo_matches(fields, combo, fields[a].bracket(fields[b])), (a, b)
+        assert combo_matches(fields, combo, fields[a].bracket(fields[b])), (a, b)
 
 
 def test_combo_matches_rejects_a_different_combination(fields):
-    from superproj.superlie import _combo_matches
-
     bracket = fields["U1"].bracket(fields["U3"])
-    assert _combo_matches(fields, {"U2": 1, "U4": 1}, bracket)
-    assert not _combo_matches(fields, {"U2": 1, "U4": 2}, bracket)
-    assert not _combo_matches(fields, {"U2": 1, "U4": 1, "U1": HALF}, bracket)
-    assert not _combo_matches(fields, {}, bracket)
+    assert combo_matches(fields, {"U2": 1, "U4": 1}, bracket)
+    assert not combo_matches(fields, {"U2": 1, "U4": 2}, bracket)
+    assert not combo_matches(fields, {"U2": 1, "U4": 1, "U1": HALF}, bracket)
+    assert not combo_matches(fields, {}, bracket)
     # a zero bracket matches the empty combination and one with a zero coefficient
     zero = fields["U2"].bracket(fields["U4"])
-    assert _combo_matches(fields, {}, zero)
-    assert _combo_matches(fields, {"U1": 0}, zero)
-    assert not _combo_matches(fields, {"U1": 1}, zero)
+    assert combo_matches(fields, {}, zero)
+    assert combo_matches(fields, {"U1": 0}, zero)
+    assert not combo_matches(fields, {"U1": 1}, zero)
 
 
 def test_u_sigma_span_is_4_4(fields):
@@ -125,24 +165,12 @@ def test_conformal_change_of_basis_consistency():
     us = u_sigma_basis()
     conf = conformal_basis()
     t_us = structure_constants(us)
-    t_conf = structure_constants(conf)
-    change = {
-        "H": {"U1": ONE},
-        "K": {"U3": ONE},
-        "D": {"U2": HALF, "U4": HALF},
-        "Y": {"U2": HALF, "U4": -HALF},
-    }
-    from superproj.scalars import INV_SQRT2
-
-    change["Q1"] = {"Sigma1": INV_SQRT2, "Sigma3": -(I * INV_SQRT2)}
-    change["Q2"] = {"Sigma3": INV_SQRT2, "Sigma1": -(I * INV_SQRT2)}
-    change["S1"] = {"Sigma2": -INV_SQRT2, "Sigma4": I * INV_SQRT2}
-    change["S2"] = {"Sigma4": -INV_SQRT2, "Sigma2": I * INV_SQRT2}
+    change = CONFORMAL_CHANGE
     us_vectors = [us.elements[n].vectorize() for n in us.names]
 
     for a in conf.names:
         for b in conf.names:
-            via_us = bracket_via_constants(t_us, us, change[a], change[b])
+            via_us = bracket_via_constants(t_us, change[a], change[b])
             # express the direct bracket in the U/Sigma basis for comparison
             direct = conf.elements[a].bracket(conf.elements[b])
             combo = express_in_span(us_vectors, direct.vectorize())
@@ -152,21 +180,13 @@ def test_conformal_change_of_basis_consistency():
             assert via_us == direct_named, (a, b)
 
 
-@pytest.mark.parametrize("make_basis", [v_xi_basis, conformal_basis])
+@pytest.mark.parametrize("make_basis", [u_sigma_basis, v_xi_basis, conformal_basis])
 def test_structure_constants_match_per_bracket_expression(make_basis):
-    # one eliminator of the basis serves every bracket; each bracket alone,
-    # expressed against a fresh elimination, must give the same coefficients
+    # one eliminator of the basis serves every bracket, and half the pairs
+    # come from the sign rule; every ordered pair bracketed alone and
+    # expressed against a fresh elimination must give the same coefficients
     basis = make_basis()
-    vectors = [basis.elements[n].vectorize() for n in basis.names]
-    expected = {}
-    for a in basis.names:
-        for b in basis.names:
-            br = basis.elements[a].bracket(basis.elements[b])
-            combo = express_in_span(vectors, br.vectorize())
-            expected[(a, b)] = {
-                basis.names[k]: c for k, c in combo.items() if not c.is_zero()
-            }
-    assert structure_constants(basis) == expected
+    assert structure_constants(basis) == direct_tensor(basis)
 
 
 def test_osp22_all_equations_pass():
@@ -180,9 +200,64 @@ def test_osp22_all_equations_pass():
     assert computed["[K,S2]"] == "0"
 
 
-def test_osp22_builds_the_standard_fields_once(monkeypatch):
-    import superproj.superlie as superlie
+def test_osp22_matches_the_direct_bracket_route():
+    # the tensor route against every equation bracketed on the fields
+    entries, computed_only = direct_osp22()
+    report = verify_osp22()
+    assert len(entries) == 58 and all(ok for _, ok in entries)
+    assert report.entries == entries
+    assert report.computed_only == computed_only
 
+
+def test_osp22_makes_at_most_36_brackets(monkeypatch):
+    # the U/Sigma tensor, one bracket per unordered pair, decides all 58
+    # equations; bracketing the conformal fields directly took 62
+    calls = _logged_brackets(monkeypatch)
+    assert verify_osp22().all_passed
+    assert len(calls) <= 36
+
+
+def test_a_flipped_i_in_the_change_of_basis_fails_a_conformal_entry(monkeypatch):
+    # Q1 = (Sigma1 + i Sigma3)/sqrt(2) instead of (Sigma1 - i Sigma3)/sqrt(2)
+    monkeypatch.setitem(
+        CONFORMAL_CHANGE, "Q1", {"Sigma1": INV_SQRT2, "Sigma3": I * INV_SQRT2}
+    )
+    report = verify_osp22()
+    failed = [label for label, ok in report.entries if not ok]
+    assert failed and not report.all_passed
+    assert "{Q1,Q1}" in failed
+    # the U/Sigma table does not read the change of basis
+    assert all(ok for _, ok in report.entries[:len(U_SIGMA_TABLE)])
+
+
+def _unclose_u3(monkeypatch):
+    # U3 = z^3 d/dz: [U1, U3] = 3 z^2 d/dz leaves the U/Sigma span
+    build = superlie.standard_fields
+
+    def broken(*args):
+        f = build(*args)
+        z = f["U3"].ctx.var("z")
+        f["U3"] = SuperDerivation(f["U3"].ctx, 0, {"z": z * z * z})
+        return f
+
+    monkeypatch.setattr(superlie, "standard_fields", broken)
+
+
+def test_osp22_fields_outside_their_span_are_an_invariant_fault(monkeypatch):
+    _unclose_u3(monkeypatch)
+    with pytest.raises(InvariantError, match=r"\[U1, U3\]"):
+        verify_osp22()
+
+
+def test_osp22_verify_exits_1_on_fields_outside_their_span(monkeypatch, capsys):
+    _unclose_u3(monkeypatch)
+    assert main(["osp22-verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated" in err and "[U1, U3]" in err
+
+
+def test_osp22_builds_the_standard_fields_once(monkeypatch):
     calls = []
     build = superlie.standard_fields
 
