@@ -1,11 +1,12 @@
 """Finite-dimensional Lie superalgebras of vector fields on P^(1|2).
 
-Provides the standard bases of global fields (V/Xi), the SUSY-adapted 4|4
-subalgebra (U/Sigma) with its full bracket table, the conformal generators
-H, K, D, Y, Q1, Q2, S1, S2 (1/sqrt(2)-normalized, which is what forces the
-Q(zeta_8) coefficient field), structure-constant extraction, and the N=2
-distribution machinery: symbolic integrability conditions and pointwise
-frame checks.
+The global fields V/Xi and their SUSY-adapted 4|4 subalgebra U/Sigma, all
+with integer coefficients; the conformal generators H..S2 as the fixed
+Q(zeta_8)-combinations CONFORMAL_CHANGE of U/Sigma.  One route answers
+every bracket question: basis brackets expressed in a span through one
+eliminator.  osp(2|2) is read off the U/Sigma structure tensor, and the N=2
+integrability conditions are the V-coordinates of the square of the general
+odd field sum a_i Xi_i; a candidate pair's frame condition is sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .superpoly import Context, SuperDerivation, SuperPolynomial, pnm_transition
 
 
 # The conformal generators in U/Sigma coordinates, the one statement of this
-# change of basis: standard_fields builds H..S2 from it, verify_osp22 reads it.
+# change of basis: conformal_basis builds H..S2 from it, verify_osp22 reads it.
 CONFORMAL_CHANGE = {
     "H": {"U1": ONE},
     "K": {"U3": ONE},
@@ -35,13 +36,10 @@ CONFORMAL_CHANGE = {
 }
 
 
-def standard_fields(ctx: Context = None) -> dict:
-    """The 8|8 global fields on P^(1|2) plus the SUSY combinations.
-
-    Works in any context containing (z; t1, t2), so formal even parameters
-    can be adjoined for symbolic computations.
-    """
-    ctx = ctx or pnm_transition(1, 2).ctx_a
+def standard_fields() -> dict:
+    """The 8|8 global fields V/Xi on P^(1|2) in the U chart (z; t1, t2),
+    plus the SUSY combinations U/Sigma; every coefficient is an integer."""
+    ctx = pnm_transition(1, 2).ctx_a
     z, t1, t2 = ctx.var("z"), ctx.var("t1"), ctx.var("t2")
     one = ctx.one()
 
@@ -78,8 +76,6 @@ def standard_fields(ctx: Context = None) -> dict:
     f["Sigma2"] = f["Xi2"] + f["Xi8"]
     f["Sigma3"] = f["Xi3"] + f["Xi5"]
     f["Sigma4"] = f["Xi4"] + f["Xi6"]
-    for name, combo in CONFORMAL_CHANGE.items():
-        f[name] = reduce(add, (f[u] * c for u, c in combo.items()))
     return fields
 
 
@@ -108,8 +104,12 @@ def v_xi_basis() -> SuperLieBasis:
 
 
 def conformal_basis() -> SuperLieBasis:
+    """H..S2, built from the U/Sigma fields through CONFORMAL_CHANGE."""
     f = standard_fields()
-    return SuperLieBasis(list(CONFORMAL_CHANGE), {n: f[n] for n in CONFORMAL_CHANGE})
+    return SuperLieBasis(list(CONFORMAL_CHANGE), {
+        name: reduce(add, (f[u] * c for u, c in combo.items()))
+        for name, combo in CONFORMAL_CHANGE.items()
+    })
 
 
 class NonClosureError(DomainError):
@@ -233,10 +233,9 @@ def conformal_equations():
 class VerificationReport(Record):
     __slots__ = ("entries", "computed_only")
 
-    def __init__(self, entries: list = None, computed_only: list = None):
-        # (label, ok), then (label, value string); fresh lists by default
-        self.entries = [] if entries is None else entries
-        self.computed_only = [] if computed_only is None else computed_only
+    def __init__(self):
+        self.entries = []  # (label, ok)
+        self.computed_only = []  # (label, value string)
 
     @property
     def all_passed(self) -> bool:
@@ -299,53 +298,43 @@ ALPHA_NAMES = tuple(f"a{i}" for i in range(1, 9))
 
 
 def ansatz_context() -> Context:
-    """The U chart of P^(1|2) with the formal even parameters a1..a8 adjoined."""
-    return Context(("z",) + ALPHA_NAMES, ("t1", "t2"))
-
-
-def general_odd_section() -> SuperDerivation:
-    """D_odd = sum over i of a_i * Xi_i with formal even parameters a1..a8."""
-    ctx = ansatz_context()
-    f = standard_fields(ctx)
-    total = SuperDerivation(ctx, 1, {})
-    for i, name in enumerate(ALPHA_NAMES, start=1):
-        total = total + SuperDerivation(
-            ctx, 1, {v: ctx.var(name) * c for v, c in f[f"Xi{i}"].coeffs.items()}
-        )
-    return total
+    """The formal even parameters a1..a8 of the odd field sum a_i Xi_i."""
+    return Context(ALPHA_NAMES, ())
 
 
 def integrability_conditions() -> list:
-    """Quadratic parameter conditions equivalent to D_odd^2 = 0, for D_odd
-    the general odd section.
+    """Quadratic conditions on a1..a8 equivalent to D^2 = 0, for D the
+    general odd global field sum a_i Xi_i.
 
-    Each condition is returned as a polynomial in the formal parameters
-    (a SuperPolynomial with no z/theta content).
+    The a_i are even constants and [Xi_j, Xi_i] = [Xi_i, Xi_j], so D^2 =
+    [D, D]/2 is the sum over i <= j of a_i a_j [Xi_i, Xi_j], halved for
+    i = j.  The 36 brackets are expressed in the V basis through one
+    eliminator; condition k is the V_k-coordinate of D^2 scaled to lead
+    coefficient 1, and a zero coordinate (V4's) gives none.  A Xi-Xi bracket
+    outside the V span means the hand-written fields are wrong, an engine
+    fault: ``InvariantError`` naming the pair.
     """
-    d_odd = general_odd_section()
-    ctx = d_odd.ctx
-    square = d_odd.bracket(d_odd) * HALF
-    conditions = {}
-    for var, poly in square.coeffs.items():
-        for (exps, mask), c in poly.terms.items():
-            # the context is (z, a1..a8): z and the odd mask are geometric
-            bucket = conditions.setdefault((var, exps[:1], mask), {})
-            key = ((0,) + exps[1:], 0)
-            bucket[key] = bucket.get(key, Scalar(0)) + c
+    f = standard_fields()
+    elim = span_eliminator([f[f"V{k}"].vectorize() for k in range(1, 9)])
+    coords = [{} for _ in range(8)]  # V_k-coordinate: {monomial in a: coefficient}
+    for i in range(8):
+        for j in range(i, 8):
+            a, b = f"Xi{i + 1}", f"Xi{j + 1}"
+            combo = elim.express(f[a].bracket(f[b]).vectorize())
+            if combo is None:
+                raise InvariantError(f"bracket [{a}, {b}] falls outside the V span")
+            exps = [0] * 8
+            exps[i] += 1
+            exps[j] += 1
+            w = HALF if i == j else ONE
+            for k, c in combo.items():
+                coords[k][(tuple(exps), 0)] = c * w
+    ctx = ansatz_context()
     out = []
-    seen = set()
-    for bucket in conditions.values():
-        terms = {k: v for k, v in bucket.items() if not v.is_zero()}
-        if not terms:
-            continue
-        # normalize sign/scale by the leading term for deduplication
-        lead = min(terms)
-        scale = terms[lead].inverse()
-        canon = frozenset((k, (v * scale)) for k, v in terms.items())
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(SuperPolynomial(ctx, {k: v * scale for k, v in terms.items()}))
+    for terms in coords:
+        if terms:
+            scale = terms[min(terms)].inverse()
+            out.append(SuperPolynomial(ctx, {m: c * scale for m, c in terms.items()}))
     return out
 
 
@@ -385,16 +374,22 @@ def _frame_rank(fields, even_name, odd_names, point) -> bool:
 def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation) -> SrsReport:
     """Distribution checks for a candidate N=2 pair on P^(1|2).
 
-    Verifies D1^2 = D2^2 = 0, computes {D1, D2}, and samples the frame
-    condition (the 3x3 reduced coefficient matrix of D1, D2, {D1,D2} against
-    d/dz, d/dt1, d/dt2 is invertible) at the FRAME_SAMPLES points in both
-    charts.
+    Verifies D1^2 = D2^2 = 0 (for odd D, [D, D] = 2 D^2), computes
+    {D1, D2}, and samples the frame condition (the 3x3 reduced coefficient
+    matrix of {D1,D2}, D1, D2 against d/dz, d/dt1, d/dt2 is invertible) at
+    the FRAME_SAMPLES points in both charts.
+
+    The samples decide nothing everywhere.  The reduced frame change from
+    (d/dz, d/dt1, d/dt2) to (d/dw, d/dp1, d/dp2) is diag(-w^2, w, w), so
+    det_V(w) = -w^4 det_U(1/w) for any U-chart fields: global sections
+    vanish at w = 0 (the standard pair has det_U = 2, det_V = -2w^4), which
+    is why frame_everywhere is False even for the paper's pair.  And a
+    degeneracy between samples is missed: D1 = -3(Xi3 + Xi5) + Xi4 + Xi6,
+    D2 = Xi1 + Xi7 has det_U = 2(z - 3)^2 and passes every U sample.
     """
     tr = pnm_transition(1, 2)
     if d1.ctx != tr.ctx_a or d2.ctx != tr.ctx_a:
         raise DomainError("expected U-chart fields on P^(1|2)")
-    sq1 = d1.bracket(d1) * HALF
-    sq2 = d2.bracket(d2) * HALF
     anti = d1.bracket(d2)
     frame = []
     u_fields = [anti, d1, d2]
@@ -406,8 +401,8 @@ def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation) -> SrsReport:
         ok = _frame_rank(v_fields, "w", ("p1", "p2"), {"w": s})
         frame.append(("V", s, ok))
     return SrsReport(
-        d1_square_zero=sq1.is_zero(),
-        d2_square_zero=sq2.is_zero(),
+        d1_square_zero=d1.bracket(d1).is_zero(),
+        d2_square_zero=d2.bracket(d2).is_zero(),
         anticommutator=anti,
         frame_results=frame,
     )

@@ -14,6 +14,7 @@ from superproj.scalars import Scalar
 from superproj.superlie import (
     CONFORMAL_CHANGE,
     U_SIGMA_TABLE,
+    conformal_basis,
     conformal_equations,
     standard_fields,
 )
@@ -35,7 +36,7 @@ def combo_matches(fields, combo, actual) -> bool:
 def direct_osp22():
     """(entries, computed_only) as ``verify_osp22`` reports them, every
     bracket taken directly (62 of them)."""
-    f = standard_fields()
+    f = {**standard_fields(), **conformal_basis().elements}
     table = [(f"[{a},{b}]", (a, b), combo) for (a, b), combo in U_SIGMA_TABLE.items()]
     entries = [
         (label, combo_matches(f, combo, f[a].bracket(f[b])))

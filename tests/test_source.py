@@ -39,13 +39,16 @@ def test_test_oracles_stay_off_engine_paths():
     # the windowed Cech engine's _run_window and _mask_pass only in
     # tests/cech_window_reference.py, and the osp(2|2) check by direct
     # brackets, combo_matches and direct_osp22, only in
-    # tests/osp22_reference.py
+    # tests/osp22_reference.py, and the integrability conditions by squaring
+    # a formal odd field, general_odd_section, only in
+    # tests/integrability_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
         "composed_apply": None, "composed_bracket": None, "bott_dim": None,
         "_run_window": None, "_mask_pass": None,
         "combo_matches": None, "_combo_matches": None, "direct_osp22": None,
+        "general_odd_section": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []

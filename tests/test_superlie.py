@@ -8,6 +8,7 @@ import pytest
 import superproj
 import superproj.superlie as superlie
 
+from integrability_reference import bucketed_conditions, general_odd_section
 from osp22_reference import combo_matches, direct_osp22
 from superproj.cli import main
 from superproj.errors import InvariantError
@@ -21,7 +22,6 @@ from superproj.superlie import (
     bracket_via_constants,
     check_srs_pair,
     conformal_basis,
-    general_odd_section,
     integrability_conditions,
     standard_fields,
     structure_constants,
@@ -56,7 +56,14 @@ def direct_tensor(basis):
 
 @pytest.fixture(scope="module")
 def fields():
-    return standard_fields()
+    return {**standard_fields(), **conformal_basis().elements}
+
+
+def test_standard_fields_have_rational_coefficients():
+    # the V/Xi and U/Sigma fields are integral; only conformal_basis, through
+    # CONFORMAL_CHANGE, reaches into Q(zeta_8)
+    for name, field in standard_fields().items():
+        assert all(c.is_rational() for c in field.vectorize().values()), name
 
 
 def test_closure_of_standard_bases():
@@ -316,13 +323,12 @@ def test_integrability_strictly_stronger_than_triple(fields):
 
 
 def test_integrability_output_does_not_follow_the_hash_seed():
-    # a derivation sum lists its coefficients in context order, so the
-    # section's vector and the condition list do not depend on set order
+    # the conditions are listed in V order and each lists its terms in
+    # monomial order, so the output does not depend on set order
     src = str(Path(superproj.__file__).parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
-        "from superproj.superlie import general_odd_section, integrability_conditions\n"
-        "print(list(general_odd_section().vectorize()))\n"
+        "from superproj.superlie import integrability_conditions\n"
         "print([str(c) for c in integrability_conditions()])\n"
     )
     runs = [
@@ -341,6 +347,47 @@ def test_general_odd_section_squares_encode_conditions():
     sq = d.bracket(d)
     assert not sq.is_zero()
     assert sq.parity == 0
+
+
+def test_integrability_conditions_match_the_squared_section():
+    # the V-coordinates of the Xi-Xi brackets against the formal odd field
+    # squared in the (z, a1..a8) chart and bucketed by geometric monomial
+    conditions = integrability_conditions()
+    reference = bucketed_conditions()
+    assert len(conditions) == len(reference) == 7
+    assert conditions == reference
+    assert conditions[0].ctx == superlie.ansatz_context()
+
+
+def _replace_field(monkeypatch, name, coeffs):
+    """standard_fields with the odd field ``name`` rebuilt by
+    coeffs(old coefficients) -> new coefficients."""
+    build = superlie.standard_fields
+
+    def patched():
+        f = build()
+        f[name] = SuperDerivation(f[name].ctx, 1, coeffs(f[name].coeffs))
+        return f
+
+    monkeypatch.setattr(superlie, "standard_fields", patched)
+
+
+def test_a_flipped_xi_changes_the_conditions(monkeypatch):
+    before = [str(c) for c in integrability_conditions()]
+    _replace_field(monkeypatch, "Xi6", lambda c: {v: -p for v, p in c.items()})
+    after = [str(c) for c in integrability_conditions()]
+    assert after != before
+    assert "a4*a8 - a2*a6" in after and "a4*a8 + a2*a6" not in after
+
+
+def test_a_xi_bracket_outside_the_v_span_is_an_invariant_fault(monkeypatch):
+    # Xi4 = z t2 d/dz + t1 t2 d/dt1 (the sign of its d/dt1 term flipped):
+    # [Xi2, Xi4] is no longer a combination of V1..V8
+    _replace_field(
+        monkeypatch, "Xi4", lambda c: {v: -p if v == "t1" else p for v, p in c.items()}
+    )
+    with pytest.raises(InvariantError, match=r"\[Xi2, Xi4\]"):
+        integrability_conditions()
 
 
 def test_srs_standard_pair(fields):
@@ -370,6 +417,19 @@ def test_srs_shifted_pair_moves_the_degeneracy(fields):
     assert not results[("U", -1)]
     assert results[("U", 0)] and results[("U", 2)]
     assert results[("V", -3)]
+
+
+def test_srs_samples_miss_a_degeneracy_between_them(fields):
+    # -3(Xi3 + Xi5) + Xi4 + Xi6 = (z - 3 - t1 t2)(Xi3 + Xi5): the frame's
+    # body determinant is 2(z - 3)^2, zero at z = 3, which no U sample hits
+    d1 = (fields["Xi3"] + fields["Xi5"]) * Scalar(-3) + fields["Xi4"] + fields["Xi6"]
+    d2 = fields["Xi1"] + fields["Xi7"]
+    rep = check_srs_pair(d1, d2)
+    assert rep.d1_square_zero and rep.d2_square_zero
+    assert all(ok for chart, _, ok in rep.frame_results if chart == "U")
+    fields_u = [rep.anticommutator, d1, d2]
+    assert not superlie._frame_rank(fields_u, "z", ("t1", "t2"), {"z": 3})
+    assert superlie._frame_rank(fields_u, "z", ("t1", "t2"), {"z": 4})
 
 
 def test_srs_solved_family_anticommutator(fields):

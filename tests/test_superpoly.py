@@ -8,7 +8,6 @@ from substitution_reference import chart_rules, pushforward, substitute
 from superproj.cech import standard_transition
 from superproj.errors import ContextError, DomainError, ParityError
 from superproj.scalars import I, ONE, Scalar
-from superproj.superlie import ansatz_context
 from superproj.superpoly import (
     ChartTransition,
     Context,
@@ -240,12 +239,13 @@ def _random_field(rng, ctx, parity):
 def test_derivation_calculus_matches_composed_reference():
     # apply, bracket and pushforward against the composed reference, on
     # charts with 1-3 even and 0-4 odd variables, Laurent exponents, Q(zeta8)
-    # coefficients and all four parity pairs, plus the formal-parameter
-    # context of the N=2 ansatz
+    # coefficients and all four parity pairs, plus a 9|2 context with no
+    # chart: z and eight formal even parameters a1..a8
     rng = random.Random(20)
     cases = [(pnm_transition(n, m), pnm_transition(n, m).ctx_a)
              for n in (1, 2, 3) for m in range(5)]
-    cases.append((None, ansatz_context()))
+    params = tuple(f"a{i}" for i in range(1, 9))
+    cases.append((None, Context(("z",) + params, ("t1", "t2"))))
     for tr, ctx in cases:
         for px in (0, 1):
             for py in (0, 1):
