@@ -122,7 +122,7 @@ def verify_picard_dim_cech(m: int) -> bool:
     the tests.
     """
     if not 2 <= m <= 6:
-        raise DomainError("verify_picard_dim_cech covers 2 <= m <= 6")
+        raise DomainError("the Cech check needs 2 <= m <= 6")
     h1 = cech_cohomology(twist_sheaf(m, 0), want_generators=False).h1
     return (h1.even, h1.odd) == (continuous_dim_formula(1, m),
                                  pi_picard(1, m).nonsplit_parameter_dim)

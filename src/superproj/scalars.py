@@ -77,11 +77,6 @@ class Scalar:
         _, n1, n2, n3 = self.n
         return not (n1 or n2 or n3)
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.n[0], self.d)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):

@@ -6,17 +6,17 @@ Q(zeta_8)-combinations CONFORMAL_CHANGE of U/Sigma.  One route answers
 every bracket question: basis brackets expressed in a span through one
 eliminator.  osp(2|2) is read off the U/Sigma structure tensor, and the N=2
 integrability conditions are the V-coordinates of the square of the general
-odd field sum a_i Xi_i; a candidate pair's frame condition is sampled.
+odd field sum a_i Xi_i.  A candidate pair's frame condition is one exact
+body determinant per chart.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from operator import add
 
 from .errors import DomainError, InvariantError
-from .linalg import SparseElim, span_eliminator
+from .linalg import span_eliminator
 from .records import Record
 from .scalars import HALF, I, INV_SQRT2, ONE, Scalar
 from .superpoly import Context, SuperDerivation, SuperPolynomial, pnm_transition
@@ -339,70 +339,65 @@ def integrability_conditions() -> list:
 
 
 class SrsReport(Record):
-    __slots__ = ("d1_square_zero", "d2_square_zero", "anticommutator", "frame_results")
+    __slots__ = ("d1_square_zero", "d2_square_zero", "anticommutator",
+                 "frame_det_u", "frame_det_v")
 
     def __init__(self, d1_square_zero: bool, d2_square_zero: bool,
-                 anticommutator: SuperDerivation, frame_results: list):
+                 anticommutator: SuperDerivation, frame_det_u: SuperPolynomial,
+                 frame_det_v: SuperPolynomial):
         self.d1_square_zero = d1_square_zero
         self.d2_square_zero = d2_square_zero
         self.anticommutator = anticommutator
-        self.frame_results = frame_results  # (chart, point, ok)
-
-    @property
-    def frame_everywhere(self) -> bool:
-        return all(ok for _, _, ok in self.frame_results)
+        self.frame_det_u = frame_det_u  # Laurent polynomial in z
+        self.frame_det_v = frame_det_v  # Laurent polynomial in w
 
 
-FRAME_SAMPLES = (0, 1, -1, 2, Fraction(1, 2), -3)
-
-
-def _frame_rank(fields, even_name, odd_names, point) -> bool:
-    elim = SparseElim()
-    for d in fields:
-        row = {}
-        try:
-            for k, name in enumerate([even_name] + list(odd_names)):
-                val = d.coefficient(name).eval_body(point)
-                if not val.is_zero():
-                    row[k] = val
-        except ZeroDivisionError:
-            return False  # a pole at the sample point: no frame there
-        elim.add(row)
-    return elim.rank == 3
+def _frame_det(fields, names) -> SuperPolynomial:
+    """Cofactor determinant of the 3x3 matrix of coefficient bodies."""
+    (a, b, c), (d, e, f), (g, h, i) = ([x.coefficient(n).body() for n in names]
+                                       for x in fields)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def check_srs_pair(d1: SuperDerivation, d2: SuperDerivation) -> SrsReport:
     """Distribution checks for a candidate N=2 pair on P^(1|2).
 
     Verifies D1^2 = D2^2 = 0 (for odd D, [D, D] = 2 D^2), computes
-    {D1, D2}, and samples the frame condition (the 3x3 reduced coefficient
-    matrix of {D1,D2}, D1, D2 against d/dz, d/dt1, d/dt2 is invertible) at
-    the FRAME_SAMPLES points in both charts.
+    {D1, D2}, and the frame condition exactly: det_U and det_V are the
+    cofactor determinants of the reduced 3x3 coefficient matrix of
+    ({D1,D2}, D1, D2) against (d/dz, d/dt1, d/dt2) and, on the pushed-forward
+    fields, against (d/dw, d/dp1, d/dp2).  Each is a Laurent polynomial, and
+    the fields frame T at a point of a chart exactly where that chart's
+    determinant is regular and nonzero.  For example D1 = -3(Xi3 + Xi5) + Xi4 + Xi6, D2 = Xi1 + Xi7
+    has det_U = 2(z - 3)^2: the frame fails at z = 3 alone in the U chart.
 
-    The samples decide nothing everywhere.  The reduced frame change from
-    (d/dz, d/dt1, d/dt2) to (d/dw, d/dp1, d/dp2) is diag(-w^2, w, w), so
-    det_V(w) = -w^4 det_U(1/w) for any U-chart fields: global sections
-    vanish at w = 0 (the standard pair has det_U = 2, det_V = -2w^4), which
-    is why frame_everywhere is False even for the paper's pair.  And a
-    degeneracy between samples is missed: D1 = -3(Xi3 + Xi5) + Xi4 + Xi6,
-    D2 = Xi1 + Xi7 has det_U = 2(z - 3)^2 and passes every U sample.
+    The reduced frame change from (d/dz, d/dt1, d/dt2) to (d/dw, d/dp1,
+    d/dp2) is diag(-w^2, w, w), so det_V(w) = -w^4 det_U(1/w) for any U-chart
+    fields; a pair whose det_V breaks this means the pushforward is wrong, an
+    engine fault: ``InvariantError``.  For global sections a nonzero det_U
+    is a polynomial of degree at most 4, and det_V vanishes at w = 0 to
+    order 4 - deg det_U: the two have four zeros on P^1 counted with
+    multiplicity, so no global pair frames T everywhere.  The standard pair puts all four
+    at w = 0 (det_U = 2, det_V = -2w^4).  The frame is a condition on the
+    distributions' local generators, not on these global sections; no
+    criterion on local generators is checked yet.
     """
     tr = pnm_transition(1, 2)
     if d1.ctx != tr.ctx_a or d2.ctx != tr.ctx_a:
         raise DomainError("expected U-chart fields on P^(1|2)")
     anti = d1.bracket(d2)
-    frame = []
     u_fields = [anti, d1, d2]
-    for s in FRAME_SAMPLES:
-        ok = _frame_rank(u_fields, "z", ("t1", "t2"), {"z": s})
-        frame.append(("U", s, ok))
-    v_fields = [x.pushforward(tr) for x in u_fields]
-    for s in FRAME_SAMPLES:
-        ok = _frame_rank(v_fields, "w", ("p1", "p2"), {"w": s})
-        frame.append(("V", s, ok))
+    det_u = _frame_det(u_fields, ("z", "t1", "t2"))
+    det_v = _frame_det([x.pushforward(tr) for x in u_fields], ("w", "p1", "p2"))
+    if det_v != tr.ctx_b.monomial(-1, (4,)) * tr.to_b(det_u):
+        raise InvariantError(
+            f"frame determinants disagree across charts: det_U = {det_u}, "
+            f"det_V = {det_v}"
+        )
     return SrsReport(
         d1_square_zero=d1.bracket(d1).is_zero(),
         d2_square_zero=d2.bracket(d2).is_zero(),
         anticommutator=anti,
-        frame_results=frame,
+        frame_det_u=det_u,
+        frame_det_v=det_v,
     )

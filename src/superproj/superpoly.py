@@ -297,19 +297,6 @@ class SuperPolynomial:
         kind, pos = self.ctx.lookup(name)
         return SuperPolynomial(self.ctx, _partial_terms(self.terms, kind, pos))
 
-    def eval_body(self, point: dict) -> Scalar:
-        """Evaluate the body at a point given as {even name: rational or Scalar}."""
-        total = Scalar(0)
-        for (exps, mask), c in self.terms.items():
-            if mask:
-                continue
-            val = c
-            for pos, e in enumerate(exps):
-                if e:
-                    val = val * Scalar.coerce(point[self.ctx.even[pos]]) ** e
-            total = total + val
-        return total
-
     # -- rendering ---------------------------------------------------------
 
     def _sorted_keys(self):

@@ -90,6 +90,19 @@ def test_picard_verify(capsys):
     assert data["verify"] == "pass"
 
 
+def test_picard_verify_refuses_m_outside_the_cech_range(capsys):
+    # the range is stated once, by the engine
+    code, out, err = run(capsys, "picard", "--n", "1", "--m", "7", "--verify")
+    assert code == 2 and out == ""
+    assert err == "error: the Cech check needs 2 <= m <= 6\n"
+
+
+def test_picard_verify_refuses_n_other_than_1(capsys):
+    code, out, err = run(capsys, "picard", "--n", "2", "--m", "3", "--verify")
+    assert code == 2 and out == ""
+    assert err == "error: --verify needs n = 1\n"
+
+
 def test_tangent_basis(capsys):
     code, out, _ = run(capsys, "tangent", "--n", "1", "--m", "2", "--basis")
     assert code == 0

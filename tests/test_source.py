@@ -41,7 +41,10 @@ def test_test_oracles_stay_off_engine_paths():
     # brackets, combo_matches and direct_osp22, only in
     # tests/osp22_reference.py, and the integrability conditions by squaring
     # a formal odd field, general_odd_section, only in
-    # tests/integrability_reference.py
+    # tests/integrability_reference.py, the sampled N=2 frame check,
+    # FRAME_SAMPLES, _frame_rank and eval_body, only in
+    # tests/frame_sample_reference.py, and rational_value only in
+    # tests/scalar_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
@@ -49,6 +52,8 @@ def test_test_oracles_stay_off_engine_paths():
         "_run_window": None, "_mask_pass": None,
         "combo_matches": None, "_combo_matches": None, "direct_osp22": None,
         "general_odd_section": None,
+        "FRAME_SAMPLES": None, "_frame_rank": None, "eval_body": None,
+        "rational_value": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []

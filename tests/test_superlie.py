@@ -1,6 +1,9 @@
 import os
+import random
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import superproj
 import superproj.superlie as superlie
 
+from frame_sample_reference import eval_body, sampled_frame
 from integrability_reference import bucketed_conditions, general_odd_section
 from osp22_reference import combo_matches, direct_osp22
 from superproj.cli import main
@@ -390,6 +394,11 @@ def test_a_xi_bracket_outside_the_v_span_is_an_invariant_fault(monkeypatch):
         integrability_conditions()
 
 
+def _charts():
+    tr = pnm_transition(1, 2)
+    return tr.ctx_a.var("z"), tr.ctx_b.var("w")
+
+
 def test_srs_standard_pair(fields):
     d1 = fields["Xi3"] + fields["Xi5"]
     d2 = fields["Xi1"] + fields["Xi7"]
@@ -397,26 +406,22 @@ def test_srs_standard_pair(fields):
     assert rep.d1_square_zero and rep.d2_square_zero
     ctx = d1.ctx
     assert rep.anticommutator == SuperDerivation(ctx, 0, {"z": ctx.one() * 2})
-    # frame holds at every finite U sample but degenerates at w = 0
-    for chart, point, ok in rep.frame_results:
-        if chart == "U":
-            assert ok, point
-        else:
-            assert ok == (point != 0), point
-    assert not rep.frame_everywhere
+    # the frame holds on the whole U chart but degenerates at w = 0
+    _, w = _charts()
+    assert rep.frame_det_u == ctx.scalar(2)
+    assert rep.frame_det_v == -(w ** 4) * 2
 
 
 def test_srs_shifted_pair_moves_the_degeneracy(fields):
     # (1 + z - t1 t2)(Xi3 + Xi5) vanishes at z = -1 instead of at infinity,
-    # so the frame now holds at w = -3 in the V chart but fails at z = -1
+    # so the frame now fails at z = -1, and w = 0 is a zero of order 2, not 4
     d1 = fields["Xi3"] + fields["Xi5"] + fields["Xi4"] + fields["Xi6"]
     d2 = fields["Xi1"] + fields["Xi7"]
     rep = check_srs_pair(d1, d2)
     assert rep.d1_square_zero and rep.d2_square_zero
-    results = {(chart, pt): ok for chart, pt, ok in rep.frame_results}
-    assert not results[("U", -1)]
-    assert results[("U", 0)] and results[("U", 2)]
-    assert results[("V", -3)]
+    z, w = _charts()
+    assert rep.frame_det_u == (1 + z) ** 2 * 2
+    assert rep.frame_det_v == -(w * w * (1 + w) ** 2) * 2
 
 
 def test_srs_samples_miss_a_degeneracy_between_them(fields):
@@ -426,10 +431,63 @@ def test_srs_samples_miss_a_degeneracy_between_them(fields):
     d2 = fields["Xi1"] + fields["Xi7"]
     rep = check_srs_pair(d1, d2)
     assert rep.d1_square_zero and rep.d2_square_zero
-    assert all(ok for chart, _, ok in rep.frame_results if chart == "U")
-    fields_u = [rep.anticommutator, d1, d2]
-    assert not superlie._frame_rank(fields_u, "z", ("t1", "t2"), {"z": 3})
-    assert superlie._frame_rank(fields_u, "z", ("t1", "t2"), {"z": 4})
+    z, w = _charts()
+    assert rep.frame_det_u == (z - 3) ** 2 * 2
+    assert rep.frame_det_v == -(w * w * (1 - w * 3) ** 2) * 2
+    assert all(ok for chart, _, ok in sampled_frame(d1, d2) if chart == "U")
+
+
+def _frame_holds(det, name, point) -> bool:
+    """Whether a frame determinant is regular and nonzero at the point."""
+    try:
+        return not eval_body(det, {name: point}).is_zero()
+    except ZeroDivisionError:
+        return False
+
+
+def test_frame_determinants_decide_every_sample_verdict(fields):
+    # 300 seeded pairs of odd Xi-combinations, squares zero or not: each of
+    # the sampler's 12 verdicts is "the chart's determinant is regular and
+    # nonzero there", and det_V = -w^4 det_U(1/w)
+    rng = random.Random(3901)
+    tr = pnm_transition(1, 2)
+    minus_w4 = tr.ctx_b.monomial(-1, (4,))
+    coeffs = (0, 1, -1, 2, -3)
+    verdicts, falses, mismatches = 0, 0, []
+    for _ in range(300):
+        d1, d2 = (
+            reduce(add, (fields[f"Xi{i}"] * rng.choice(coeffs) for i in range(1, 9)))
+            for _ in range(2)
+        )
+        rep = check_srs_pair(d1, d2)
+        assert rep.frame_det_v == minus_w4 * tr.to_b(rep.frame_det_u)
+        dets = {"U": (rep.frame_det_u, "z"), "V": (rep.frame_det_v, "w")}
+        for chart, point, ok in sampled_frame(d1, d2):
+            verdicts += 1
+            falses += not ok
+            if ok != _frame_holds(*dets[chart], point):
+                mismatches.append((str(d1), str(d2), chart, point))
+    assert verdicts == 3600 and mismatches == []
+    assert 0 < falses < verdicts
+
+
+def test_a_wrong_pushforward_is_an_invariant_fault(monkeypatch, capsys, fields):
+    # d/dw's coefficient with its sign flipped: det_V no longer equals
+    # -w^4 det_U(1/w), in check_srs_pair and so in the integrability record
+    push = SuperDerivation.pushforward
+
+    def flipped(self, transition):
+        d = push(self, transition)
+        return SuperDerivation(d.ctx, d.parity, {
+            v: -p if v == "w" else p for v, p in d.coeffs.items()
+        })
+
+    monkeypatch.setattr(SuperDerivation, "pushforward", flipped)
+    with pytest.raises(InvariantError, match="frame determinants"):
+        check_srs_pair(fields["Xi3"] + fields["Xi5"], fields["Xi1"] + fields["Xi7"])
+    assert main(["selftest", "--cases", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violated: frame determinants")
 
 
 def test_srs_solved_family_anticommutator(fields):

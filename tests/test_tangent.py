@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from scalar_reference import rational_value
 from substitution_reference import pushforward
 from superproj import tangent
 from superproj.checkers import run_golden
@@ -64,7 +65,7 @@ def _dense_gradient_rank(n, m):
                 sign = -1 if name.startswith("T") else 1
                 for key, c in mono.partial(name).terms.items():
                     row[v * len(target_index) + target_index[key]] = (
-                        sign * int(c.rational_value())
+                        sign * int(rational_value(c))
                     )
             rows.append(row)
         domain[parity] = len(cols)
