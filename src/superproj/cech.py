@@ -43,8 +43,8 @@ D is block diagonal in parity, so one eliminator holds both blocks, and
 h0 - h1 = #H0 classes - #H1 monomials, the Euler characteristic
 sum C(m, j) (k - j + 1) over the mask sizes j of each parity, by
 construction.  The runtime check is one that can fail: every section P must
-glue, W * (P o chart), computed by the chart map and a polynomial product,
-must have no polar term, or ``InvariantError`` is raised.
+glue, W * (P o chart), computed by the chart map and the product loop on
+term dicts, must have no polar term, or ``InvariantError`` is raised.
 
 ``CechWindow``, ``default_window``, ``standard_transition``,
 ``CohomologyResult.stabilized`` and ``window_used`` are kept for the
@@ -63,6 +63,8 @@ from .records import FrozenRecord, Record, set_field
 from .scalars import ONE, Scalar
 from .superpoly import (
     SuperPolynomial,
+    _mul_into,
+    chart_terms,
     koszul_sign,
     mask_parity,
     pnm_transition,
@@ -248,28 +250,36 @@ def cech_cohomology(sheaf: TransitionSheaf, window: CechWindow = None,
 
     gens_h0, gens_h1 = [], []
     if want_generators:
-        tr = pnm_transition(1, m)
+        W, ctx_b = sheaf.W, sheaf.W.ctx
         for combo in image.kernel:
             section = {}
             for j, lam in combo.items():
                 lam = Scalar.coerce(lam)
+                unit = lam.is_one()
                 for key, v in lifts[j].items():
-                    term = v * lam
+                    term = v if unit else v * lam
                     old = section.get(key)
                     section[key] = term if old is None else old + term
-            P = SuperPolynomial(tr.ctx_a, section)
-            Q = sheaf.W * tr.to_b(P)
+            # Q = W * (P o chart), glued on term dicts: P is built only to
+            # name a section that does not glue
+            glued = {}
+            _mul_into(glued, W.terms, chart_terms(section))
+            Q = SuperPolynomial(ctx_b, glued)
             if any(e < 0 for (e,), _ in Q.terms):
+                P = SuperPolynomial(pnm_transition(1, m).ctx_a, section)
                 raise InvariantError(
                     f"the section {P} does not glue: W * (P o chart) = {Q} "
                     f"has polar terms"
                 )
             gens_h0.append(Q)
-        one_term, ctx_b = SuperPolynomial._term, sheaf.W.ctx
+        one_term, pivots = SuperPolynomial._term, image.pivots
         for s in range(1 << m):
-            gens_h1 += [one_term(ctx_b, ((e,), s), ONE)
-                        for e in range(k - s.bit_count() + 1, 0)
-                        if (e, s) not in image.pivots]
+            top = k - s.bit_count() + 1  # the H1 monomials w^e p^s, top <= e < 0
+            if top < 0:
+                exps = range(top, 0)
+                if pivots:
+                    exps = [e for e in exps if (e, s) not in pivots]
+                gens_h1 += [one_term(ctx_b, ((e,), s), ONE) for e in exps]
 
     covering = default_window(sheaf)
     if window is None or window.D < covering.D:

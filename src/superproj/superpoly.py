@@ -100,7 +100,7 @@ def _partial_terms(terms: dict, kind: str, pos: int) -> dict:
 class Context:
     """An ordered set of even and odd variable names."""
 
-    __slots__ = ("even", "odd", "_index")
+    __slots__ = ("even", "odd", "_index", "_odd_text")
 
     def __init__(self, even, odd):
         even, odd = tuple(even), tuple(odd)
@@ -114,6 +114,7 @@ class Context:
             {name: ("even", i) for i, name in enumerate(even)}
             | {name: ("odd", i) for i, name in enumerate(odd)},
         )
+        object.__setattr__(self, "_odd_text", {})  # mask -> "p1*p3", filled on use
 
     def __setattr__(self, name, value):
         raise AttributeError("Context is immutable")
@@ -137,6 +138,19 @@ class Context:
             return self._index[name]
         except KeyError:
             raise ContextError(f"unknown variable {name!r} in {self!r}") from None
+
+    def odd_text(self, mask: int) -> str:
+        """The odd variables of a nonzero mask in index order, joined by '*';
+        each mask's text is built once."""
+        text = self._odd_text.get(mask)
+        if text is None:
+            odd, parts, rest = self.odd, [], mask
+            while rest:
+                low = rest & -rest
+                parts.append(odd[low.bit_length() - 1])
+                rest ^= low
+            text = self._odd_text[mask] = "*".join(parts)
+        return text
 
     def zero_exps(self):
         return (0,) * len(self.even)
@@ -308,17 +322,13 @@ class SuperPolynomial:
 
     def monomial_str(self, key) -> str:
         exps, mask = key
+        ctx = self.ctx
         parts = []
         for pos, e in enumerate(exps):
-            if e == 1:
-                parts.append(self.ctx.even[pos])
-            elif e:
-                parts.append(f"{self.ctx.even[pos]}^{e}")
-        odd = self.ctx.odd
-        while mask:
-            low = mask & -mask
-            parts.append(odd[low.bit_length() - 1])
-            mask ^= low
+            if e:
+                parts.append(ctx.even[pos] if e == 1 else f"{ctx.even[pos]}^{e}")
+        if mask:
+            parts.append(ctx.odd_text(mask))
         return "*".join(parts) if parts else "1"
 
     def __str__(self):
@@ -328,11 +338,12 @@ class SuperPolynomial:
         for key in self.terms if len(self.terms) == 1 else self._sorted_keys():
             c = self.terms[key]
             mono = self.monomial_str(key)
+            if c.is_one():
+                chunks.append(mono)
+                continue
             ctext = str(c)
             if mono == "1":
                 chunk = ctext
-            elif ctext == "1":
-                chunk = mono
             elif ctext == "-1":
                 chunk = f"-{mono}"
             elif any(op in ctext[1:] for op in (" + ", " - ")):
@@ -384,25 +395,31 @@ def super_log(g: SuperPolynomial):
     return c, _nilpotent_series(n, g.ctx.zero(), lambda k: Fraction((-1) ** (k + 1), k))
 
 
-def _chart_map(p: SuperPolynomial, source: Context, target: Context) -> SuperPolynomial:
-    """z^a t^S <-> w1^(-|a|-|S|) w2^a2..wn^an p^S, coefficient unchanged.
+def chart_terms(terms: dict) -> dict:
+    """z^a t^S <-> w1^(-|a|-|S|) w2^a2..wn^an p^S on a term dict, coefficient
+    unchanged; zero coefficients are dropped.
 
     z1 = 1/w1, zj = wj/w1 and ti = pi/w1 send each monomial to one monomial
     with sign +1 (w1 is even), and the map is its own inverse.
     """
+    return {
+        ((-sum(exps) - mask.bit_count(),) + exps[1:], mask): c
+        for (exps, mask), c in terms.items() if not c.is_zero()
+    }
+
+
+def _chart_map(p: SuperPolynomial, source: Context, target: Context) -> SuperPolynomial:
+    """``chart_terms`` on a polynomial of the chart ``source``."""
     if p.ctx != source:
         raise ContextError(f"expected a polynomial on {source!r}, got {p.ctx!r}")
-    return SuperPolynomial(target, {
-        ((-sum(exps) - mask.bit_count(),) + exps[1:], mask): c
-        for (exps, mask), c in p.terms.items()
-    })
+    return SuperPolynomial(target, chart_terms(p.terms))
 
 
 class ChartTransition:
     """Charts A (z1..zn, t1..tm) and B (w1..wn, p1..pm) of P^(n|m).
 
     z1 = 1/w1, zj = wj/w1, ti = pi/w1: ``to_b`` and ``to_a`` relabel
-    monomials by ``_chart_map``.  The round trip is checked on every
+    monomials by ``chart_terms``.  The round trip is checked on every
     variable at construction.
     """
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import cech_window_reference as ref
+from cech_generators_reference import polynomial_generators
 from dense_reference import echelon_basis
 from substitution_reference import chart_rules, substitute
 from superproj.cech import (
@@ -484,6 +485,49 @@ def test_lists_without_nilpotent_terms_are_the_window_reference_lists():
                     g.terms for g in old.generators_h0], sheaf
                 assert [g.terms for g in res.generators_h1] == [
                     g.terms for g in old.generators_h1], sheaf
+
+
+def _assert_generators_as_built_by_polynomials(sheaf):
+    res = cech_cohomology(sheaf)
+    gens_h0, gens_h1 = polynomial_generators(sheaf)
+    # term for term, in the same order, down to each polynomial's term order
+    assert [list(g.terms.items()) for g in res.generators_h0] == [
+        list(g.terms.items()) for g in gens_h0], sheaf
+    assert [list(g.terms.items()) for g in res.generators_h1] == [
+        list(g.terms.items()) for g in gens_h1], sheaf
+    assert all(g.ctx == sheaf.W.ctx for g in res.generators_h0 + res.generators_h1)
+
+
+@pytest.mark.parametrize("name, text, m", CECH_WIDE, ids=[c[0] for c in CECH_WIDE])
+def test_generators_on_term_dicts_match_the_polynomial_construction(name, text, m):
+    _assert_generators_as_built_by_polynomials(
+        TransitionSheaf(m, parse_superpoly(text, m=m)[0]))
+
+
+# sheaves whose D has dependent columns, so that a section combines the lifts
+# of several H0 classes with coefficients other than 1
+DEPENDENT_COLUMNS = [
+    ("w^2 - 4*sqrt2*w*p2*p4 - w^2*p1*p3", 4),
+    ("2*w - 2*i*w^-2*p1*p2*p3*p4 - 4/3*w^-2*p2*p3*p4*p5 - 4*p1*p2*p3*p5"
+     " - 4*w^3*p2*p3 + 2*w^3*p2*p4 - 2*i*w^4*p3*p4", 5),
+    ("w^3 - w^2*p3*p4 + 1/2*sqrt2*w^2*p2*p5 + 1/3*i*w^4*p2*p3*p4*p5"
+     " - 2/3*sqrt2*w^6*p1*p4", 5),
+]
+
+
+@pytest.mark.parametrize("text, m", DEPENDENT_COLUMNS)
+def test_generators_combining_several_lifts_match_the_polynomial_construction(text, m):
+    sheaf = TransitionSheaf(m, parse_superpoly(text, m=m)[0])
+    assert any(len(combo) > 1 for combo in cech_cohomology(sheaf)._image.kernel)
+    _assert_generators_as_built_by_polynomials(sheaf)
+
+
+def test_generators_on_term_dicts_match_the_polynomial_construction_seeded():
+    rng = random.Random(40)
+    sheaves = [_seeded_sheaf(rng) for _ in range(200)]
+    assert sum(len(sheaf.W.terms) > 1 for sheaf in sheaves) > 100
+    for sheaf in sheaves:
+        _assert_generators_as_built_by_polynomials(sheaf)
 
 
 # -- sign faults: the gluing check and the class map see them --------------

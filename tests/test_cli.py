@@ -60,6 +60,17 @@ def test_cech_parse_error_exit_2(capsys):
     assert "nilpotent" in err
 
 
+@pytest.mark.parametrize("transition, what", [
+    ("p1^-1", "odd variable 'p1'"), ("0^-1", "zero factor"),
+    ("(p1*p2)^-1", "nilpotent factor"), ("(w+1)^-1", "factor"),
+])
+def test_cech_negative_power_of_a_non_unit_is_a_parse_error(capsys, transition, what):
+    # the base's offset, not a bare error from the inverse
+    code, out, err = run(capsys, "cech", "--m", "2", "--transition", transition)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {what} is not invertible: power -1 (at offset 0)\n"
+
+
 def test_cech_negative_m_names_only_m(capsys):
     code, out, err = run(capsys, "cech", "--m", "-1", "--transition", "1")
     assert code == 2 and out == ""

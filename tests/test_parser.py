@@ -1,12 +1,16 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parser_reference import descent_parse, descent_parse_in_context
 
 from superproj import parser
-from superproj.errors import ParseError
+from superproj.errors import DomainError, ParseError, SuperprojError
 from superproj.parser import parse_superpoly
 from superproj.scalars import I, SQRT2, Scalar
-from superproj.superpoly import ChartTransition, pnm_transition
+from superproj.superpoly import ChartTransition, SuperPolynomial, pnm_transition
 
 
 def test_parse_builds_the_chart_pair_once(monkeypatch):
@@ -110,6 +114,11 @@ def test_syntax_errors_carry_offsets():
         ("1 $ 2", 2, "unexpected character '$'"),
         ("t1*p1", 3, "variable 'p1' mixes the V chart into a U-chart expression"),
         ("1 + w*p2^3", 6, "odd variable 'p2' is nilpotent: power 3 vanishes"),
+        ("p1^-1", 0, "odd variable 'p1' is not invertible: power -1"),
+        ("1 + 0^-1", 4, "zero factor is not invertible: power -1"),
+        ("w*(p1*p2)^-1", 2, "nilpotent factor is not invertible: power -1"),
+        ("2*(w+1)^-1", 2, "factor is not invertible: power -1"),
+        ("(p1+p2)^-1", 0, "odd factor is not invertible: power -1"),
     ]:
         with pytest.raises(ParseError) as exc:
             parse_superpoly(text)
@@ -163,3 +172,123 @@ def test_render_parse_round_trip_random(c1, c2, e, mask):
         return
     back, _ = parse_superpoly(str(p), m=2)
     assert back == p
+
+
+# -- the monomial-run parser against the recursive-descent reference -------
+
+def _random_factor(rng, names, odd, depth):
+    sign = rng.choice(["", "", "", "-", "+", "--", "-+-"])
+    pick = rng.random()
+    if pick < 0.2:
+        base = str(rng.randint(0, 4))
+    elif pick < 0.3:
+        base = f"{rng.randint(0, 5)}/{rng.randint(1, 4)}"
+    elif pick < 0.35:
+        base = rng.choice(["i", "sqrt2"])
+    elif pick < 0.55:
+        base = rng.choice(names)
+    elif pick < 0.85 or depth >= 2:
+        base = rng.choice(odd)  # out of order and repeated across a term
+    else:
+        base = f"({_random_expr(rng, names, odd, depth + 1)})"
+    if rng.random() < 0.35:
+        exp_sign = rng.choice(["", "", "-", "--", "+"])
+        base += f"^{exp_sign}{rng.randint(0, 3)}"
+    return sign + base
+
+
+def _random_expr(rng, names, odd, depth=0):
+    space = rng.choice(["", "", " ", "  "])
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [_random_factor(rng, names, odd, depth) for _ in range(rng.randint(1, 4))]
+        terms.append(f"{space}*{space}".join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += f"{space}{rng.choice('+-')}{space}{term}"
+    return text
+
+
+def _mutate(rng, text):
+    """A random deletion, insertion or truncation."""
+    at = rng.randrange(len(text) + 1)
+    pick = rng.random()
+    if pick < 0.4 and text:
+        return text[:at] + text[at + 1:]
+    if pick < 0.8:
+        return text[:at] + rng.choice("+-*^/()$ 0w1p") + text[at:]
+    return text[:at]
+
+
+def _outcome(parse, text, *args):
+    try:
+        value = parse(text, *args)
+    except SuperprojError as exc:
+        return type(exc), getattr(exc, "offset", None), str(exc)
+    p = value[0] if isinstance(value, tuple) else value
+    return "ok", value[1] if isinstance(value, tuple) else None, p.ctx, p.terms
+
+
+def _same_outcome(text, got, want):
+    """got from the engine, want from the reference; a negative power of a
+    non-unit, which the reference lets escape as the inverse's DomainError,
+    is a ParseError in the engine."""
+    if want[0] is DomainError and want[2] == "inverse requires a single-term body":
+        assert got[0] is ParseError and "is not invertible: power -" in got[2], text
+        return "non-unit"
+    assert got == want, text
+    return "ok" if want[0] == "ok" else "error"
+
+
+def test_monomial_runs_match_the_recursive_descent_reference():
+    rng = random.Random(40)
+    tally = Counter()
+    charts = (("w", ["p1", "p2", "p3", "p4"], None), ("z", ["t1", "t2", "t3"], 3),
+              ("w", ["p1", "p2", "p5"], 5))
+    for _ in range(3000):
+        even, odd, m = rng.choice(charts)
+        text = _random_expr(rng, [even], odd)
+        if rng.random() < 0.3:
+            text = _mutate(rng, text)
+        want = _outcome(descent_parse, text, m)
+        got = _outcome(parse_superpoly, text, m)
+        tally[_same_outcome(text, got, want)] += 1
+    # both ways of ending are well represented
+    assert tally["ok"] > 1000 and tally["error"] > 300 and tally["non-unit"] > 10, tally
+
+
+def test_monomial_runs_match_the_reference_in_a_context():
+    # two even variables: exponent tuples of length 2
+    ctx = pnm_transition(2, 2).ctx_a
+    rng = random.Random(41)
+    for _ in range(500):
+        text = _random_expr(rng, ["z1", "z2"], ["t1", "t2"])
+        want = _outcome(descent_parse_in_context, text, ctx)
+        got = _outcome(parser.parse_in_context, text, ctx)
+        _same_outcome(text, got, want)
+
+
+def test_trailing_whitespace_ends_the_input():
+    p, _ = parse_superpoly("1 + w ")
+    assert p == parse_superpoly("1 + w")[0]
+    with pytest.raises(ParseError) as exc:
+        parse_superpoly("1 +  ")
+    assert str(exc.value) == "expected a value (at offset 5)"
+
+
+def test_a_transition_chain_parses_without_the_inverse_series(monkeypatch):
+    # c*w^k*(1 + sum c_i*p_i*p_(i+1)*w^e) at m = 6: every power is taken on a
+    # monomial's key and coefficient
+    calls = []
+    inverse = SuperPolynomial.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(SuperPolynomial, "inverse", counting_inverse)
+    chain = "+".join(f"(-1/{i + 1})*p{i}*p{i + 1}*w^-1" for i in range(1, 6))
+    W, chart = parse_superpoly(f"(1/2)*w^-2*(1+{chain})", m=6)
+    assert calls == []
+    want, _ = descent_parse(f"(1/2)*w^-2*(1+{chain})", m=6)
+    assert calls and W == want

@@ -43,8 +43,12 @@ def test_test_oracles_stay_off_engine_paths():
     # a formal odd field, general_odd_section, only in
     # tests/integrability_reference.py, the sampled N=2 frame check,
     # FRAME_SAMPLES, _frame_rank and eval_body, only in
-    # tests/frame_sample_reference.py, and rational_value only in
-    # tests/scalar_reference.py
+    # tests/frame_sample_reference.py, rational_value only in
+    # tests/scalar_reference.py, the recursive-descent parser that builds a
+    # polynomial per factor, DescentParser, descent_parse and
+    # descent_parse_in_context, only in tests/parser_reference.py, and the
+    # generator lists built through whole polynomials, polynomial_generators,
+    # only in tests/cech_generators_reference.py
     homes = {
         "echelon_basis": "linalg.py", "bareiss_rank": "linalg.py", "substitute": None,
         "load_record": None, "suite_duality": None, "express_in_span": None,
@@ -54,6 +58,8 @@ def test_test_oracles_stay_off_engine_paths():
         "general_odd_section": None,
         "FRAME_SAMPLES": None, "_frame_rank": None, "eval_body": None,
         "rational_value": None,
+        "DescentParser": None, "descent_parse": None, "descent_parse_in_context": None,
+        "polynomial_generators": None,
     }
     defs = (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
